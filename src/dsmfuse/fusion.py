@@ -18,9 +18,11 @@ Two fusion operators:
 
 W(x0) = 1 is the maximum of W, so weights need no further normalization.
 The median of an even candidate count is the average of the two middle
-values.  Output cells are mutually independent, so fusion can be
-partitioned across row blocks (``jobs``) with bit-identical results for
-any worker count.
+values.  Output cells are mutually independent, so the adaptive kernel runs
+cell-major on row blocks sized by a fixed candidate-byte budget: blocks stay
+cache-sized and memory is bounded for any grid width.  ``jobs`` > 1 gives
+each worker one contiguous span of rows, with bit-identical results for any
+block height and worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .raster import CellIndex, GeometryMismatchError, RasterGrid
 
 TIE_BREAK_AVERAGE = "average-of-two-middles"
 
-_BLOCK_ROWS = 128
+_BLOCK_BYTES = 8 << 20  # candidate bytes per row block of the adaptive kernel
 
 
 @dataclass(frozen=True)
@@ -172,17 +175,18 @@ def adaptive_window(
     return AdaptiveWindow(members=frozenset(members))
 
 
-def _nan_median_axis0(a: np.ndarray) -> np.ndarray:
-    """Median over axis 0 ignoring NaN; all-NaN columns give NaN.
+def _nan_median(a: np.ndarray) -> np.ndarray:
+    """Median over the last axis ignoring NaN; all-NaN rows give NaN.
 
-    Even counts average the two middle order statistics.  Sort-based so the
-    result is deterministic and independent of candidate ordering.
+    Sorts ``a`` in place.  Even counts average the two middle order
+    statistics.  Sort-based so the result is deterministic and independent
+    of candidate ordering.
     """
-    s = np.sort(a, axis=0)  # NaN sorts to the end
-    n = np.sum(~np.isnan(a), axis=0)
+    a.sort(axis=-1)  # NaN sorts to the end
+    n = np.count_nonzero(~np.isnan(a), axis=-1)
     safe = np.maximum(n, 1)
-    lo = np.take_along_axis(s, ((safe - 1) // 2)[None], axis=0)[0]
-    hi = np.take_along_axis(s, (safe // 2)[None], axis=0)[0]
+    lo = np.take_along_axis(a, ((safe - 1) // 2)[..., None], axis=-1)[..., 0]
+    hi = np.take_along_axis(a, (safe // 2)[..., None], axis=-1)[..., 0]
     med = 0.5 * (lo + hi)
     med[n == 0] = np.nan
     return med
@@ -190,8 +194,8 @@ def _nan_median_axis0(a: np.ndarray) -> np.ndarray:
 
 def median_fuse(stack: DepthStack) -> RasterGrid:
     """Per-cell median across layers; cells with no valid height get nodata."""
-    arr = np.stack([layer.nan_values() for layer in stack.layers])
-    med = _nan_median_axis0(arr)
+    arr = np.stack([layer.nan_values() for layer in stack.layers], axis=-1)
+    med = _nan_median(arr)
     first = stack.layers[0]
     return RasterGrid.from_nan(stack.geometry, med, first.nodata)
 
@@ -212,39 +216,38 @@ def _window_offsets(cfg: FusionConfig):
     return out
 
 
-def _fuse_block(
-    hpad: np.ndarray,
-    opad: np.ndarray,
-    cfg: FusionConfig,
-    n_rows_out: int,
-    n_cols: int,
-) -> np.ndarray:
-    """Fuse one padded row block; hpad is (layers, rows+2r, cols+2r)."""
+def _fuse_block(hpad, opad, offsets, cfg: FusionConfig) -> np.ndarray:
+    """Fuse one padded row block; hpad is (rows+2r, cols+2r, layers)."""
     rad = cfg.radius
-    n_layers = hpad.shape[0]
-    i0 = opad[rad : rad + n_rows_out, rad : rad + n_cols]
+    n_rows = opad.shape[0] - 2 * rad
+    n_cols = opad.shape[1] - 2 * rad
+    i0 = opad[rad : rad + n_rows, rad : rad + n_cols]
     i0_nan = np.isnan(i0)
-    offsets = _window_offsets(cfg)
-    if not offsets:  # gamma = 1 exactly: the strict gate admits no cell
-        return np.full((n_rows_out, n_cols), np.nan)
-    cands = np.full((len(offsets) * n_layers, n_rows_out, n_cols), np.nan)
-    k = 0
-    for di, dj, spatial in offsets:
-        ix = opad[rad + di : rad + di + n_rows_out, rad + dj : rad + dj + n_cols]
-        d = ix - i0
+    member = np.empty((n_rows, n_cols, len(offsets)), dtype=bool)
+    cands = np.empty((n_rows, n_cols, len(offsets), hpad.shape[2]))
+    for k, (di, dj, spatial) in enumerate(offsets):
+        rows = slice(rad + di, rad + di + n_rows)
+        cols = slice(rad + dj, rad + dj + n_cols)
+        d = opad[rows, cols] - i0
         w = np.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
         # NaN weights compare False; nodata-center cells fall back to the
-        # spatial-only gate, which is True for every offset kept above
-        member = np.where(i0_nan, True, w > cfg.gamma)
-        for li in range(n_layers):
-            h = hpad[li, rad + di : rad + di + n_rows_out, rad + dj : rad + dj + n_cols]
-            np.copyto(cands[k], h, where=member)
-            k += 1
-    return _nan_median_axis0(cands)
+        # spatial-only gate, which is True for every offset kept
+        np.logical_or(i0_nan, w > cfg.gamma, out=member[:, :, k])
+        cands[:, :, k, :] = hpad[rows, cols]
+    np.copyto(cands, np.nan, where=~member[..., None])
+    return _nan_median(cands.reshape(n_rows, n_cols, -1))
 
 
-def _fuse_block_star(args):
-    return _fuse_block(*args)
+def _fuse_span(span, offsets, cfg: FusionConfig, block_rows: int) -> np.ndarray:
+    """Fuse a padded (heights, ortho) span of rows, block_rows output rows at a time."""
+    blocks = _row_blocks(*span, block_rows, cfg.radius)
+    return np.concatenate([_fuse_block(h, o, offsets, cfg) for h, o in blocks])
+
+
+def _row_blocks(hpad, opad, rows: int, rad: int):
+    """Padded (heights, ortho) slices of ``rows`` output rows; the last may be short."""
+    starts = range(0, len(opad) - 2 * rad, rows)
+    return [(hpad[r0 : r0 + rows + 2 * rad], opad[r0 : r0 + rows + 2 * rad]) for r0 in starts]
 
 
 def adaptive_median_fuse(
@@ -258,40 +261,31 @@ def adaptive_median_fuse(
     Per output cell, the candidate multiset is every valid height of every
     layer at every member cell of the cell's adaptive window computed on
     ``ortho``; the output is the candidates' median, or nodata when there
-    are none.  ``jobs`` > 1 fuses row blocks in parallel processes with
-    bit-identical results.
+    are none.  ``jobs`` > 1 splits the rows into at most that many contiguous
+    spans fused in parallel processes, with bit-identical results.
     """
     if cfg is None:
         cfg = FusionConfig()
     if ortho.geometry != stack.geometry:
         raise GeometryMismatchError("orthophoto geometry differs from the stack")
     geom = stack.geometry
+    nodata = stack.layers[0].nodata
+    offsets = _window_offsets(cfg)
+    if not offsets:  # gamma = 1 exactly: the strict gate admits no cell
+        return RasterGrid(geom, np.full((geom.n_rows, geom.n_cols), nodata), nodata)
     rad = cfg.radius
-    pad = [(rad, rad), (rad, rad)]
-    hpad = np.stack(
-        [np.pad(layer.nan_values(), pad, constant_values=np.nan) for layer in stack.layers]
-    )
-    opad = np.pad(ortho.nan_values(), pad, constant_values=np.nan)
+    n_layers = len(stack.layers)
+    hpad = np.full((geom.n_rows + 2 * rad, geom.n_cols + 2 * rad, n_layers), np.nan)
+    for li, layer in enumerate(stack.layers):
+        hpad[rad : rad + geom.n_rows, rad : rad + geom.n_cols, li] = layer.nan_values()
+    opad = np.pad(ortho.nan_values(), rad, constant_values=np.nan)
 
-    spans = [
-        (r0, min(r0 + _BLOCK_ROWS, geom.n_rows))
-        for r0 in range(0, geom.n_rows, _BLOCK_ROWS)
-    ]
-    tasks = [
-        (
-            hpad[:, r0 : r1 + 2 * rad, :],
-            opad[r0 : r1 + 2 * rad, :],
-            cfg,
-            r1 - r0,
-            geom.n_cols,
-        )
-        for r0, r1 in spans
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_fuse_block_star, tasks))
+    block_rows = max(1, _BLOCK_BYTES // (geom.n_cols * len(offsets) * n_layers * hpad.itemsize))
+    spans = _row_blocks(hpad, opad, math.ceil(geom.n_rows / max(jobs, 1)), rad)
+    fuse = partial(_fuse_span, offsets=offsets, cfg=cfg, block_rows=block_rows)
+    if len(spans) > 1:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            fused = list(pool.map(fuse, spans))
     else:
-        blocks = [_fuse_block(*t) for t in tasks]
-    fused = np.concatenate(blocks, axis=0)
-    first = stack.layers[0]
-    return RasterGrid.from_nan(geom, fused, first.nodata)
+        fused = [fuse(spans[0])]
+    return RasterGrid.from_nan(geom, np.concatenate(fused), nodata)

@@ -27,7 +27,7 @@ import numpy as np
 DEFAULT_NODATA = -9999.0
 
 # fractional source indices this close to an integer are snapped, so that
-# resampling a grid onto its own geometry is exact despite float rounding
+# resampling onto a cell-aligned geometry is exact despite float rounding
 _SNAP_EPS = 1e-9
 
 
@@ -179,10 +179,13 @@ def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") ->
     ``nearest`` takes the value of the containing source cell, propagating
     nodata directly.  ``bilinear`` interpolates the four surrounding cell
     centers; when any of the four is invalid it falls back to the nearest
-    valid one of the four, and to nodata when none is valid.
+    valid one of the four, and to nodata when none is valid.  Onto the
+    source's own geometry both are exact, so ``src`` itself is returned.
     """
     if method not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resampling method {method!r}")
+    if target == src.geometry:
+        return src
     if method == "nearest":
         return _resample_nearest(src, target)
     return _resample_bilinear(src, target)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsmfuse import cli, raster
 from dsmfuse.cli import main
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, write_asc
 from dsmfuse.rpc import write_rpc
@@ -93,6 +94,29 @@ class TestFuse:
         assert main(args + ["--out", str(tmp_path / "b.asc")]) == 0
         assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "b.asc").read_bytes()
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_nan_token_bytes_match_full_resampling(self, tmp_path, rng, monkeypatch, mode):
+        # identity resampling returns the grid as read, so a NaN cell stays
+        # NaN instead of becoming nodata; the fused bytes must not notice
+        for i in range(3):
+            vals = rng.normal(15, 4, size=(12, 10))
+            vals[rng.random((12, 10)) < 0.1] = -9999.0
+            vals[i, 2 * i] = np.nan
+            write_asc(grid_of(vals), tmp_path / f"l{i}.asc")
+        ortho = rng.uniform(0, 255, (12, 10))
+        ortho[5, 5] = np.nan
+        write_asc(grid_of(ortho), tmp_path / "ortho.asc")
+        assert "nan" in (tmp_path / "l0.asc").read_text().split()
+        args = ["fuse", "--layers", *(str(tmp_path / f"l{i}.asc") for i in range(3)),
+                "--mode", mode, "--ortho", str(tmp_path / "ortho.asc")]
+        assert main(args + ["--out", str(tmp_path / "short.asc")]) == 0
+        full = {"nearest": raster._resample_nearest, "bilinear": raster._resample_bilinear}
+        monkeypatch.setattr(cli, "resample", lambda src, target, method: full[method](src, target))
+        assert main(args + ["--out", str(tmp_path / "full.asc")]) == 0
+        for ext in (".asc", ".pgm"):
+            short = (tmp_path / "short").with_suffix(ext).read_bytes()
+            assert short == (tmp_path / "full").with_suffix(ext).read_bytes()
 
     def test_bad_mode_exit_4(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "l.asc")

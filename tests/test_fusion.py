@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dsmfuse import fusion
 from dsmfuse.fusion import (
     DepthStack,
     FusionConfig,
@@ -277,6 +281,73 @@ class TestAdaptiveMedianFuse:
         serial = adaptive_median_fuse(stack, ortho, jobs=1)
         parallel = adaptive_median_fuse(stack, ortho, jobs=3)
         assert np.array_equal(serial.values, parallel.values)
+
+
+def _budget_for_rows(stack, cfg, rows):
+    """Candidate-byte budget that yields blocks of ``rows`` output rows."""
+    row_bytes = stack.geometry.n_cols * len(fusion._window_offsets(cfg)) * len(stack.layers) * 8
+    return rows * row_bytes + row_bytes - 1
+
+
+class TestBlockPartition:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("shape", [(23, 9), (1, 11)])
+    @pytest.mark.parametrize(
+        "cfg", [FusionConfig(), FusionConfig(radius=0), FusionConfig(gamma=1.0)]
+    )
+    def test_any_block_height_is_bit_identical(self, rng, monkeypatch, cfg, shape, jobs):
+        stack, ortho = random_stack(rng, *shape, 3)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1 << 40)
+        whole = adaptive_median_fuse(stack, ortho, cfg)
+        budgets = [1]  # smaller than one row: blocks of one row
+        if fusion._window_offsets(cfg):
+            budgets += [_budget_for_rows(stack, cfg, rows) for rows in (1, 2, 7)]
+        for budget in budgets:
+            monkeypatch.setattr(fusion, "_BLOCK_BYTES", budget)
+            out = adaptive_median_fuse(stack, ortho, cfg, jobs=jobs)
+            assert np.array_equal(out.values, whole.values), budget
+
+    def test_budget_sets_block_height(self, rng, monkeypatch):
+        stack, ortho = random_stack(rng, 23, 9, 3)
+        heights = []
+        real = fusion._fuse_block
+
+        def spy(hpad, opad, offsets, cfg):
+            heights.append(opad.shape[0] - 2 * cfg.radius)
+            return real(hpad, opad, offsets, cfg)
+
+        monkeypatch.setattr(fusion, "_fuse_block", spy)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, FusionConfig(), 7))
+        adaptive_median_fuse(stack, ortho)
+        assert heights == [7, 7, 7, 2]
+
+
+_heights = st.one_of(
+    st.sampled_from([-9999.0, np.nan, 0.0, 2.5, 10.0]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+_intensities = st.one_of(st.just(-9999.0), st.floats(0.0, 255.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_layer_permutation_property(data):
+    n_rows = data.draw(st.integers(1, 6), label="rows")
+    n_cols = data.draw(st.integers(1, 6), label="cols")
+    n_layers = data.draw(st.integers(1, 4), label="layers")
+    layers = [
+        grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_heights)))
+        for _ in range(n_layers)
+    ]
+    ortho = grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_intensities)))
+    cfg = FusionConfig(
+        radius=data.draw(st.integers(0, 2), label="radius"),
+        gamma=data.draw(st.sampled_from([0.3, 0.5, 0.9, 1.0]), label="gamma"),
+    )
+    order = data.draw(st.permutations(range(n_layers)), label="order")
+    out = adaptive_median_fuse(DepthStack(layers=layers), ortho, cfg)
+    permuted = adaptive_median_fuse(DepthStack(layers=[layers[i] for i in order]), ortho, cfg)
+    assert np.array_equal(out.values, permuted.values)
 
 
 class TestConfigAndStack:

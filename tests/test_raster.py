@@ -8,6 +8,8 @@ from dsmfuse.raster import (
     RasterGrid,
     RowLengthError,
     UnparseableNumberError,
+    _resample_bilinear,
+    _resample_nearest,
     read_asc,
     resample,
     world_to_cell,
@@ -85,7 +87,10 @@ class TestResample:
         vals[rng.random((9, 7)) < 0.2] = -9999.0
         src = make_grid(vals, origin=(12.5, -33.25), cell=0.3)
         for method in ("nearest", "bilinear"):
-            out = resample(src, src.geometry, method)
+            assert resample(src, src.geometry, method) is src
+        # the interpolating paths are exact on the identity too
+        for path in (_resample_nearest, _resample_bilinear):
+            out = path(src, src.geometry)
             assert np.array_equal(out.values, src.values)
 
     def test_all_nodata_stays_all_nodata(self):
