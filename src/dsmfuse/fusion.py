@@ -36,8 +36,6 @@ import numpy as np
 
 from .raster import CellIndex, GeometryMismatchError, RasterGrid
 
-TIE_BREAK_AVERAGE = "average-of-two-middles"
-
 _BLOCK_BYTES = 8 << 20  # candidate bytes per row block of the adaptive kernel
 
 
@@ -54,7 +52,6 @@ class FusionConfig:
     delta_i: float = 15.0
     gamma: float = 0.5
     radius: int = 3
-    tie_break: str = TIE_BREAK_AVERAGE
 
     def __post_init__(self):
         if not self.delta_s > 0:
@@ -65,8 +62,6 @@ class FusionConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.tie_break != TIE_BREAK_AVERAGE:
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 @dataclass

@@ -74,14 +74,6 @@ class GridGeometry:
                 f"grid must be at least 1x1, got {self.n_cols}x{self.n_rows}"
             )
 
-    @property
-    def x_max(self) -> float:
-        return self.origin_x + self.n_cols * self.cell_size
-
-    @property
-    def y_max(self) -> float:
-        return self.origin_y + self.n_rows * self.cell_size
-
     def cell_center(self, cell: CellIndex) -> tuple[float, float]:
         """World coordinates of a cell's center."""
         x = self.origin_x + (cell.col + 0.5) * self.cell_size
@@ -144,9 +136,6 @@ class RasterGrid:
         out = self.values.copy()
         out[~self.valid_mask()] = np.nan
         return out
-
-    def with_values(self, values) -> "RasterGrid":
-        return RasterGrid(self.geometry, values, self.nodata)
 
     def __repr__(self):
         g = self.geometry
@@ -327,7 +316,7 @@ def read_asc(path) -> RasterGrid:
                 f"{path}: row {r} has {len(tokens)} values, expected {n_cols}"
             )
         try:
-            values[r, :] = [float(t) for t in tokens]
+            values[r, :] = np.array(tokens, dtype=np.float64)
         except ValueError:
             bad = next(t for t in tokens if not _is_number(t))
             raise UnparseableNumberError(
@@ -353,18 +342,29 @@ def _is_number(token: str) -> bool:
 
 
 def write_asc(grid: RasterGrid, path) -> None:
-    """Write in ASCII-grid format, values printed with 6 decimals."""
+    """Write in ASCII-grid format, values printed with 6 decimals.
+
+    Each row is one ``%`` of a ``%.6f`` row template, so every token is
+    exactly ``f"{v:.6f}"``.  NODATA_value is written ``:g`` when that reads
+    back exactly, else as ``repr``; a nodata whose ``%.6f`` cell token reads
+    back as another value (``-1e-7``) raises ``ValueError``.
+    """
     g = grid.geometry
+    nodata = grid.nodata
+    if float("%.6f" % nodata) != nodata and not math.isnan(nodata):
+        raise ValueError(f"nodata {nodata!r} would be written as {'%.6f' % nodata}")
+    g_token = f"{nodata:g}"
+    nodata_token = g_token if float(g_token) == nodata else repr(nodata)
+    row_fmt = " ".join(["%.6f"] * g.n_cols) + "\n"
     with open(path, "w", encoding="ascii") as f:
         f.write(f"ncols {g.n_cols}\n")
         f.write(f"nrows {g.n_rows}\n")
         f.write(f"xllcorner {g.origin_x:.6f}\n")
         f.write(f"yllcorner {g.origin_y:.6f}\n")
         f.write(f"cellsize {g.cell_size:.6f}\n")
-        f.write(f"NODATA_value {grid.nodata:g}\n")
-        for r in range(g.n_rows):
-            f.write(" ".join(f"{v:.6f}" for v in grid.values[r]))
-            f.write("\n")
+        f.write(f"NODATA_value {nodata_token}\n")
+        for row in grid.values:
+            f.write(row_fmt % tuple(row.tolist()))
 
 
 def write_pgm(grid: RasterGrid, path) -> None:
@@ -383,10 +383,10 @@ def write_pgm(grid: RasterGrid, path) -> None:
             gray[valid] = scaled[valid].astype(np.int64)
         else:
             gray[valid] = 255
+    row_fmt = " ".join(["%d"] * grid.geometry.n_cols) + "\n"
     with open(path, "w", encoding="ascii") as f:
         f.write("P2\n")
         f.write(f"{grid.geometry.n_cols} {grid.geometry.n_rows}\n")
         f.write("255\n")
-        for r in range(grid.geometry.n_rows):
-            f.write(" ".join(str(v) for v in gray[r]))
-            f.write("\n")
+        for row in gray:
+            f.write(row_fmt % tuple(row.tolist()))

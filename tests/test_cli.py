@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,38 @@ class TestSynthCommand:
             assert (out1 / name).exists()
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "truth.asc.manifest.json").exists()
+
+    def test_readme_scene_bytes_pinned(self, tmp_path, monkeypatch):
+        # sha256 of the README walkthrough's synth and median-fuse outputs,
+        # pinned so that a change of bytes fails even when reruns agree with
+        # each other (adaptive is left out: np.exp may differ by one ulp
+        # across CPU SIMD paths)
+        pinned = {
+            "data/truth.asc": "4498eafbc811b8d16888fc748ba99f464da30976d751d2a114a68f89bf27c718",
+            "data/ortho.asc": "0fad3942acb45bef1e41d3b78981088af06a309285aa397e39d9e48a820853ff",
+            "data/layer_01.asc": "789a76b50dee6d19224c519bfe184913a66c6590463a9b1c2f6ed6e2a0d45a34",
+            "data/layer_02.asc": "f2061a67326ac099093a8e16f1757a622806c42d343b0d843845636a141b2263",
+            "data/layer_03.asc": "a761cd4c770c2ab61978ba730f85f46e279a56c5f9d4493a5da6dbce9e503e73",
+            "data/layer_04.asc": "ee0ab95116cd2f5345670d47e7a7012dd8f177115e4ad538df3cb1f97145d02e",
+            "data/layer_05.asc": "8c54bcf473a9be0a8bfab90238b033042c3b990896a812df7a7a46717f220800",
+            "fused_median.asc": "7232226a471d2752a2282104bcf03e8643f827d2028b764999e90c250ccc942d",
+            "fused_median.pgm": "1f1fd71d6c269e7853118103edd81473262d8366d2ecbb181f54b894f834635d",
+        }
+        monkeypatch.chdir(tmp_path)
+        Path("scene.txt").write_text(
+            "seed=42\nwidth=80\nheight=60\ncell_size=1.0\n"
+            "ground_height=0.0\nground_intensity=60\n"
+            "building=10,12,16,12,25.0,170\n"
+            "building=45,30,14,16,12.0,210\n"
+        )
+        assert main(["synth", "--scene", "scene.txt", "--out-dir", "data", "--layers", "5",
+                     "--sigma-start", "0.2", "--sigma-end", "1.5", "--spike-prob", "0.05",
+                     "--spike-amp", "10", "--hole-prob", "0.04"]) == 0
+        layers = [f"data/layer_0{i}.asc" for i in range(1, 6)]
+        assert main(["fuse", "--layers", *layers, "--mode", "median",
+                     "--out", "fused_median.asc"]) == 0
+        for name, digest in pinned.items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 
     def test_unknown_scene_key_exit_4(self, tmp_path):
         bad = tmp_path / "scene.txt"

@@ -368,10 +368,6 @@ class TestConfigAndStack:
         with pytest.raises(ValueError):
             FusionConfig(radius=-1)
 
-    def test_unsupported_tie_break(self):
-        with pytest.raises(ValueError):
-            FusionConfig(tie_break="pick-lower")
-
     def test_stack_needs_layers(self):
         with pytest.raises(ValueError):
             DepthStack(layers=[])

@@ -1,5 +1,12 @@
+import itertools
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsmfuse.raster import (
     CellIndex,
@@ -224,6 +231,114 @@ class TestAsciiGrid:
         data_lines = p.read_text().strip().splitlines()[6:]
         assert data_lines[0].split()[0] == "1.000000"
         assert data_lines[1].split()[0] == "3.000000"
+
+    def test_default_nodata_header_bytes(self, tmp_path):
+        p = tmp_path / "g.asc"
+        write_asc(make_grid(np.array([[1.0, -9999.0]])), p)
+        assert p.read_text().splitlines()[5] == "NODATA_value -9999"
+
+    @pytest.mark.parametrize("nodata", [-3.4028234663852886e38, 123456.789])
+    def test_nodata_survives_round_trip(self, tmp_path, nodata):
+        # ':g' keeps 6 significant digits: these came back as -3.40282e+38
+        # and 123457, turning every nodata cell into a valid height
+        src = make_grid(np.array([[1.0, nodata, 2.0]]), nodata=nodata)
+        p = tmp_path / "g.asc"
+        write_asc(src, p)
+        back = read_asc(p)
+        assert back.nodata == nodata
+        assert back.valid_mask().tolist() == [[True, False, True]]
+
+    def test_nodata_lost_by_cell_format_raises(self, tmp_path):
+        # -1e-7 is written to its cells as -0.000000, which reads back as 0
+        p = tmp_path / "g.asc"
+        with pytest.raises(ValueError):
+            write_asc(make_grid(np.array([[1.0, -1e-7]]), nodata=-1e-7), p)
+        assert not p.exists()
+
+
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+    1e300, -1e300, 0.0078125, -0.0078125, 0.0000005, 2.5e-6, 1.0000005,
+]
+_fixture_ok = settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_grids = st.tuples(st.integers(1, 4), st.integers(1, 6))
+_names = itertools.count()
+
+
+def _fresh(tmp_path, suffix):
+    """A new file per example: truncating a file is slow on some filesystems."""
+    return tmp_path / f"g{next(_names)}{suffix}"
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+class TestCodecByteParity:
+    """The row-template codecs keep the bytes and grammar of per-value
+    ``f"{v:.6f}"`` / ``str(v)`` formatting and per-token ``float()``."""
+
+    def test_binary_ties_round_half_even(self, tmp_path):
+        p = tmp_path / "g.asc"
+        write_asc(make_grid(np.array([[0.0078125, -0.0078125, 0.0234375, -0.0]])), p)
+        assert p.read_text().splitlines()[6] == "0.007812 -0.007812 0.023438 -0.000000"
+
+    @_fixture_ok
+    @given(vals=arrays(np.float64, _grids, elements=st.floats() | st.sampled_from(_EDGE_FLOATS)))
+    def test_write_asc_tokens_match_fstring(self, tmp_path, vals):
+        p = _fresh(tmp_path, ".asc")
+        write_asc(make_grid(vals), p)
+        rows = p.read_text().split("\n")[6:]
+        assert rows[-1] == ""
+        assert [r.split(" ") for r in rows[:-1]] == [[f"{v:.6f}" for v in row] for row in vals]
+
+    @_fixture_ok
+    @given(gray=arrays(np.int64, _grids, elements=st.integers(0, 255)), data=st.data())
+    def test_write_pgm_rows_match_str_join(self, tmp_path, gray, data):
+        # pin the stretch to the identity: min 0 and max 255 are valid cells
+        gray.flat[0] = 0
+        gray.flat[-1] = 255
+        hole = data.draw(arrays(np.bool_, gray.shape), label="hole")
+        hole.flat[0] = hole.flat[-1] = False
+        vals = np.where(hole, -9999.0, gray.astype(float))
+        p = _fresh(tmp_path, ".pgm")
+        write_pgm(make_grid(vals), p)
+        expected = np.where(hole, 0, gray)
+        assert p.read_text().split("\n")[3:] == [
+            " ".join(str(v) for v in row) for row in expected
+        ] + [""]
+
+    def _read_row(self, tmp_path, tokens):
+        p = _fresh(tmp_path, ".asc")
+        p.write_text(
+            f"ncols {len(tokens)}\nnrows 1\nxllcorner 0\nyllcorner 0\n"
+            f"cellsize 1\n{' '.join(tokens)}\n"
+        )
+        return read_asc(p).values[0]
+
+    def test_read_asc_grammar_matches_float(self, tmp_path):
+        tokens = ["1_0", "Infinity", "+NaN", "-nan", "1e999", "-1e999", "-0", "1e-400", ".5", "1.", "iNf"]
+        assert _same_bits(self._read_row(tmp_path, tokens), [float(t) for t in tokens])
+
+    @pytest.mark.parametrize("bad", ["nan(1)", "1__0", "0x10", "1,0", "1.5e", "--1", "oops"])
+    def test_read_asc_bad_token_named(self, tmp_path, bad):
+        with pytest.raises(UnparseableNumberError, match=re.escape(repr(bad))):
+            self._read_row(tmp_path, ["1.5", bad, "2"])
+
+    @_fixture_ok
+    @given(token=st.text(alphabet="0123456789_.eE+-nafityNAFITY", min_size=1, max_size=8)
+           | st.floats().map(repr))
+    def test_read_asc_token_property(self, tmp_path, token):
+        try:
+            expected = float(token)
+        except ValueError:
+            with pytest.raises(UnparseableNumberError, match=re.escape(repr(token))):
+                self._read_row(tmp_path, ["0", token])
+        else:
+            assert _same_bits(self._read_row(tmp_path, ["0", token]), [0.0, expected])
 
 
 class TestPgm:
