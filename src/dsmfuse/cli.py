@@ -148,6 +148,9 @@ _OPTIONS = {
 }
 
 
+_MAX_SEARCH_HELP = "bound, in cells, of the coarse-to-fine integer shift search"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsmfuse",
@@ -181,14 +184,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz-probe", type=float)
     p.add_argument("--meters-per-unit", type=float)
     p.add_argument("--threshold", type=float, help="alignment blunder gate, meters")
-    p.add_argument("--max-search", type=int)
+    p.add_argument("--max-search", type=int, help=_MAX_SEARCH_HELP)
 
     p = sub.add_parser("eval", help="align a DSM to truth and report RMSE")
     p.add_argument("--computed", help="computed DSM (.asc)")
     p.add_argument("--truth", help="ground-truth DSM (.asc)")
     p.add_argument("--out", help="output metrics CSV")
     p.add_argument("--threshold", type=float, help="blunder gate, meters")
-    p.add_argument("--max-search", type=int)
+    p.add_argument("--max-search", type=int, help=_MAX_SEARCH_HELP)
 
     p = sub.add_parser("curve", help="RMSE vs number of fused layers, both methods")
     p.add_argument("--layers", nargs="+", help="depth maps sorted by pair rank")
@@ -201,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int)
     p.add_argument("--jobs", type=int)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--max-search", type=int)
+    p.add_argument("--max-search", type=int, help=_MAX_SEARCH_HELP)
     p.add_argument("--resample-method", choices=("nearest", "bilinear"))
 
     p = sub.add_parser("rpc", help="evaluate a sensor model")

@@ -9,11 +9,19 @@ translating its content by (+dx east, +dy north) and raising heights by
 
     aligned(x, y) = moving(x - dx, y - dy) + dz
 
-Estimation is coarse-to-fine: an integer-cell grid search over
-+-max_search cells picks the basin (plain least squares alone can miss it
-when the misalignment exceeds a few cells), then Gauss-Newton refines to
-sub-cell precision with central-difference height gradients and bilinear
-interpolation.  Both the interpolation and the gradients live on the
+Estimation is coarse-to-fine.  An integer search picks the basin (plain
+least squares alone can miss it when the misalignment exceeds a few
+cells), then Gauss-Newton refines to sub-cell precision with
+central-difference height gradients and bilinear interpolation.  The
+integer search runs on a pyramid of 2x2 block means of the finite cells
+(NaN only where all four cells are: were any NaN to propagate, 4 %
+scattered holes would leave under a tenth of an 8x8-block level finite).
+The grids are halved while the next level still has a search reach,
+ceil(max_search / 2**level), of at least 2 cells and a short side of at
+least 32 cells.  The coarsest level scores every shift within its reach;
+each finer level doubles the best shift and scores the 3x3 shifts around
+it, clipped to the reach of that level, so the full-resolution shift never
+exceeds max_search.  Both the interpolation and the gradients live on the
 reference side: each moving cell keeps its raw height and is compared to
 the reference sampled at the inversely shifted position.  Blunders in the
 moving grid (the noisy one, in this protocol) therefore stay unblended
@@ -24,18 +32,22 @@ iteration, as is the inlier set: cells whose dz-corrected difference
 exceeds the blunder threshold (vegetation growth, seasonal change) drop
 out of the fit.
 
+Candidate shifts, in the integer search and in the choice of the best
+Gauss-Newton state, are scored by the truncated quadratic
+mean(min((d + dz)**2, T**2)) over every mutually valid cell, with T the
+blunder threshold (Black & Rangarajan, IJCV 1996).  A cell that the gate
+drops still costs T**2, so a shift cannot win by pushing building edges
+out of the inlier set, as it could under an inlier-only RMS.  A best
+integer shift on the +-max_search boundary is logged as a warning: the
+true shift may lie beyond the search.
+
 Evaluation is two-stage: minimize on inliers only, then report the RMSE
 of every mutually valid cell, blunders included.
-
-Height gradients are the only alignment signal, so the horizontal shift is
-ill-determined on relief-free surfaces: on flat ground with isolated
-buildings, the blunder gate absorbs edge misfits and many translations
-score alike.  For inputs known to share a grid (synthetic stacks), set
-max_search to 0 to fit the vertical offset alone.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -43,8 +55,12 @@ import numpy as np
 
 from .raster import GeometryMismatchError, RasterGrid, resample
 
+log = logging.getLogger(__name__)
+
 _MIN_OVERLAP_CELLS = 100
 _DZ_FIXED_POINT_ROUNDS = 2
+_PYRAMID_MIN_REACH = 2  # cells of search reach a coarser level must keep
+_PYRAMID_MIN_SIDE = 32  # cells on the short side of the coarsest level
 
 
 class InsufficientOverlapError(ValueError):
@@ -65,6 +81,8 @@ class AlignConfig:
             raise ValueError("max_search must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not self.convergence_tol > 0:
+            raise ValueError("convergence_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -169,6 +187,61 @@ def _inlier_rms(d: np.ndarray, dz: float, inliers: np.ndarray) -> float:
     return float(np.sqrt(np.mean(r * r)))
 
 
+def _truncated_score(d: np.ndarray, dz: float, threshold: float) -> float:
+    """mean(min((d + dz)**2, threshold**2)) over the finite cells of d."""
+    r = d[np.isfinite(d)] + dz
+    if r.size == 0:
+        return math.inf
+    return float(np.mean(np.minimum(r * r, threshold * threshold)))
+
+
+def _halve(a: np.ndarray) -> np.ndarray:
+    """2x2 block means of the finite cells; NaN where a block has none.
+
+    An odd last row or column is dropped.
+    """
+    h, w = a.shape[0] // 2, a.shape[1] // 2
+    blocks = a[: 2 * h, : 2 * w].reshape(h, 2, w, 2)
+    finite = np.isfinite(blocks)
+    total = np.where(finite, blocks, 0.0).sum(axis=(1, 3))
+    count = finite.sum(axis=(1, 3))
+    return np.divide(total, count, out=np.full((h, w), np.nan), where=count > 0)
+
+
+def _reach(max_search: int, level: int) -> int:
+    """Search bound at a pyramid level: ceil(max_search / 2**level)."""
+    return -(-max_search // 2**level)
+
+
+def _integer_search(mov: np.ndarray, ref: np.ndarray, cfg: AlignConfig) -> tuple[int, int]:
+    """Best integer shift (u east, v north) within +-max_search cells."""
+    levels = [(mov, ref)]
+    while (
+        _reach(cfg.max_search, len(levels)) >= _PYRAMID_MIN_REACH
+        and min(levels[-1][0].shape) // 2 >= _PYRAMID_MIN_SIDE
+    ):
+        levels.append((_halve(levels[-1][0]), _halve(levels[-1][1])))
+
+    top = len(levels) - 1
+    u = v = 0
+    for level in range(top, -1, -1):
+        m, r = levels[level]
+        lim = _reach(cfg.max_search, level)
+        rad = lim if level == top else 1
+        u, v = 2 * u, 2 * v
+        # strict improvement only: ties and an all-NaN level keep the center
+        best = (math.inf, u, v)
+        for cv in range(max(v - rad, -lim), min(v + rad, lim) + 1):
+            for cu in range(max(u - rad, -lim), min(u + rad, lim) + 1):
+                d = m - _int_shift(r, -cv, cu)
+                dz, _ = _dz_and_inliers(d, cfg.blunder_threshold)
+                score = _truncated_score(d, dz, cfg.blunder_threshold)
+                if score < best[0]:
+                    best = (score, cu, cv)
+        _, u, v = best
+    return u, v
+
+
 def align(
     moving: RasterGrid, reference: RasterGrid, cfg: AlignConfig | None = None
 ) -> AlignmentResult:
@@ -188,19 +261,16 @@ def align(
 
     # Residuals compare each moving cell to the reference sampled at the
     # inversely shifted position: d = mov - ref(r - v, c + u), where u
-    # counts cells east and v cells north.  Coarse stage: integer grid
-    # search minimizing inlier RMSE.
-    best = (math.inf, 0, 0)
-    for v in range(-cfg.max_search, cfg.max_search + 1):
-        for u in range(-cfg.max_search, cfg.max_search + 1):
-            d = mov - _int_shift(ref, -v, u)
-            dz, inl = _dz_and_inliers(d, cfg.blunder_threshold)
-            score = _inlier_rms(d, dz, inl)
-            if score < best[0]:
-                best = (score, u, v)
-    _, u, v = best
-    u = float(u)
-    v = float(v)
+    # counts cells east and v cells north.
+    iu, iv = _integer_search(mov, ref, cfg)
+    if cfg.max_search > 0 and max(abs(iu), abs(iv)) == cfg.max_search:
+        log.warning(
+            "best integer shift (%d, %d) cells lies on the +-%d search boundary; "
+            "the true shift may lie beyond it",
+            iu, iv, cfg.max_search,
+        )
+    u = float(iu)
+    v = float(iv)
 
     # sub-cell Gauss-Newton on (u, v), dz closed-form per iteration;
     # gradients are central differences of the reference, per cell
@@ -214,7 +284,7 @@ def align(
     for _ in range(cfg.max_iterations):
         d = mov - _sample_at_offset(ref, -v, u)
         dz, inl = _dz_and_inliers(d, cfg.blunder_threshold)
-        score = _inlier_rms(d, dz, inl)
+        score = _truncated_score(d, dz, cfg.blunder_threshold)
         if best_state is None or score < best_state[0]:
             best_state = (score, u, v, dz)
 

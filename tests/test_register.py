@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmfuse.raster import GeometryMismatchError, GridGeometry, RasterGrid
 from dsmfuse.register import (
@@ -8,6 +12,7 @@ from dsmfuse.register import (
     align,
     rmse,
 )
+from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import grid_of
 
@@ -23,6 +28,39 @@ def hill_surface(geom, cx, cy, amplitude=30.0, sigma=18.0, shift=(0.0, 0.0, 0.0)
 
 
 TEST_CFG = AlignConfig(max_search=5)
+
+
+def readme_scene(size, seed):
+    """README walkthrough scene (80 x 60, two buildings) stretched to size^2."""
+    sx, sy = size / 80, size / 60
+    buildings = tuple(
+        Building(round(c * sx), round(r * sy), round(w * sx), round(h * sy), z, i)
+        for c, r, w, h, z, i in ((10, 12, 16, 12, 25.0, 170), (45, 30, 14, 16, 12.0, 210))
+    )
+    truth, _ = gen_scene(SceneSpec(seed=seed, width=size, height=size, buildings=buildings))
+    return truth
+
+
+def readme_layer(truth, seed, sigma):
+    """A layer degraded as in the README: noise, 5 % +-10 m spikes, 4 % holes."""
+    return degrade(
+        truth,
+        DegradeSpec(seed=seed, gaussian_sigma=sigma, spike_prob=0.05, spike_amp=10.0, hole_prob=0.04),
+    )
+
+
+def move_content(grid, east, north):
+    """Grid whose content is translated by whole cells; vacated cells are nodata."""
+    v = grid.nan_values()
+    out = np.full_like(v, np.nan)
+    rows, cols = v.shape
+    # new(r, c) = old(r + north, c - east)
+    src_r = slice(max(0, north), rows + min(0, north))
+    dst_r = slice(max(0, -north), rows + min(0, -north))
+    src_c = slice(max(0, -east), cols + min(0, -east))
+    dst_c = slice(max(0, east), cols + min(0, east))
+    out[dst_r, dst_c] = v[src_r, src_c]
+    return RasterGrid(grid.geometry, np.where(np.isnan(out), grid.nodata, out), grid.nodata)
 
 
 class TestRmse:
@@ -152,6 +190,73 @@ class TestAlign:
         assert res.shift[2] == pytest.approx(-0.1, abs=0.02)
 
 
+class TestFlatGroundBuildings:
+    """Relief only at building edges: the integer search must not trade
+    edge cells out of the inlier set for a lower score."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_known_integer_shift_at_default_search(self, seed):
+        truth = readme_scene(256, seed=seed)
+        moving = move_content(readme_layer(truth, seed * 1000, 0.5), -3, 4)
+        res = align(moving, truth)
+        assert res.converged
+        # the correction undoes the content move
+        assert res.shift[0] == pytest.approx(3.0, abs=0.05)
+        assert res.shift[1] == pytest.approx(-4.0, abs=0.05)
+
+    def test_shared_grid_stack_aligns_at_zero(self):
+        truth = readme_scene(128, seed=402)
+        for i in range(15):
+            layer = readme_layer(truth, 402 * 1000 + i, 0.1 + 1.4 * i / 14)
+            res = align(layer, truth)
+            assert abs(res.shift[0]) < 0.05 and abs(res.shift[1]) < 0.05, (i, res.shift)
+
+
+def hill_and_buildings(geom, east, north):
+    """Gaussian hill plus two box buildings, content moved by whole cells.
+
+    The buildings stay more than 14 cells from the border, where the hill
+    is below 1 mm, so a move of up to 6 cells only trades flat ground.
+    """
+    c = np.arange(geom.n_cols) - east
+    r = np.arange(geom.n_rows) + north
+    C, R = np.meshgrid(c, r)
+    h = 20.0 * np.exp(-((C - 40.0) ** 2 + (R - 44.0) ** 2) / (2 * 9.0**2))
+    h += np.where((C >= 26) & (C < 38) & (R >= 22) & (R < 30), 15.0, 0.0)
+    h += np.where((C >= 46) & (C < 56) & (R >= 50) & (R < 62), 9.0, 0.0)
+    return RasterGrid(geom, h)
+
+
+class TestShiftEquivariance:
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.integers(-4, 4), b=st.integers(-4, 4))
+    def test_integer_content_shift_moves_result(self, a, b):
+        geom = GridGeometry(0, 0, 2.0, 84, 84)
+        ref = hill_and_buildings(geom, 0, 0)
+        base = align(hill_and_buildings(geom, 1, -2), ref)
+        moved = align(hill_and_buildings(geom, 1 + a, -2 + b), ref)
+        assert moved.shift[0] - base.shift[0] == pytest.approx(-a * 2.0, abs=0.05 * 2.0)
+        assert moved.shift[1] - base.shift[1] == pytest.approx(-b * 2.0, abs=0.05 * 2.0)
+
+
+class TestSearchBoundary:
+    def test_boundary_optimum_warns(self, caplog):
+        geom = GridGeometry(0, 0, 1.0, 100, 100)
+        ref = hill_surface(geom, 50.0, 50.0)
+        moving = hill_surface(geom, 50.0, 50.0, shift=(6.0, 0.0, 0.0))
+        with caplog.at_level(logging.WARNING, logger="dsmfuse.register"):
+            align(moving, ref, AlignConfig(max_search=3))
+        assert any("search boundary" in r.getMessage() for r in caplog.records)
+
+    def test_interior_optimum_is_silent(self, caplog):
+        geom = GridGeometry(0, 0, 1.0, 100, 100)
+        ref = hill_surface(geom, 50.0, 50.0)
+        moving = hill_surface(geom, 50.0, 50.0, shift=(2.0, -1.0, 0.0))
+        with caplog.at_level(logging.WARNING, logger="dsmfuse.register"):
+            align(moving, ref, TEST_CFG)
+        assert not caplog.records
+
+
 class TestAlignConfig:
     def test_threshold_positive(self):
         with pytest.raises(ValueError):
@@ -164,6 +269,11 @@ class TestAlignConfig:
     def test_iterations_at_least_one(self):
         with pytest.raises(ValueError):
             AlignConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
+    def test_convergence_tol_positive(self, tol):
+        with pytest.raises(ValueError):
+            AlignConfig(convergence_tol=tol)
 
     def test_defaults_match_protocol(self):
         cfg = AlignConfig()
