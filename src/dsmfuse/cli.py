@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -345,10 +346,10 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
         delta_s=opts.delta_s, delta_i=opts.delta_i,
         gamma=opts.gamma, radius=opts.radius,
     )
+    if opts.mode == "adaptive" and not opts.ortho:
+        raise ConfigError("--ortho is required when --mode is adaptive")
     stack, target = _load_stack(opts.layers, opts.target_geometry, opts.resample_method)
     if opts.mode == "adaptive":
-        if not opts.ortho:
-            raise ConfigError("--ortho is required when --mode is adaptive")
         ortho = resample(read_asc(opts.ortho), target, opts.resample_method)
         vals = ortho.values[ortho.valid_mask()]
         if vals.size and (vals.min() < 0.0 or vals.max() > 255.0):
@@ -595,6 +596,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # one stderr handler for library warnings; a no-op if logging is configured
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -28,7 +28,6 @@ block height and worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -279,6 +278,9 @@ def adaptive_median_fuse(
     spans = _row_blocks(hpad, opad, math.ceil(geom.n_rows / max(jobs, 1)), rad)
     fuse = partial(_fuse_span, offsets=offsets, cfg=cfg, block_rows=block_rows)
     if len(spans) > 1:
+        # imported here: loading multiprocessing costs every command ~6 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             fused = list(pool.map(fuse, spans))
     else:

@@ -36,7 +36,7 @@ class AsciiGridError(Exception):
 
 
 class MalformedHeaderError(AsciiGridError):
-    """Header line missing, mis-ordered, or not 'key value'."""
+    """Header line missing, mis-ordered, not 'key value', or out of range."""
 
 
 class RowLengthError(AsciiGridError):
@@ -260,32 +260,39 @@ def read_asc(path) -> RasterGrid:
 
     Header lines must appear in order: ncols, nrows, xllcorner, yllcorner,
     cellsize, then an optional NODATA_value line (default -9999), then
-    nrows rows of ncols whitespace-separated numbers, top row first.
+    nrows rows of ncols whitespace-separated numbers, top row first.  Blank
+    lines are skipped.  Header values must be finite, and cellsize > 0.
+
+    The data block is parsed by numpy's C text reader (``np.loadtxt``).
+    A block it rejects, or whose shape is wrong, is parsed again row by row
+    with ``float()``, which accepts spellings such as ``1_0`` and names the
+    bad token or row in the error; both keep ``float()``'s token grammar.
     """
     with open(path, "r", encoding="ascii") as f:
-        lines = [ln for ln in (raw.strip() for raw in f) if ln]
+        header: dict[str, float] = {}
+        for key in _HEADER_KEYS:
+            line = _next_line(f)
+            if not line:
+                raise MalformedHeaderError(f"{path}: missing header line {key!r}")
+            parts = line.split()
+            if len(parts) != 2 or parts[0].lower() != key:
+                raise MalformedHeaderError(
+                    f"{path}: expected header {key!r}, got {line!r}"
+                )
+            try:
+                header[key] = float(parts[1])
+            except ValueError:
+                raise MalformedHeaderError(
+                    f"{path}: header {key!r} has non-numeric value {parts[1]!r}"
+                ) from None
+            if not math.isfinite(header[key]) or (key == "cellsize" and header[key] <= 0):
+                raise MalformedHeaderError(
+                    f"{path}: header {key!r} out of range: {parts[1]!r}"
+                )
 
-    header: dict[str, float] = {}
-    idx = 0
-    for key in _HEADER_KEYS:
-        if idx >= len(lines):
-            raise MalformedHeaderError(f"{path}: missing header line {key!r}")
-        parts = lines[idx].split()
-        if len(parts) != 2 or parts[0].lower() != key:
-            raise MalformedHeaderError(
-                f"{path}: expected header {key!r}, got {lines[idx]!r}"
-            )
-        try:
-            header[key] = float(parts[1])
-        except ValueError:
-            raise MalformedHeaderError(
-                f"{path}: header {key!r} has non-numeric value {parts[1]!r}"
-            ) from None
-        idx += 1
-
-    nodata = DEFAULT_NODATA
-    if idx < len(lines):
-        parts = lines[idx].split()
+        nodata = DEFAULT_NODATA
+        data_start = f.tell()
+        parts = _next_line(f).split()
         if len(parts) == 2 and parts[0].lower() == "nodata_value":
             try:
                 nodata = float(parts[1])
@@ -293,17 +300,61 @@ def read_asc(path) -> RasterGrid:
                 raise MalformedHeaderError(
                     f"{path}: NODATA_value not numeric: {parts[1]!r}"
                 ) from None
-            idx += 1
+        else:
+            f.seek(data_start)
 
-    n_cols = int(header["ncols"])
-    n_rows = int(header["nrows"])
-    if n_cols != header["ncols"] or n_rows != header["nrows"] or n_cols < 1 or n_rows < 1:
-        raise MalformedHeaderError(
-            f"{path}: ncols/nrows must be positive integers, got "
-            f"{header['ncols']}, {header['nrows']}"
-        )
+        n_cols = int(header["ncols"])
+        n_rows = int(header["nrows"])
+        if n_cols != header["ncols"] or n_rows != header["nrows"] or n_cols < 1 or n_rows < 1:
+            raise MalformedHeaderError(
+                f"{path}: ncols/nrows must be positive integers, got "
+                f"{header['ncols']}, {header['nrows']}"
+            )
+        values = _read_block(f, path, n_rows, n_cols)
 
-    data_lines = lines[idx:]
+    geom = GridGeometry(
+        origin_x=header["xllcorner"],
+        origin_y=header["yllcorner"],
+        cell_size=header["cellsize"],
+        n_cols=n_cols,
+        n_rows=n_rows,
+    )
+    return RasterGrid(geom, values, nodata)
+
+
+def _next_line(f) -> str:
+    """The next non-blank line of ``f``, stripped; ``""`` at end of file."""
+    for raw in iter(f.readline, ""):
+        line = raw.strip()
+        if line:
+            return line
+    return ""
+
+
+def _read_block(f, path, n_rows: int, n_cols: int) -> np.ndarray:
+    """Parse the data block from ``f``'s position with ``np.loadtxt``.
+
+    An empty block (``loadtxt`` would warn), a rejected one and one of the
+    wrong shape go to ``_read_rows``, which raises the error or parses what
+    only ``float()`` accepts.
+    """
+    data_start = f.tell()
+    if _next_line(f):
+        f.seek(data_start)
+        try:
+            values = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (n_rows, n_cols):
+                return values
+    f.seek(data_start)
+    return _read_rows(f, path, n_rows, n_cols)
+
+
+def _read_rows(f, path, n_rows: int, n_cols: int) -> np.ndarray:
+    """Parse the data block from ``f``'s position one row at a time."""
+    data_lines = [ln for ln in (raw.strip() for raw in f) if ln]
     if len(data_lines) != n_rows:
         raise RowLengthError(
             f"{path}: expected {n_rows} data rows, found {len(data_lines)}"
@@ -322,15 +373,7 @@ def read_asc(path) -> RasterGrid:
             raise UnparseableNumberError(
                 f"{path}: row {r} contains unparseable value {bad!r}"
             ) from None
-
-    geom = GridGeometry(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cell_size=header["cellsize"],
-        n_cols=n_cols,
-        n_rows=n_rows,
-    )
-    return RasterGrid(geom, values, nodata)
+    return values
 
 
 def _is_number(token: str) -> bool:

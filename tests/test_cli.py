@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +16,24 @@ from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 from conftest import grid_of, linear_ray_model
 
 
-def hill_grid(n=40, amplitude=20.0, offset=0.0):
+def hill_grid(n=40, amplitude=20.0, offset=0.0, dx=0.0):
     geom = GridGeometry(0, 0, 1.0, n, n)
     xs = (np.arange(n) + 0.5)
     ys = (n - np.arange(n) - 0.5)
     X, Y = np.meshgrid(xs, ys)
-    h = amplitude * np.exp(-((X - n / 2) ** 2 + (Y - n / 2) ** 2) / (2 * (n / 4) ** 2))
+    h = amplitude * np.exp(-((X - n / 2 - dx) ** 2 + (Y - n / 2) ** 2) / (2 * (n / 4) ** 2))
     return RasterGrid(geom, h + offset)
+
+
+def run_python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this dsmfuse."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -64,8 +78,12 @@ class TestFuse:
                      "--gamma", "0.999999", "--out", str(out_a)]) == 0
         assert out_m.read_bytes() == out_a.read_bytes()
 
-    def test_adaptive_without_ortho_exit_4(self, tmp_path, capsys):
+    def test_adaptive_without_ortho_exit_4(self, tmp_path, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking --ortho")
+
         write_asc(hill_grid(), tmp_path / "l.asc")
+        monkeypatch.setattr(cli, "read_asc", no_read)
         code = main(["fuse", "--layers", str(tmp_path / "l.asc"),
                      "--mode", "adaptive", "--out", str(tmp_path / "o.asc")])
         assert code == 4
@@ -181,6 +199,35 @@ class TestEval:
         dz = float(row[4])
         assert rmse_all == pytest.approx(0.0, abs=1e-4)
         assert dz == pytest.approx(-1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("header", ["ncols inf", "ncols nan", "cellsize 0"])
+    def test_bad_header_value_exit_2(self, tmp_path, capsys, header):
+        write_asc(hill_grid(), tmp_path / "a.asc")
+        key = header.split()[0]
+        lines = (tmp_path / "a.asc").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.asc"
+        bad.write_text("".join(f"{header}\n" if ln.startswith(key) else ln for ln in lines))
+        code = main(["eval", "--computed", str(bad), "--truth", str(tmp_path / "a.asc"),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert f"header {key!r}" in capsys.readouterr().err
+
+    def test_boundary_warning_logged_with_level_and_name(self, tmp_path):
+        write_asc(hill_grid(n=100), tmp_path / "truth.asc")
+        write_asc(hill_grid(n=100, dx=6.0), tmp_path / "comp.asc")
+        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
+                          "eval", "--computed", str(tmp_path / "comp.asc"),
+                          "--truth", str(tmp_path / "truth.asc"), "--max-search", "3",
+                          "--out", str(tmp_path / "m.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert "WARNING dsmfuse.register: best integer shift " in proc.stderr
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_multiprocessing(self):
+        proc = run_python("import dsmfuse.cli; print('multiprocessing' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRank:

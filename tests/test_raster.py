@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dsmfuse.raster import (
+    AsciiGridError,
     CellIndex,
     GridGeometry,
     MalformedHeaderError,
@@ -224,6 +226,40 @@ class TestAsciiGrid:
         with pytest.raises(UnparseableNumberError):
             read_asc(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("ncols", "inf"), ("ncols", "nan"), ("nrows", "-inf"), ("nrows", "nan"),
+        ("xllcorner", "nan"), ("yllcorner", "inf"), ("cellsize", "0"),
+        ("cellsize", "-1"), ("cellsize", "nan"), ("cellsize", "inf"),
+    ])
+    def test_header_value_out_of_range(self, tmp_path, key, value):
+        header = dict(ncols="2", nrows="2", xllcorner="0", yllcorner="0", cellsize="1")
+        header[key] = value
+        p = tmp_path / "g.asc"
+        p.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n")
+        with pytest.raises(MalformedHeaderError, match=f"header '{key}'"):
+            read_asc(p)
+
+    @pytest.mark.parametrize("nodata_line", ["NODATA_value -9999\n", ""])
+    def test_empty_data_block(self, tmp_path, nodata_line):
+        p = tmp_path / "g.asc"
+        p.write_text(
+            "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+            f"{nodata_line}\n \t\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RowLengthError, match="expected 2 data rows, found 0"):
+                read_asc(p)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+    def test_one_row_or_one_column(self, tmp_path, shape):
+        vals = np.arange(math.prod(shape), dtype=float).reshape(shape) - 1.5
+        p = tmp_path / "g.asc"
+        write_asc(make_grid(vals), p)
+        back = read_asc(p)
+        assert back.values.shape == shape
+        assert np.array_equal(back.values, vals)
+
     def test_top_row_written_first(self, tmp_path):
         src = make_grid(np.array([[1.0, 2.0], [3.0, 4.0]]))
         p = tmp_path / "g.asc"
@@ -275,6 +311,71 @@ def _fresh(tmp_path, suffix):
 
 def _same_bits(a, b) -> bool:
     return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+_BAD_TOKENS = ["oops", "1__0", "nan(1)", "1,0", "0x10", "--1"]
+_SPELLINGS = [repr, "{:.6f}".format, "{:g}".format, lambda v: repr(v).upper()]
+
+
+@st.composite
+def _asc_texts(draw):
+    """An ASCII grid with a random layout and at most one fault.
+
+    Returns (text, n_rows, n_cols, header line count).  The faults are a
+    ragged row, a missing or extra row, a bad token and ``1_0``, which only
+    ``float()`` reads.
+    """
+    n_rows, n_cols = draw(_grids)
+    vals = draw(arrays(np.float64, (n_rows, n_cols),
+                       elements=st.floats() | st.sampled_from(_EDGE_FLOATS + [-9999.0])))
+    rows = [[draw(st.sampled_from(_SPELLINGS))(v) for v in row] for row in vals.tolist()]
+    fault = draw(st.sampled_from(["none", "ragged", "rows", "token", "underscore"]))
+    r = draw(st.integers(0, n_rows - 1))
+    c = draw(st.integers(0, n_cols - 1))
+    if fault == "ragged":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+    elif fault == "rows":
+        rows = rows[:r] + rows[r + 1:] if draw(st.booleans()) else rows + [rows[r]]
+    elif fault == "token":
+        rows[r][c] = draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "underscore":
+        rows[r][c] = "1_0"
+
+    blank = st.text(alphabet=" \t", max_size=3)
+    sep = st.text(alphabet=" \t", min_size=1, max_size=3)
+    header = [f"ncols {n_cols}", f"nrows {n_rows}", "xllcorner 0", "yllcorner 0", "cellsize 1"]
+    if draw(st.booleans()):
+        header.append("NODATA_value -9999")
+    lines = list(header)
+    for tokens in rows:
+        lines += draw(st.lists(blank, max_size=2))
+        line = draw(blank) + "".join((draw(sep) if i else "") + t for i, t in enumerate(tokens))
+        lines.append(line + draw(blank))
+    lines += draw(st.lists(blank, max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, n_rows, n_cols, len(header)
+
+
+def _reference_values(path, n_rows, n_cols, n_header):
+    """Per-row parse with ``float()``: the values or the error read_asc gives."""
+    with open(path, encoding="ascii") as f:
+        lines = [ln for ln in (raw.strip() for raw in f) if ln][n_header:]
+    if len(lines) != n_rows:
+        raise RowLengthError(f"{path}: expected {n_rows} data rows, found {len(lines)}")
+    values = []
+    for r, line in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) != n_cols:
+            raise RowLengthError(f"{path}: row {r} has {len(tokens)} values, expected {n_cols}")
+        for t in tokens:
+            try:
+                values.append(float(t))
+            except ValueError:
+                raise UnparseableNumberError(
+                    f"{path}: row {r} contains unparseable value {t!r}"
+                ) from None
+    return np.array(values).reshape(n_rows, n_cols)
 
 
 class TestCodecByteParity:
@@ -339,6 +440,21 @@ class TestCodecByteParity:
                 self._read_row(tmp_path, ["0", token])
         else:
             assert _same_bits(self._read_row(tmp_path, ["0", token]), [0.0, expected])
+
+    @_fixture_ok
+    @given(case=_asc_texts())
+    def test_read_asc_matches_per_row_reference(self, tmp_path, case):
+        text, n_rows, n_cols, n_header = case
+        p = _fresh(tmp_path, ".asc")
+        p.write_bytes(text.encode("ascii"))
+        try:
+            expected = _reference_values(p, n_rows, n_cols, n_header)
+        except AsciiGridError as exc:
+            with pytest.raises(AsciiGridError) as got:
+                read_asc(p)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            assert _same_bits(read_asc(p).values, expected)
 
 
 class TestPgm:
