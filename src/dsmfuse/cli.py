@@ -5,10 +5,15 @@ CSV and previews as PGM so results diff cleanly; every file-producing run
 also writes a JSON manifest (command, inputs, configuration, seed,
 version, wall time) sufficient to reproduce it.
 
-Every flag can instead be supplied through ``--config FILE`` holding
-``key=value`` lines (keys are the flag names with underscores); explicit
-flags override the file.  Exit codes: 0 success, 2 I/O error, 3 geometry
-mismatch / insufficient overlap, 4 bad configuration.
+Each command's flags are stated once, in the ``_COMMANDS`` table, with
+defaults read from the library's config classes.  The table builds the
+argparse parsers and converts ``--config FILE`` values: a ``key=value``
+line (keys are the flag names with underscores) is checked exactly like
+the flag (type, choices, number of values; list values split on commas
+and whitespace), before any input is read.  Explicit flags override the
+file.  Exit codes: 0 success, 2 I/O error (including an undecodable input
+file), 3 geometry mismatch / insufficient overlap, 4 bad configuration
+(including an undecodable config or scene file).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .raster import (
     AsciiGridError,
     GeometryMismatchError,
     RasterGrid,
+    decode_errors_as,
     read_asc,
     resample,
     write_asc,
@@ -45,6 +51,8 @@ from .raster import (
 )
 from .register import AlignConfig, InsufficientOverlapError, align
 from .rpc import (
+    DEFAULT_DZ_PROBE,
+    DEFAULT_METERS_PER_UNIT,
     GroundPoint,
     ImagePoint,
     InversionError,
@@ -66,90 +74,9 @@ class ConfigError(ValueError):
     """Bad flag/config-file combination."""
 
 
-def _file_list(raw: str) -> list[str]:
-    return [tok for tok in raw.replace(",", " ").split() if tok]
-
-
-def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split() if tok]
-
-
-# per-command option registry: key -> (default, converter-from-string).
-# argparse flags share these keys; a None default means "not set".
-_OPTIONS = {
-    "fuse": {
-        "layers": (None, _file_list),
-        "ortho": (None, str),
-        "out": (None, str),
-        "mode": ("median", str),
-        "delta_s": (2.5, float),
-        "delta_i": (15.0, float),
-        "gamma": (0.5, float),
-        "radius": (3, int),
-        "jobs": (1, int),
-        "resample_method": ("bilinear", str),
-        "target_geometry": (None, str),
-    },
-    "rank": {
-        "manifest": (None, str),
-        "truth": (None, str),
-        "out": (None, str),
-        "min_angle": (10.0, float),
-        "max_angle": (30.0, float),
-        "top_k": (10, int),
-        "at": (None, _floats),
-        "dz_probe": (100.0, float),
-        "meters_per_unit": (111320.0, float),
-        "threshold": (6.0, float),
-        "max_search": (10, int),
-    },
-    "eval": {
-        "computed": (None, str),
-        "truth": (None, str),
-        "out": (None, str),
-        "threshold": (6.0, float),
-        "max_search": (10, int),
-    },
-    "curve": {
-        "layers": (None, _file_list),
-        "ortho": (None, str),
-        "truth": (None, str),
-        "out": (None, str),
-        "delta_s": (2.5, float),
-        "delta_i": (15.0, float),
-        "gamma": (0.5, float),
-        "radius": (3, int),
-        "jobs": (1, int),
-        "threshold": (6.0, float),
-        "max_search": (10, int),
-        "resample_method": ("bilinear", str),
-    },
-    "rpc": {
-        "action": (None, str),
-        "rpc": (None, str),
-        "rpc_b": (None, str),
-        "u": (None, float),
-        "v": (None, float),
-        "z": (None, float),
-        "s": (None, float),
-        "l": (None, float),
-        "dz_probe": (100.0, float),
-        "meters_per_unit": (111320.0, float),
-    },
-    "synth": {
-        "scene": (None, str),
-        "out_dir": (None, str),
-        "layers": (0, int),
-        "sigma_start": (0.5, float),
-        "sigma_end": (0.5, float),
-        "spike_prob": (0.0, float),
-        "spike_amp": (10.0, float),
-        "hole_prob": (0.0, float),
-    },
-}
-
-
-_MAX_SEARCH_HELP = "bound, in cells, of the coarse-to-fine integer shift search"
+def _flag(key: str) -> str:
+    """rpc's action is the one positional; every other key is a --flag."""
+    return key if key == "action" else "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,88 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dsmfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fuse", help="fuse a stack of depth maps")
-    p.add_argument("--layers", nargs="+", help="depth-map ASCII grids, one per pair")
-    p.add_argument("--ortho", help="reference orthophoto grid (adaptive mode)")
-    p.add_argument("--out", help="output DSM path (.asc)")
-    p.add_argument("--mode", choices=("median", "adaptive"))
-    p.add_argument("--delta-s", type=float, help="spatial scale, cells")
-    p.add_argument("--delta-i", type=float, help="intensity scale, gray levels")
-    p.add_argument("--gamma", type=float, help="window membership threshold")
-    p.add_argument("--radius", type=int, help="search window half-width, cells")
-    p.add_argument("--jobs", type=int, help="parallel row-block workers")
-    p.add_argument("--resample-method", choices=("nearest", "bilinear"))
-    p.add_argument("--target-geometry", help="grid whose geometry the stack adopts")
-
-    p = sub.add_parser("rank", help="gate and rank stereo pairs")
-    p.add_argument("--manifest", help="pair manifest CSV")
-    p.add_argument("--truth", help="ground-truth patch (.asc)")
-    p.add_argument("--out", help="output ranking CSV")
-    p.add_argument("--min-angle", type=float)
-    p.add_argument("--max-angle", type=float)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--at", nargs=3, type=float, metavar=("U", "V", "Z"),
-                   help="ground point for angle evaluation (default: truth center)")
-    p.add_argument("--dz-probe", type=float)
-    p.add_argument("--meters-per-unit", type=float)
-    p.add_argument("--threshold", type=float, help="alignment blunder gate, meters")
-    p.add_argument("--max-search", type=int, help=_MAX_SEARCH_HELP)
-
-    p = sub.add_parser("eval", help="align a DSM to truth and report RMSE")
-    p.add_argument("--computed", help="computed DSM (.asc)")
-    p.add_argument("--truth", help="ground-truth DSM (.asc)")
-    p.add_argument("--out", help="output metrics CSV")
-    p.add_argument("--threshold", type=float, help="blunder gate, meters")
-    p.add_argument("--max-search", type=int, help=_MAX_SEARCH_HELP)
-
-    p = sub.add_parser("curve", help="RMSE vs number of fused layers, both methods")
-    p.add_argument("--layers", nargs="+", help="depth maps sorted by pair rank")
-    p.add_argument("--ortho", help="reference orthophoto grid")
-    p.add_argument("--truth", help="ground-truth DSM (.asc)")
-    p.add_argument("--out", help="output curve CSV")
-    p.add_argument("--delta-s", type=float)
-    p.add_argument("--delta-i", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--max-search", type=int, help=_MAX_SEARCH_HELP)
-    p.add_argument("--resample-method", choices=("nearest", "bilinear"))
-
-    p = sub.add_parser("rpc", help="evaluate a sensor model")
-    p.add_argument("action", nargs="?", choices=("project", "invert", "angle"))
-    p.add_argument("--rpc", help="RPC text file")
-    p.add_argument("--rpc-b", help="second RPC file (angle)")
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--z", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--l", type=float)
-    p.add_argument("--dz-probe", type=float)
-    p.add_argument("--meters-per-unit", type=float)
-
-    p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--scene", help="scene spec file (key=value lines)")
-    p.add_argument("--out-dir", help="output directory")
-    p.add_argument("--layers", type=int, help="number of degraded layers to emit")
-    p.add_argument("--sigma-start", type=float)
-    p.add_argument("--sigma-end", type=float)
-    p.add_argument("--spike-prob", type=float)
-    p.add_argument("--spike-amp", type=float)
-    p.add_argument("--hole-prob", type=float)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", help="key=value file; flags override it")
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (_, kwargs) in flags.items():
+            p.add_argument(_flag(key), **kwargs)
+        p.add_argument("--config", help="key=value file; flags override it")
     return parser
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    try:
+def _key_value_lines(path: str) -> list[tuple[int, str, str]]:
+    """``(lineno, key, value)`` per ``key=value`` line; blank and # lines skipped."""
+    with decode_errors_as(ConfigError, path, "utf-8"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    out = {}
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -248,27 +106,45 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        out.append((lineno, key.strip(), value.strip()))
     return out
 
 
+def _convert(key: str, raw: str, kwargs: dict):
+    """A config-file value, checked as argparse checks the flag: type,
+    choices and nargs (list values split on commas and whitespace)."""
+    nargs = kwargs.get("nargs")
+    single = nargs in (None, "?")
+    tokens = [raw] if single else raw.replace(",", " ").split()
+    try:
+        vals = [kwargs.get("type", str)(tok) for tok in tokens]
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
+    choices = kwargs.get("choices")
+    if choices and any(v not in choices for v in vals):
+        raise ConfigError(f"config key {key!r}: {raw!r} is not one of {', '.join(choices)}")
+    if not vals or isinstance(nargs, int) and len(vals) != nargs:
+        raise ConfigError(f"config key {key!r}: wrong number of values in {raw!r}")
+    return vals[0] if single else vals
+
+
 def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
-    """Merge registry defaults, config file, then explicit flags."""
-    registry = _OPTIONS[command]
-    opts = {key: default for key, (default, _) in registry.items()}
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            if key not in registry:
+    """Merge table defaults, config file, then explicit flags."""
+    flags = _COMMANDS[command][2]
+    opts = {key: default for key, (default, _) in flags.items()}
+    if args.config:
+        try:
+            lines = _key_value_lines(args.config)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        for _, key, raw in lines:
+            if key not in flags:
                 raise ConfigError(
                     f"config key {key!r} is not a flag of 'dsmfuse {command}'"
                 )
-            _, conv = registry[key]
-            try:
-                opts[key] = conv(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-    for key in registry:
-        val = getattr(args, key, None)
+            opts[key] = _convert(key, raw, flags[key][1])
+    for key in flags:
+        val = getattr(args, key)
         if val is not None:
             opts[key] = val
     return SimpleNamespace(**opts)
@@ -276,8 +152,8 @@ def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
 
 def _require(opts: SimpleNamespace, *keys: str) -> None:
     for key in keys:
-        if getattr(opts, key) in (None, []):
-            raise ConfigError(f"--{key.replace('_', '-')} is required")
+        if getattr(opts, key) in (None, [], ""):
+            raise ConfigError(f"{_flag(key)} is required")
 
 
 @contextmanager
@@ -340,8 +216,6 @@ def _load_stack(paths, target_geometry_path, method):
 def cmd_fuse(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "out")
-    if opts.mode not in ("median", "adaptive"):
-        raise ConfigError(f"--mode must be median or adaptive, got {opts.mode!r}")
     fcfg = FusionConfig(
         delta_s=opts.delta_s, delta_i=opts.delta_i,
         gamma=opts.gamma, radius=opts.radius,
@@ -382,8 +256,6 @@ def cmd_rank(opts: SimpleNamespace) -> int:
         cx, cy = truth.geometry.center_point()
         at = GroundPoint(cx, cy, 0.0)
     else:
-        if len(opts.at) != 3:
-            raise ConfigError("--at needs exactly three values: U V Z")
         at = GroundPoint(*opts.at)
     gate = PairGate(min_angle=opts.min_angle, max_angle=opts.max_angle, top_k=opts.top_k)
 
@@ -480,8 +352,7 @@ def cmd_curve(opts: SimpleNamespace) -> int:
 
 
 def cmd_rpc(opts: SimpleNamespace) -> int:
-    if opts.action not in ("project", "invert", "angle"):
-        raise ConfigError("rpc action must be project, invert, or angle")
+    _require(opts, "action")
     if opts.action == "project":
         _require(opts, "rpc", "u", "v", "z")
         model = read_rpc(opts.rpc)
@@ -505,25 +376,13 @@ def cmd_rpc(opts: SimpleNamespace) -> int:
 
 
 def _parse_scene_file(path: str) -> SceneSpec:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise  # I/O error, exit 2
     scalars = {}
     buildings = []
     converters = {
         "seed": int, "width": int, "height": int,
         "cell_size": float, "ground_height": float, "ground_intensity": float,
     }
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_value_lines(path):
         try:
             if key == "building":
                 parts = value.split(",")
@@ -585,24 +444,93 @@ def cmd_synth(opts: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+# flags shared by several commands: key -> (default, argparse keywords)
+_FUSION_FLAGS = {
+    "delta_s": (FusionConfig.delta_s, {"type": float, "help": "spatial scale, cells"}),
+    "delta_i": (FusionConfig.delta_i, {"type": float, "help": "intensity scale, gray levels"}),
+    "gamma": (FusionConfig.gamma, {"type": float, "help": "window membership threshold"}),
+    "radius": (FusionConfig.radius, {"type": int, "help": "search window half-width, cells"}),
+    "jobs": (1, {"type": int, "help": "parallel row-block workers"}),
+    "resample_method": ("bilinear", {"choices": ("nearest", "bilinear")}),
+}
+_ALIGN_FLAGS = {
+    "threshold": (
+        AlignConfig.blunder_threshold, {"type": float, "help": "alignment blunder gate, meters"}
+    ),
+    "max_search": (AlignConfig.max_search, {
+        "type": int, "help": "bound, in cells, of the coarse-to-fine integer shift search",
+    }),
+}
+_RAY_FLAGS = {
+    "dz_probe": (DEFAULT_DZ_PROBE, {"type": float}),
+    "meters_per_unit": (DEFAULT_METERS_PER_UNIT, {"type": float}),
+}
+
+# every flag of every command, stated once: command -> (handler, help,
+# {key: (default, argparse keywords)}).  A None default means "not set".
 _COMMANDS = {
-    "fuse": cmd_fuse,
-    "rank": cmd_rank,
-    "eval": cmd_eval,
-    "curve": cmd_curve,
-    "rpc": cmd_rpc,
-    "synth": cmd_synth,
+    "fuse": (cmd_fuse, "fuse a stack of depth maps", {
+        "layers": (None, {"nargs": "+", "help": "depth-map ASCII grids, one per pair"}),
+        "ortho": (None, {"help": "reference orthophoto grid (adaptive mode)"}),
+        "out": (None, {"help": "output DSM path (.asc)"}),
+        "mode": ("median", {"choices": ("median", "adaptive")}),
+        **_FUSION_FLAGS,
+        "target_geometry": (None, {"help": "grid whose geometry the stack adopts"}),
+    }),
+    "rank": (cmd_rank, "gate and rank stereo pairs", {
+        "manifest": (None, {"help": "pair manifest CSV"}),
+        "truth": (None, {"help": "ground-truth patch (.asc)"}),
+        "out": (None, {"help": "output ranking CSV"}),
+        "min_angle": (PairGate.min_angle, {"type": float}),
+        "max_angle": (PairGate.max_angle, {"type": float}),
+        "top_k": (PairGate.top_k, {"type": int}),
+        "at": (None, {
+            "nargs": 3, "type": float, "metavar": ("U", "V", "Z"),
+            "help": "ground point for angle evaluation (default: truth center)",
+        }),
+        **_RAY_FLAGS,
+        **_ALIGN_FLAGS,
+    }),
+    "eval": (cmd_eval, "align a DSM to truth and report RMSE", {
+        "computed": (None, {"help": "computed DSM (.asc)"}),
+        "truth": (None, {"help": "ground-truth DSM (.asc)"}),
+        "out": (None, {"help": "output metrics CSV"}),
+        **_ALIGN_FLAGS,
+    }),
+    "curve": (cmd_curve, "RMSE vs number of fused layers, both methods", {
+        "layers": (None, {"nargs": "+", "help": "depth maps sorted by pair rank"}),
+        "ortho": (None, {"help": "reference orthophoto grid"}),
+        "truth": (None, {"help": "ground-truth DSM (.asc)"}),
+        "out": (None, {"help": "output curve CSV"}),
+        **_FUSION_FLAGS,
+        **_ALIGN_FLAGS,
+    }),
+    "rpc": (cmd_rpc, "evaluate a sensor model", {
+        "action": (None, {"nargs": "?", "choices": ("project", "invert", "angle")}),
+        "rpc": (None, {"help": "RPC text file"}),
+        "rpc_b": (None, {"help": "second RPC file (angle)"}),
+        **{key: (None, {"type": float}) for key in ("u", "v", "z", "s", "l")},
+        **_RAY_FLAGS,
+    }),
+    "synth": (cmd_synth, "generate a synthetic scene", {
+        "scene": (None, {"help": "scene spec file (key=value lines)"}),
+        "out_dir": (None, {"help": "output directory"}),
+        "layers": (0, {"type": int, "help": "number of degraded layers to emit"}),
+        "sigma_start": (0.5, {"type": float}),
+        "sigma_end": (0.5, {"type": float}),
+        "spike_prob": (0.0, {"type": float}),
+        "spike_amp": (10.0, {"type": float}),
+        "hole_prob": (0.0, {"type": float}),
+    }),
 }
 
 
 def main(argv=None) -> int:
     # one stderr handler for library warnings; a no-op if logging is configured
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        opts = _resolve(args, args.command)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](_resolve(args, args.command))
     except (AsciiGridError, RpcFileError, ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -260,6 +260,8 @@ def adaptive_median_fuse(
     """
     if cfg is None:
         cfg = FusionConfig()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if ortho.geometry != stack.geometry:
         raise GeometryMismatchError("orthophoto geometry differs from the stack")
     geom = stack.geometry
@@ -275,7 +277,7 @@ def adaptive_median_fuse(
     opad = np.pad(ortho.nan_values(), rad, constant_values=np.nan)
 
     block_rows = max(1, _BLOCK_BYTES // (geom.n_cols * len(offsets) * n_layers * hpad.itemsize))
-    spans = _row_blocks(hpad, opad, math.ceil(geom.n_rows / max(jobs, 1)), rad)
+    spans = _row_blocks(hpad, opad, math.ceil(geom.n_rows / jobs), rad)
     fuse = partial(_fuse_span, offsets=offsets, cfg=cfg, block_rows=block_rows)
     if len(spans) > 1:
         # imported here: loading multiprocessing costs every command ~6 ms

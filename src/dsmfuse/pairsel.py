@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .raster import RasterGrid, read_asc
+from .raster import RasterGrid, decode_errors_as, read_asc
 from .register import AlignConfig, InsufficientOverlapError, align
 from .rpc import (
+    DEFAULT_DZ_PROBE,
     DEFAULT_METERS_PER_UNIT,
     GroundPoint,
     InversionError,
@@ -88,7 +89,7 @@ def gate_pairs(
     models: Sequence[tuple[str, RpcModel]],
     at: GroundPoint,
     gate: PairGate | None = None,
-    dz_probe: float = 100.0,
+    dz_probe: float = DEFAULT_DZ_PROBE,
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
 ) -> list[PairRecord]:
     """All unordered pairs whose intersection angle falls inside the gate.
@@ -167,7 +168,10 @@ def rank_pairs(
 def read_pair_manifest(path) -> list[ManifestEntry]:
     """Read the pair manifest CSV (columns: id_a, id_b, rpc_a_path,
     rpc_b_path, dsm_path)."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with (
+        open(path, "r", encoding="utf-8", newline="") as f,
+        decode_errors_as(ManifestError, path, "utf-8"),
+    ):
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise ManifestError(f"{path}: empty manifest")

@@ -19,6 +19,7 @@ copy), so any number of concurrent readers is safe.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,24 @@ class UnparseableNumberError(AsciiGridError):
 
 class GeometryMismatchError(ValueError):
     """Two grids were expected to share a geometry but do not."""
+
+
+@contextmanager
+def decode_errors_as(error: type[Exception], path, encoding: str):
+    """Raise ``error`` naming ``path`` and the first undecodable byte's offset
+    in place of a ``UnicodeDecodeError`` (whose offset is per decoded chunk)."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise error(
+                f"{path}: byte {data[exc.start]:#04x} at offset {exc.start} is not {encoding}"
+            ) from None
+        raise
 
 
 class CellIndex(NamedTuple):
@@ -268,7 +287,7 @@ def read_asc(path) -> RasterGrid:
     with ``float()``, which accepts spellings such as ``1_0`` and names the
     bad token or row in the error; both keep ``float()``'s token grammar.
     """
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="ascii") as f, decode_errors_as(AsciiGridError, path, "ascii"):
         header: dict[str, float] = {}
         for key in _HEADER_KEYS:
             line = _next_line(f)

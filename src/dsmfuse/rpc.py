@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .raster import decode_errors_as
+
 #: soft validity bound on normalized coordinates; beyond it the model is
 #: extrapolating and results degrade, but evaluation still proceeds
 NORMALIZED_DOMAIN = 1.5
@@ -42,6 +44,9 @@ _NEWTON_MAX_ITER = 50
 
 #: meters per ground unit when ground coordinates are geographic degrees
 DEFAULT_METERS_PER_UNIT = 111320.0
+
+#: height step between the two inversions that give a local viewing ray
+DEFAULT_DZ_PROBE = 100.0
 
 
 class DegenerateModelError(ValueError):
@@ -281,7 +286,7 @@ def bias_correction(
 def viewing_ray(
     model: RpcModel,
     at: GroundPoint,
-    dz_probe: float = 100.0,
+    dz_probe: float = DEFAULT_DZ_PROBE,
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
 ) -> np.ndarray:
     """Local viewing-ray direction at a ground point, in meters (unnormalized).
@@ -308,7 +313,7 @@ def intersection_angle(
     a: RpcModel,
     b: RpcModel,
     at: GroundPoint,
-    dz_probe: float = 100.0,
+    dz_probe: float = DEFAULT_DZ_PROBE,
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
 ) -> float:
     """Angle in degrees between the two models' viewing rays at a point."""
@@ -328,7 +333,7 @@ _COEFF_PREFIXES = ("SAMP_NUM_COEFF", "SAMP_DEN_COEFF", "LINE_NUM_COEFF", "LINE_D
 def read_rpc(path) -> RpcModel:
     """Read a `KEY: value` RPC text file.  All 90 keys are mandatory."""
     entries: dict[str, float] = {}
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="ascii") as f, decode_errors_as(RpcFileError, path, "ascii"):
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -9,8 +9,11 @@ import pytest
 
 from dsmfuse import cli, raster
 from dsmfuse.cli import main
+from dsmfuse.fusion import FusionConfig
+from dsmfuse.pairsel import PairGate
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, write_asc
-from dsmfuse.rpc import write_rpc
+from dsmfuse.register import AlignConfig
+from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, write_rpc
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import grid_of, linear_ray_model
@@ -139,6 +142,29 @@ class TestFuse:
             short = (tmp_path / "short").with_suffix(ext).read_bytes()
             assert short == (tmp_path / "full").with_suffix(ext).read_bytes()
 
+    def test_jobs_zero_exit_4(self, tmp_path, capsys):
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        write_asc(hill_grid(), tmp_path / "ortho.asc")
+        code = main(["fuse", "--layers", str(tmp_path / "l.asc"), "--mode", "adaptive",
+                     "--ortho", str(tmp_path / "ortho.asc"), "--jobs", "0",
+                     "--out", str(tmp_path / "o.asc")])
+        assert code == 4
+        assert "jobs" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.asc", "ortho.asc"]
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_empty_out_is_missing_exit_4(self, tmp_path, capsys, monkeypatch, via):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking --out")
+
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("out=\n")
+        monkeypatch.setattr(cli, "read_asc", no_read)
+        extra = ["--config", str(cfg)] if via == "config" else ["--out", ""]
+        assert main(["fuse", "--layers", str(tmp_path / "l.asc"), *extra]) == 4
+        assert "--out is required" in capsys.readouterr().err
+
     def test_bad_mode_exit_4(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "l.asc")
         cfg = tmp_path / "cfg.txt"
@@ -172,6 +198,115 @@ class TestConfigFile:
 
     def test_missing_required_exit_4(self, tmp_path):
         assert main(["fuse", "--out", str(tmp_path / "o.asc")]) == 4
+
+
+def _table_entries():
+    return [(cmd, key) for cmd, (_, _, flags) in cli._COMMANDS.items() for key in flags]
+
+
+def _valid_tokens(kwargs):
+    """Values a flag accepts, as the strings given on the command line."""
+    if "choices" in kwargs:
+        return [kwargs["choices"][-1]]
+    nargs = kwargs.get("nargs")
+    count = nargs if isinstance(nargs, int) else 2 if nargs == "+" else 1
+    pool = {int: ["7", "-3", "12"], float: ["2.25", "-1.5", "3e2"],
+            str: ["a.asc", "dir/b.asc", "c.asc"]}[kwargs.get("type", str)]
+    return pool[:count]
+
+
+def _bad_tokens(kwargs):
+    """A config value the flag would reject, or None for a free string."""
+    if "choices" in kwargs:
+        return "bogus"
+    if isinstance(kwargs.get("nargs"), int):
+        return "1 2"
+    if kwargs.get("nargs") == "+":
+        return ""
+    return {int: "2.5", float: "abc", str: None}[kwargs.get("type", str)]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command,key", _table_entries())
+    def test_config_value_resolves_like_flag(self, tmp_path, command, key):
+        kwargs = cli._COMMANDS[command][2][key][1]
+        tokens = _valid_tokens(kwargs)
+        parser = cli._build_parser()
+        argv = [command, *tokens] if key == "action" else [command, cli._flag(key), *tokens]
+        from_flag = cli._resolve(parser.parse_args(argv), command)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}={', '.join(tokens)}\n")
+        from_cfg = cli._resolve(parser.parse_args([command, "--config", str(cfg)]), command)
+        assert repr(getattr(from_cfg, key)) == repr(getattr(from_flag, key))
+        assert vars(from_cfg) == vars(from_flag)
+
+    @pytest.mark.parametrize("command,key", [
+        (c, k) for c, k in _table_entries()
+        if _bad_tokens(cli._COMMANDS[c][2][k][1]) is not None
+    ])
+    def test_bad_config_value_exit_4_before_reading(
+        self, tmp_path, capsys, monkeypatch, command, key
+    ):
+        def no_read(*args):
+            raise AssertionError("read an input before checking the config")
+
+        for name in ("read_asc", "read_rpc", "read_pair_manifest", "_parse_scene_file"):
+            monkeypatch.setattr(cli, name, no_read)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}={_bad_tokens(cli._COMMANDS[command][2][key][1])}\n")
+        assert main([command, "--config", str(cfg)]) == 4
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_defaults_come_from_the_library(self):
+        fcfg, acfg, gate = FusionConfig(), AlignConfig(), PairGate()
+        defaults = {c: {k: d for k, (d, _) in flags.items()}
+                    for c, (_, _, flags) in cli._COMMANDS.items()}
+        for command in ("fuse", "curve"):
+            assert [defaults[command][k] for k in ("delta_s", "delta_i", "gamma", "radius")] \
+                == [fcfg.delta_s, fcfg.delta_i, fcfg.gamma, fcfg.radius]
+        for command in ("rank", "eval", "curve"):
+            assert defaults[command]["threshold"] == acfg.blunder_threshold
+            assert defaults[command]["max_search"] == acfg.max_search
+        assert [defaults["rank"][k] for k in ("min_angle", "max_angle", "top_k")] \
+            == [gate.min_angle, gate.max_angle, gate.top_k]
+        for command in ("rank", "rpc"):
+            assert defaults[command]["dz_probe"] == DEFAULT_DZ_PROBE
+            assert defaults[command]["meters_per_unit"] == DEFAULT_METERS_PER_UNIT
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("kind,code", [
+        ("asc", 2), ("rpc", 2), ("manifest", 2), ("config", 4), ("scene", 4),
+    ])
+    def test_exit_code_names_file_and_offset(self, tmp_path, capsys, scene_dir, kind, code):
+        write_asc(hill_grid(), tmp_path / "truth.asc")
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        good = {
+            "asc": (tmp_path / "truth.asc").read_bytes(),
+            "rpc": (tmp_path / "a.rpc").read_bytes(),
+            "manifest": b"id_a,id_b,rpc_a_path,rpc_b_path,dsm_path\nA,B,a.rpc,a.rpc,x.asc\n",
+            "config": b"mode=median\nout=o.asc\n",
+            "scene": scene_dir.read_bytes(),
+        }[kind]
+        # the bad byte goes into the last line, past the first decoded chunk
+        # of a large file, so a per-chunk offset would be wrong
+        offset = good.rstrip(b"\n").rindex(b"\n") + 2
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(good[:offset] + b"\xe9" + good[offset + 1:])
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "asc": ["eval", "--computed", str(bad), "--truth", str(tmp_path / "truth.asc"),
+                    "--out", out],
+            "rpc": ["rpc", "project", "--rpc", str(bad), "--u", "0", "--v", "0", "--z", "0"],
+            "manifest": ["rank", "--manifest", str(bad), "--truth", str(tmp_path / "truth.asc"),
+                         "--out", out],
+            "config": ["fuse", "--config", str(bad)],
+            "scene": ["synth", "--scene", str(bad), "--out-dir", str(tmp_path / "o")],
+        }[kind]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert f"byte 0xe9 at offset {offset}" in err
 
 
 class TestEval:

@@ -282,6 +282,12 @@ class TestAdaptiveMedianFuse:
         parallel = adaptive_median_fuse(stack, ortho, jobs=3)
         assert np.array_equal(serial.values, parallel.values)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, rng, jobs):
+        stack, ortho = random_stack(rng, 6, 6, 2)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            adaptive_median_fuse(stack, ortho, jobs=jobs)
+
 
 def _budget_for_rows(stack, cfg, rows):
     """Candidate-byte budget that yields blocks of ``rows`` output rows."""
