@@ -69,6 +69,8 @@ EXIT_IO = 2
 EXIT_GEOMETRY = 3
 EXIT_CONFIG = 4
 
+log = logging.getLogger(__name__)
+
 
 class ConfigError(ValueError):
     """Bad flag/config-file combination."""
@@ -213,25 +215,36 @@ def _load_stack(paths, target_geometry_path, method):
     return DepthStack(layers=out, ids=[str(p) for p in paths]), target
 
 
+def _load_ortho(path, target, method) -> RasterGrid:
+    """The orthophoto on the target geometry; warns when off the 0-255 scale."""
+    ortho = resample(read_asc(path), target, method)
+    vals = ortho.values[ortho.valid_mask()]
+    if vals.size and (vals.min() < 0.0 or vals.max() > 255.0):
+        log.warning(
+            "ortho intensities outside [0, 255]; delta-i is calibrated for a "
+            "0-255 gray scale"
+        )
+    return ortho
+
+
+def _fusion_config(opts: SimpleNamespace) -> FusionConfig:
+    """The fusion flags, checked (``--jobs`` included) before any input is read."""
+    if opts.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {opts.jobs}")
+    return FusionConfig(
+        delta_s=opts.delta_s, delta_i=opts.delta_i, gamma=opts.gamma, radius=opts.radius
+    )
+
+
 def cmd_fuse(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "out")
-    fcfg = FusionConfig(
-        delta_s=opts.delta_s, delta_i=opts.delta_i,
-        gamma=opts.gamma, radius=opts.radius,
-    )
+    fcfg = _fusion_config(opts)
     if opts.mode == "adaptive" and not opts.ortho:
         raise ConfigError("--ortho is required when --mode is adaptive")
     stack, target = _load_stack(opts.layers, opts.target_geometry, opts.resample_method)
     if opts.mode == "adaptive":
-        ortho = resample(read_asc(opts.ortho), target, opts.resample_method)
-        vals = ortho.values[ortho.valid_mask()]
-        if vals.size and (vals.min() < 0.0 or vals.max() > 255.0):
-            print(
-                "warning: ortho intensities outside [0, 255]; delta-i is "
-                "calibrated for a 0-255 gray scale",
-                file=sys.stderr,
-            )
+        ortho = _load_ortho(opts.ortho, target, opts.resample_method)
         fused = adaptive_median_fuse(stack, ortho, fcfg, jobs=opts.jobs)
         inputs = list(opts.layers) + [opts.ortho]
     else:
@@ -281,7 +294,7 @@ def cmd_rank(opts: SimpleNamespace) -> int:
                 PairRecord(rec.id_a, rec.id_b, rec.angle_deg, dsm_path=dsm_paths[key])
             )
     if not candidates:
-        print("warning: no pairs inside the intersection-angle gate", file=sys.stderr)
+        log.warning("no pairs inside the intersection-angle gate")
         ranked = []
     else:
         acfg = AlignConfig(blunder_threshold=opts.threshold, max_search=opts.max_search)
@@ -326,12 +339,9 @@ def cmd_eval(opts: SimpleNamespace) -> int:
 def cmd_curve(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "ortho", "truth", "out")
-    fcfg = FusionConfig(
-        delta_s=opts.delta_s, delta_i=opts.delta_i,
-        gamma=opts.gamma, radius=opts.radius,
-    )
+    fcfg = _fusion_config(opts)
     stack, target = _load_stack(opts.layers, None, opts.resample_method)
-    ortho = resample(read_asc(opts.ortho), target, opts.resample_method)
+    ortho = _load_ortho(opts.ortho, target, opts.resample_method)
     truth = read_asc(opts.truth)
 
     lines = ["k,rmse_adaptive_m,rmse_median_m"]

@@ -10,11 +10,12 @@ Two fusion operators:
 
       W(x) = exp(-(|x - x0|^2 / (2 delta_s^2) + (I(x) - I(x0))^2 / (2 delta_i^2)))
 
-  and the window is the set of cells with W(x) > gamma (strictly).  The
-  median is then taken over every valid height of every layer at every
-  window cell, which multiplies the candidate count without pulling values
-  across intensity edges, so depth boundaries stay sharp while flat areas
-  smooth out.
+  and the window is the set of cells with W(x) > gamma (strictly).
+  ``window_weights`` is the one gate: it computes W at every window offset
+  of every cell of a block.  The median is then taken over every valid
+  height of every layer at every window cell, which multiplies the
+  candidate count without pulling values across intensity edges, so depth
+  boundaries stay sharp while flat areas smooth out.
 
 W(x0) = 1 is the maximum of W, so weights need no further normalization.
 The median of an even candidate count is the average of the two middle
@@ -33,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .raster import CellIndex, GeometryMismatchError, RasterGrid
+from .raster import GeometryMismatchError, RasterGrid
 
 _BLOCK_BYTES = 8 << 20  # candidate bytes per row block of the adaptive kernel
 
@@ -89,86 +90,6 @@ class DepthStack:
         return self.layers[0].geometry
 
 
-@dataclass(frozen=True)
-class WeightKernel:
-    """Evaluation context of the bilateral weight: the window's center.
-
-    center_intensity None means the orthophoto has no data at the center;
-    the kernel then degenerates to the spatial term only.
-    """
-
-    center: CellIndex
-    center_intensity: float | None
-
-
-@dataclass(frozen=True)
-class AdaptiveWindow:
-    members: frozenset[CellIndex]
-
-    def __contains__(self, cell: CellIndex) -> bool:
-        return cell in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def weight(
-    kernel: WeightKernel,
-    x: CellIndex,
-    intensity_at_x: float | None,
-    cfg: FusionConfig,
-) -> float:
-    """Bilateral weight of cell x relative to the kernel center, in (0, 1]."""
-    dc = x.col - kernel.center.col
-    dr = x.row - kernel.center.row
-    spatial = (dc * dc + dr * dr) / (2.0 * cfg.delta_s * cfg.delta_s)
-    if kernel.center_intensity is None:
-        return math.exp(-spatial)
-    if intensity_at_x is None:
-        raise ValueError("cell intensity required when the center has one")
-    di = intensity_at_x - kernel.center_intensity
-    return math.exp(-(spatial + di * di / (2.0 * cfg.delta_i * cfg.delta_i)))
-
-
-def adaptive_window(
-    ortho: RasterGrid, center: CellIndex, cfg: FusionConfig
-) -> AdaptiveWindow:
-    """Irregular window around a cell: all in-bounds cells of the square
-    search window whose weight strictly exceeds gamma.
-
-    With a valid center intensity, cells where the orthophoto has no data
-    are excluded; with a nodata center the kernel is spatial-only and
-    member intensities are irrelevant.
-    """
-    geom = ortho.geometry
-    if not (0 <= center.col < geom.n_cols and 0 <= center.row < geom.n_rows):
-        raise ValueError(f"center {center} out of bounds")
-    valid = ortho.valid_mask()
-    center_intensity = (
-        float(ortho.values[center.row, center.col])
-        if valid[center.row, center.col]
-        else None
-    )
-    kernel = WeightKernel(center=center, center_intensity=center_intensity)
-    members = []
-    for row in range(
-        max(0, center.row - cfg.radius), min(geom.n_rows, center.row + cfg.radius + 1)
-    ):
-        for col in range(
-            max(0, center.col - cfg.radius), min(geom.n_cols, center.col + cfg.radius + 1)
-        ):
-            cell = CellIndex(col, row)
-            if center_intensity is None:
-                w = weight(kernel, cell, None, cfg)
-            elif not valid[row, col]:
-                continue
-            else:
-                w = weight(kernel, cell, float(ortho.values[row, col]), cfg)
-            if w > cfg.gamma:
-                members.append(cell)
-    return AdaptiveWindow(members=frozenset(members))
-
-
 def _nan_median(a: np.ndarray) -> np.ndarray:
     """Median over the last axis ignoring NaN; all-NaN rows give NaN.
 
@@ -210,24 +131,41 @@ def _window_offsets(cfg: FusionConfig):
     return out
 
 
-def _fuse_block(hpad, opad, offsets, cfg: FusionConfig) -> np.ndarray:
-    """Fuse one padded row block; hpad is (rows+2r, cols+2r, layers)."""
+def window_weights(opad, offsets, cfg: FusionConfig) -> np.ndarray:
+    """Bilateral weight W of every window offset of every cell: the one gate.
+
+    ``opad`` is an orthophoto block NaN-padded by ``cfg.radius`` cells on
+    each side and ``offsets`` are ``_window_offsets(cfg)``; the result is
+    (rows, cols, offsets) in that order, and a cell's window is where it
+    exceeds gamma.  A nodata neighbour of a valid center, the padding
+    included, gets NaN, which fails the gate.  A nodata center gets the
+    spatial-only weight, which passes at every kept offset, padding included;
+    heights there are NaN, so no candidate comes from outside the grid.
+    """
     rad = cfg.radius
     n_rows = opad.shape[0] - 2 * rad
     n_cols = opad.shape[1] - 2 * rad
     i0 = opad[rad : rad + n_rows, rad : rad + n_cols]
     i0_nan = np.isnan(i0)
-    member = np.empty((n_rows, n_cols, len(offsets)), dtype=bool)
-    cands = np.empty((n_rows, n_cols, len(offsets), hpad.shape[2]))
+    w = np.empty((n_rows, n_cols, len(offsets)))
     for k, (di, dj, spatial) in enumerate(offsets):
-        rows = slice(rad + di, rad + di + n_rows)
-        cols = slice(rad + dj, rad + dj + n_cols)
-        d = opad[rows, cols] - i0
-        w = np.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
-        # NaN weights compare False; nodata-center cells fall back to the
-        # spatial-only gate, which is True for every offset kept
-        np.logical_or(i0_nan, w > cfg.gamma, out=member[:, :, k])
-        cands[:, :, k, :] = hpad[rows, cols]
+        d = opad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols] - i0
+        wk = np.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
+        # math.exp, as in _window_offsets: np.exp may differ by an ulp and
+        # flip a kept offset out of the gate
+        wk[i0_nan] = math.exp(-spatial)
+        w[:, :, k] = wk
+    return w
+
+
+def _fuse_block(hpad, opad, offsets, cfg: FusionConfig) -> np.ndarray:
+    """Fuse one padded row block; hpad is (rows+2r, cols+2r, layers)."""
+    rad = cfg.radius
+    member = window_weights(opad, offsets, cfg) > cfg.gamma
+    n_rows, n_cols = member.shape[:2]
+    cands = np.empty((n_rows, n_cols, len(offsets), hpad.shape[2]))
+    for k, (di, dj, _) in enumerate(offsets):
+        cands[:, :, k, :] = hpad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols]
     np.copyto(cands, np.nan, where=~member[..., None])
     return _nan_median(cands.reshape(n_rows, n_cols, -1))
 

@@ -12,16 +12,9 @@ import warnings
 import numpy as np
 
 from dsmfuse.cli import main
-from dsmfuse.fusion import (
-    DepthStack,
-    FusionConfig,
-    WeightKernel,
-    adaptive_median_fuse,
-    median_fuse,
-    weight,
-)
+from dsmfuse.fusion import DepthStack, FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate, PairRecord, gate_pairs, rank_pairs
-from dsmfuse.raster import CellIndex, GridGeometry, RasterGrid, write_asc
+from dsmfuse.raster import GridGeometry, RasterGrid, write_asc
 from dsmfuse.register import AlignConfig, align, rmse
 from dsmfuse.rpc import (
     GroundPoint,
@@ -34,7 +27,7 @@ from dsmfuse.rpc import (
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import linear_ray_model, random_rpc_model
-from test_fusion import oracle_adaptive_fuse, random_stack
+from test_fusion import oracle_adaptive_fuse, random_stack, weight_at
 
 
 def criterion(num, name):
@@ -88,24 +81,24 @@ def test_criterion_02_degenerate_equivalence():
 
 @criterion(3, "bilateral kernel: center weight 1, closed form e^-1, monotone")
 def test_criterion_03_kernel():
-    k = WeightKernel(CellIndex(0, 0), 100.0)
-    assert weight(k, CellIndex(0, 0), 100.0, FusionConfig()) == 1.0
+    assert weight_at(100.0, 0, 100.0, FusionConfig()) == 1.0
 
     cfg = FusionConfig(delta_s=3.0, delta_i=12.0)
-    w = weight(k, CellIndex(3, 0), 112.0, cfg)
+    w = weight_at(100.0, 3, 112.0, cfg)
     assert abs(w - math.exp(-1.0)) < 1e-12
 
-    cfg = FusionConfig()
+    # the default weight, with every offset out to 7 cells kept by the gate
+    cfg = FusionConfig(gamma=1e-9, radius=7)
     for di in range(0, 101, 5):
         prev = 1.0
         for d in range(0, 8):
-            w = weight(k, CellIndex(d, 0), 100.0 + di, cfg)
+            w = weight_at(100.0, d, 100.0 + di, cfg)
             assert w <= prev
             prev = w
     for d in range(0, 8):
         prev = 1.0
         for di in range(0, 101, 5):
-            w = weight(k, CellIndex(d, 0), 100.0 + di, cfg)
+            w = weight_at(100.0, d, 100.0 + di, cfg)
             assert w <= prev
             prev = w
 

@@ -257,6 +257,21 @@ class TestFlagTable:
         assert main([command, "--config", str(cfg)]) == 4
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--mode", "median"],
+        ["fuse", "--mode", "adaptive", "--ortho", "ortho.asc"],
+        ["curve", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+    ], ids=["fuse-median", "fuse-adaptive", "curve"])
+    def test_jobs_below_one_exit_4_before_reading(self, capsys, monkeypatch, argv, jobs):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking --jobs")
+
+        monkeypatch.setattr(cli, "read_asc", no_read)
+        code = main([*argv, "--layers", "l.asc", "--jobs", jobs, "--out", "o.asc"])
+        assert code == 4
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
     def test_defaults_come_from_the_library(self):
         fcfg, acfg, gate = FusionConfig(), AlignConfig(), PairGate()
         defaults = {c: {k: d for k, (d, _) in flags.items()}
@@ -401,17 +416,18 @@ class TestRank:
         assert (first[0], first[1]) == ("imgA", "imgB")
         assert first[4] == "true"
 
-    def test_all_pairs_gated_out_warns_exit_0(self, tmp_path, capsys):
+    def test_all_pairs_gated_out_warns_exit_0(self, tmp_path):
         self.build_inputs(tmp_path)
         out = tmp_path / "ranked.csv"
-        code = main(["rank", "--manifest", str(tmp_path / "pairs.csv"),
-                     "--truth", str(tmp_path / "truth.asc"),
-                     "--at", "0", "0", "0",
-                     "--meters-per-unit", "1.0",
-                     "--min-angle", "40", "--max-angle", "50",
-                     "--out", str(out)])
-        assert code == 0
-        assert "warning" in capsys.readouterr().err
+        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
+                          "rank", "--manifest", str(tmp_path / "pairs.csv"),
+                          "--truth", str(tmp_path / "truth.asc"),
+                          "--at", "0", "0", "0",
+                          "--meters-per-unit", "1.0",
+                          "--min-angle", "40", "--max-angle", "50",
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "WARNING dsmfuse.cli: no pairs inside the intersection-angle gate" in proc.stderr
         assert out.read_text().strip().splitlines() == [
             "id_a,id_b,angle_deg,rank_rmse_m,selected"
         ]
@@ -481,6 +497,22 @@ class TestCurve:
         assert lines[0] == "k,rmse_adaptive_m,rmse_median_m"
         assert len(lines) == 4
         assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
+
+
+    @pytest.mark.parametrize("command", ["curve", "fuse"])
+    def test_ortho_outside_gray_scale_warns(self, tmp_path, command):
+        truth, ortho = gen_scene(SceneSpec(seed=5, width=20, height=20))
+        write_asc(truth, tmp_path / "truth.asc")
+        write_asc(RasterGrid(ortho.geometry, ortho.values + 300.0), tmp_path / "ortho.asc")
+        write_asc(degrade(truth, DegradeSpec(seed=60)), tmp_path / "l.asc")
+        extra = ["--truth", str(tmp_path / "truth.asc"), "--max-search", "2"] \
+            if command == "curve" else ["--mode", "adaptive"]
+        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
+                          command, "--layers", str(tmp_path / "l.asc"),
+                          "--ortho", str(tmp_path / "ortho.asc"), *extra,
+                          "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "WARNING dsmfuse.cli: ortho intensities outside [0, 255]" in proc.stderr
 
 
 class TestRpcCommand:

@@ -10,11 +10,9 @@ from dsmfuse import fusion
 from dsmfuse.fusion import (
     DepthStack,
     FusionConfig,
-    WeightKernel,
     adaptive_median_fuse,
-    adaptive_window,
     median_fuse,
-    weight,
+    window_weights,
 )
 from dsmfuse.raster import CellIndex, GeometryMismatchError
 
@@ -76,53 +74,81 @@ def random_stack(rng, n_rows, n_cols, n_layers, hole_frac=0.15):
     return DepthStack(layers=layers), grid_of(ortho_vals)
 
 
+def weights_of(ortho, cfg):
+    """``window_weights`` over a whole orthophoto grid, and its offsets."""
+    offsets = fusion._window_offsets(cfg)
+    opad = np.pad(ortho.nan_values(), cfg.radius, constant_values=np.nan)
+    return window_weights(opad, offsets, cfg), offsets
+
+
+def weight_at(center_intensity, dcol, intensity, cfg):
+    """W of the cell ``dcol`` columns east of a center, from ``window_weights``.
+
+    None is nodata.  At dcol 0 the cell is the center itself, holding
+    ``intensity``.
+    """
+    row = np.full((1, dcol + 1), -9999.0)
+    for col, value in ((0, center_intensity), (dcol, intensity)):
+        if value is not None:
+            row[0, col] = value
+    w, offsets = weights_of(grid_of(row), cfg)
+    return w[0, 0, [(di, dj) for di, dj, _ in offsets].index((0, dcol))]
+
+
+def window_of(ortho, center, cfg):
+    """Cells, the padding outside the grid included, whose weight around
+    ``center`` passes the gate."""
+    w, offsets = weights_of(ortho, cfg)
+    return frozenset(
+        CellIndex(center.col + dj, center.row + di)
+        for k, (di, dj, _) in enumerate(offsets)
+        if w[center.row, center.col, k] > cfg.gamma
+    )
+
+
 class TestWeight:
     def test_center_is_exactly_one(self):
-        k = WeightKernel(CellIndex(3, 3), 120.0)
-        assert weight(k, CellIndex(3, 3), 120.0, FusionConfig()) == 1.0
+        assert weight_at(120.0, 0, 120.0, FusionConfig()) == 1.0
 
     def test_closed_form_e_minus_one(self):
         cfg = FusionConfig(delta_s=3.0, delta_i=12.0)
-        k = WeightKernel(CellIndex(0, 0), 100.0)
-        w = weight(k, CellIndex(3, 0), 112.0, cfg)
+        w = weight_at(100.0, 3, 112.0, cfg)
         assert w == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_gaussian_tail_negligible(self):
         cfg = FusionConfig(delta_i=15.0)
-        k = WeightKernel(CellIndex(0, 0), 0.0)
-        assert weight(k, CellIndex(0, 0), 150.0, cfg) < 1e-21
+        assert weight_at(0.0, 1, 150.0, cfg) < 1e-21
 
     def test_monotone_in_distance_and_intensity(self):
-        cfg = FusionConfig()
-        k = WeightKernel(CellIndex(0, 0), 100.0)
+        cfg = FusionConfig(gamma=1e-9, radius=7)  # every offset to 7 cells kept
         prev = 1.0
         for d in range(0, 6):
-            w = weight(k, CellIndex(d, 0), 100.0, cfg)
+            w = weight_at(100.0, d, 100.0, cfg)
             assert w <= prev
             prev = w
         prev = 1.0
         for di in range(0, 60, 5):
-            w = weight(k, CellIndex(0, 0), 100.0 + di, cfg)
+            w = weight_at(100.0, 1, 100.0 + di, cfg)
             assert w <= prev
             prev = w
 
     def test_spatial_only_when_center_nodata(self):
         cfg = FusionConfig(delta_s=2.0)
-        k = WeightKernel(CellIndex(0, 0), None)
-        w = weight(k, CellIndex(2, 0), 999.0, cfg)
+        w = weight_at(None, 2, 999.0, cfg)
         assert w == pytest.approx(math.exp(-0.5), abs=1e-15)
 
-    def test_intensity_required_when_center_valid(self):
-        k = WeightKernel(CellIndex(0, 0), 10.0)
-        with pytest.raises(ValueError):
-            weight(k, CellIndex(1, 0), None, FusionConfig())
+    def test_nodata_neighbour_of_valid_center_fails_gate(self):
+        cfg = FusionConfig()
+        w = weight_at(10.0, 1, None, cfg)
+        assert np.isnan(w)
+        assert not w > cfg.gamma
 
 
 class TestAdaptiveWindow:
     def test_uniform_intensity_keeps_whole_square(self):
         cfg = FusionConfig(delta_s=10.0, gamma=0.5, radius=2)
         ortho = grid_of(np.full((7, 7), 80.0))
-        win = adaptive_window(ortho, CellIndex(3, 3), cfg)
+        win = window_of(ortho, CellIndex(3, 3), cfg)
         assert len(win) == 25
 
     def test_step_edge_confines_window(self):
@@ -130,22 +156,22 @@ class TestAdaptiveWindow:
         vals = np.full((9, 9), 50.0)
         vals[:, 5:] = 150.0
         ortho = grid_of(vals)
-        win = adaptive_window(ortho, CellIndex(3, 4), cfg)
-        assert all(cell.col < 5 for cell in win.members)
+        win = window_of(ortho, CellIndex(3, 4), cfg)
+        assert all(cell.col < 5 for cell in win)
         assert CellIndex(3, 4) in win
 
     def test_gamma_near_one_collapses_to_center(self):
         cfg = FusionConfig(gamma=0.999999, radius=3)
         ortho = grid_of(np.full((9, 9), 80.0))
-        win = adaptive_window(ortho, CellIndex(4, 4), cfg)
-        assert win.members == frozenset([CellIndex(4, 4)])
+        win = window_of(ortho, CellIndex(4, 4), cfg)
+        assert win == frozenset([CellIndex(4, 4)])
 
     def test_nodata_member_excluded_when_center_valid(self):
         cfg = FusionConfig(delta_s=10.0, radius=1)
         vals = np.full((3, 3), 80.0)
         vals[0, 0] = -9999.0
         ortho = grid_of(vals)
-        win = adaptive_window(ortho, CellIndex(1, 1), cfg)
+        win = window_of(ortho, CellIndex(1, 1), cfg)
         assert CellIndex(0, 0) not in win
         assert len(win) == 8
 
@@ -154,13 +180,13 @@ class TestAdaptiveWindow:
         vals = np.full((3, 3), 80.0)
         vals[1, 1] = -9999.0
         ortho = grid_of(vals)
-        win = adaptive_window(ortho, CellIndex(1, 1), cfg)
+        win = window_of(ortho, CellIndex(1, 1), cfg)
         assert len(win) == 9
 
     def test_window_clipped_at_grid_border(self):
         cfg = FusionConfig(delta_s=10.0, radius=2)
         ortho = grid_of(np.full((5, 5), 80.0))
-        win = adaptive_window(ortho, CellIndex(0, 0), cfg)
+        win = window_of(ortho, CellIndex(0, 0), cfg)
         assert len(win) == 9
 
 
@@ -354,6 +380,46 @@ def test_layer_permutation_property(data):
     out = adaptive_median_fuse(DepthStack(layers=layers), ortho, cfg)
     permuted = adaptive_median_fuse(DepthStack(layers=[layers[i] for i in order]), ortho, cfg)
     assert np.array_equal(out.values, permuted.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gate_matches_per_cell_window_property(data):
+    # criterion 01 compares fused medians only, which a flipped member can
+    # leave unchanged; this compares membership itself, offset by offset
+    n_rows = data.draw(st.integers(1, 8), label="rows")
+    n_cols = data.draw(st.integers(1, 8), label="cols")
+    ortho = grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_intensities)))
+    cfg = FusionConfig(
+        delta_s=data.draw(st.sampled_from([1.5, 2.5, 4.0]), label="delta_s"),
+        delta_i=data.draw(st.sampled_from([10.0, 15.0, 25.0]), label="delta_i"),
+        gamma=data.draw(st.sampled_from([0.3, 0.5, 0.9, 0.999999]), label="gamma"),
+        radius=data.draw(st.integers(0, 3), label="radius"),
+    )
+    w, offsets = weights_of(ortho, cfg)
+    slot = {(di, dj): k for k, (di, dj, _) in enumerate(offsets)}
+    ov, valid = ortho.values, ortho.valid_mask()
+    rad = cfg.radius
+    for r in range(n_rows):
+        for c in range(n_cols):
+            i0 = float(ov[r, c]) if valid[r, c] else None
+            for di in range(-rad, rad + 1):
+                for dj in range(-rad, rad + 1):
+                    rr, cc = r + di, c + dj
+                    spatial = (di * di + dj * dj) / (2.0 * cfg.delta_s * cfg.delta_s)
+                    if i0 is None:
+                        # spatial-only, also outside the grid, where heights are NaN
+                        want = math.exp(-spatial) > cfg.gamma
+                    elif not (0 <= rr < n_rows and 0 <= cc < n_cols and valid[rr, cc]):
+                        want = False
+                    else:
+                        d = float(ov[rr, cc]) - i0
+                        want = math.exp(
+                            -(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i))
+                        ) > cfg.gamma
+                    k = slot.get((di, dj))
+                    got = k is not None and bool(w[r, c, k] > cfg.gamma)
+                    assert got == want, (r, c, di, dj)
 
 
 class TestConfigAndStack:
