@@ -24,13 +24,16 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
+import warnings
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 
 from . import __version__
-from .fusion import DepthStack, FusionConfig, adaptive_median_fuse, median_fuse
+from .fusion import DepthStack, FusionConfig, adaptive_median_fuse, fuse_strips, median_fuse
+from .fusion import read_strips
 from .pairsel import (
     ManifestError,
     PairGate,
@@ -42,12 +45,15 @@ from .pairsel import (
 from .raster import (
     AsciiGridError,
     GeometryMismatchError,
+    GridReader,
     RasterGrid,
+    asc_header,
     decode_errors_as,
     read_asc,
     resample,
     write_asc,
     write_pgm,
+    write_rows,
 )
 from .register import AlignConfig, InsufficientOverlapError, align
 from .rpc import (
@@ -198,33 +204,15 @@ def _write_text_atomic(text: str, path: Path) -> None:
         tmp.write_text(text, encoding="ascii")
 
 
-def _load_stack(paths, target_geometry_path, method):
-    layers = [read_asc(p) for p in paths]
-    if target_geometry_path:
-        target = read_asc(target_geometry_path).geometry
-    else:
-        target = layers[0].geometry
-    out = []
-    for path, layer in zip(paths, layers):
-        res = resample(layer, target, method)
-        if layer.valid_mask().any() and not res.valid_mask().any():
-            raise GeometryMismatchError(
-                f"{path} does not overlap the target geometry"
-            )
-        out.append(res)
-    return DepthStack(layers=out, ids=[str(p) for p in paths]), target
-
-
-def _load_ortho(path, target, method) -> RasterGrid:
-    """The orthophoto on the target geometry; warns when off the 0-255 scale."""
-    ortho = resample(read_asc(path), target, method)
-    vals = ortho.values[ortho.valid_mask()]
-    if vals.size and (vals.min() < 0.0 or vals.max() > 255.0):
-        log.warning(
-            "ortho intensities outside [0, 255]; delta-i is calibrated for a "
-            "0-255 gray scale"
-        )
-    return ortho
+def _ortho_checked(strips):
+    """``strips`` as they come; warns once if the ortho, their last grid, leaves [0, 255]."""
+    warn = True
+    for strip in strips:
+        if warn and ((strip[..., -1] < 0.0) | (strip[..., -1] > 255.0)).any():
+            warn = False
+            log.warning("ortho intensities outside [0, 255]; "
+                        "delta-i is calibrated for a 0-255 gray scale")
+        yield strip
 
 
 def _fusion_config(opts: SimpleNamespace) -> FusionConfig:
@@ -236,26 +224,53 @@ def _fusion_config(opts: SimpleNamespace) -> FusionConfig:
     )
 
 
+def _open_sources(paths, n_layers: int, target_path, method, exits: ExitStack):
+    """The target geometry and a row source per input, every header read first:
+    an open ``GridReader`` on the target geometry, else the input resampled onto
+    it.  A layer wholly off the target is an error; an ortho off it is not."""
+    readers = [exits.enter_context(GridReader(p)) for p in [*paths, target_path] if p]
+    target = (readers.pop() if target_path else readers[0]).geometry
+    for k, path in enumerate(paths):
+        if readers[k].geometry != target:
+            layer = read_asc(path)
+            readers[k] = resample(layer, target, method)
+            if k < n_layers and layer.valid_mask().any() and not readers[k].valid_mask().any():
+                raise GeometryMismatchError(f"{path} does not overlap the target geometry")
+    return target, readers
+
+
 def cmd_fuse(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "out")
     fcfg = _fusion_config(opts)
-    if opts.mode == "adaptive" and not opts.ortho:
+    adaptive = opts.mode == "adaptive"
+    if adaptive and not opts.ortho:
         raise ConfigError("--ortho is required when --mode is adaptive")
-    stack, target = _load_stack(opts.layers, opts.target_geometry, opts.resample_method)
-    if opts.mode == "adaptive":
-        ortho = _load_ortho(opts.ortho, target, opts.resample_method)
-        fused = adaptive_median_fuse(stack, ortho, fcfg, jobs=opts.jobs)
-        inputs = list(opts.layers) + [opts.ortho]
-    else:
-        fused = median_fuse(stack)
-        inputs = list(opts.layers)
-
+    inputs = list(opts.layers) + ([opts.ortho] if adaptive else [])
     out = Path(opts.out)
     preview = out.with_suffix(".pgm")
-    _write_grid_atomic(fused, out)
+    with ExitStack() as exits:
+        target, sources = _open_sources(
+            inputs, len(opts.layers), opts.target_geometry, opts.resample_method, exits
+        )
+        nodata = sources[0].nodata
+        header = asc_header(target, nodata)
+        strips = _ortho_checked(read_strips(sources)) if adaptive else read_strips(sources)
+        fused_rows = fuse_strips(strips, fcfg if adaptive else None, opts.jobs)
+        exits.enter_context(closing(fused_rows))
+        # the whole fused grid is kept only for the preview's min-max stretch
+        fused = np.empty((target.n_rows, target.n_cols))
+        r0 = 0
+        with _atomic(out) as tmp, open(tmp, "w", encoding="ascii") as f:
+            f.write(header)
+            for rows in fused_rows:
+                rows[~np.isfinite(rows)] = nodata
+                write_rows(f, rows)
+                fused[r0 : r0 + len(rows)] = rows
+                r0 += len(rows)
+    fused.flags.writeable = False  # the grid below shares it
     with _atomic(preview) as tmp:
-        write_pgm(fused, tmp)
+        write_pgm(RasterGrid(target, fused, nodata), tmp)
     _write_manifest(out, "fuse", inputs, [out, preview], opts, started=started)
     return EXIT_OK
 
@@ -340,13 +355,17 @@ def cmd_curve(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "ortho", "truth", "out")
     fcfg = _fusion_config(opts)
-    stack, target = _load_stack(opts.layers, None, opts.resample_method)
-    ortho = _load_ortho(opts.ortho, target, opts.resample_method)
+    with ExitStack() as exits:
+        target, sources = _open_sources(
+            [*opts.layers, opts.ortho], len(opts.layers), None, opts.resample_method, exits
+        )
+        stack = np.concatenate(list(_ortho_checked(read_strips(sources))))
+    *layers, ortho = [RasterGrid(target, stack[..., k]) for k in range(stack.shape[2])]
     truth = read_asc(opts.truth)
 
     lines = ["k,rmse_adaptive_m,rmse_median_m"]
-    for k in range(1, len(stack.layers) + 1):
-        top = DepthStack(layers=stack.layers[:k], ids=stack.ids[:k])
+    for k in range(1, len(layers) + 1):
+        top = DepthStack(layers=layers[:k])
         fused_a = adaptive_median_fuse(top, ortho, fcfg, jobs=opts.jobs)
         fused_m = median_fuse(top)
         res_a = _eval_against_truth(fused_a, truth, opts)
@@ -535,10 +554,18 @@ _COMMANDS = {
 }
 
 
+def _log_warning(message, category, *where, _show=warnings.showwarning):
+    """Log dsmfuse's own warning categories; ``warnings`` has deduped them per message."""
+    if not category.__module__.startswith("dsmfuse."):
+        return _show(message, category, *where)
+    logging.getLogger(category.__module__).warning("%s", message)
+
+
 def main(argv=None) -> int:
     # one stderr handler for library warnings; a no-op if logging is configured
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
     args = _build_parser().parse_args(argv)
+    warnings.showwarning = _log_warning
     try:
         return _COMMANDS[args.command][0](_resolve(args, args.command))
     except (AsciiGridError, RpcFileError, ManifestError, OSError) as exc:

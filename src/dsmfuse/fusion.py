@@ -19,22 +19,24 @@ Two fusion operators:
 
 W(x0) = 1 is the maximum of W, so weights need no further normalization.
 The median of an even candidate count is the average of the two middle
-values.  Output cells are mutually independent, so the adaptive kernel runs
-cell-major on row blocks sized by a fixed candidate-byte budget: blocks stay
-cache-sized and memory is bounded for any grid width.  ``jobs`` > 1 gives
-each worker one contiguous span of rows, with bit-identical results for any
+values.  Fusion streams: ``read_strips`` reads the grids in lockstep, a row
+strip at a time within one byte budget, ``fuse_strips`` fuses each strip,
+carrying a radius-row halo to the next; the adaptive kernel runs on row
+blocks within a candidate-byte budget, and ``jobs`` > 1 shares a strip's
+blocks among processes.  Results are bit-identical for any strip height,
 block height and worker count.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .raster import GeometryMismatchError, RasterGrid
+from .raster import GeometryMismatchError, RasterGrid, strip_rows, valid
 
 _BLOCK_BYTES = 8 << 20  # candidate bytes per row block of the adaptive kernel
 
@@ -107,12 +109,63 @@ def _nan_median(a: np.ndarray) -> np.ndarray:
     return med
 
 
+def read_strips(grids):
+    """(rows, cols, grids) NaN strips, top to bottom, of grids on one geometry
+    read in lockstep; each is a ``RasterGrid`` or a fresh ``GridReader``."""
+    geom = grids[0].geometry
+    rows = strip_rows(geom.n_cols, len(grids))
+    for r0 in range(0, geom.n_rows, rows):
+        strip = np.empty((min(rows, geom.n_rows - r0), geom.n_cols, len(grids)))
+        for k, grid in enumerate(grids):
+            part = grid.values[r0 : r0 + rows] if isinstance(grid, RasterGrid) else grid.read(rows)
+            strip[..., k] = np.where(valid(part, grid.nodata), part, np.nan)
+        yield strip
+
+
+def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1):
+    """Fused NaN rows of ``read_strips`` strips: per-cell median of every grid
+    with ``cfg`` None, else the adaptive median with the ortho as last grid,
+    a strip's last ``radius`` rows waiting for the next strip."""
+    if cfg is None:
+        yield from map(_nan_median, strips)
+        return
+    offsets = _window_offsets(cfg)
+    if not offsets:  # gamma = 1 exactly: the strict gate admits no cell
+        yield from (np.full(strip.shape[:2], np.nan) for strip in strips)
+        return
+    if jobs > 1:  # imported here: loading multiprocessing costs every command ~6 ms
+        from concurrent.futures import ProcessPoolExecutor
+    rad = cfg.radius
+    strips = iter(strips)
+    ahead = next(strips)  # read one strip ahead: the last one takes the bottom padding
+    rows = max(1, _BLOCK_BYTES // (ahead.shape[1] * len(offsets) * (ahead.shape[2] - 1) * 8))
+    fuse = partial(_fuse_block, offsets=offsets, cfg=cfg)
+    held = None  # padded rows not yet fused, under the halo above them
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        while ahead is not None:
+            strip, ahead = ahead, next(strips, None)
+            edges = (rad if held is None else 0, rad if ahead is None else 0)
+            pad = np.pad(strip, (edges, (rad, rad), (0, 0)), constant_values=np.nan)
+            held = pad if held is None else np.concatenate([held, pad])
+            n_out = len(held) - 2 * rad
+            if n_out > 0:
+                hpad, opad = held[..., :-1].copy(), held[..., -1].copy()  # C-ordered: faster
+                hpads = [hpad[r : r + rows + 2 * rad] for r in range(0, n_out, rows)]
+                opads = [opad[r : r + rows + 2 * rad] for r in range(0, n_out, rows)]
+                # consecutive blocks in at most ``jobs`` chunks, one per worker
+                run = partial(pool.map, chunksize=-(-len(hpads) // jobs)) if pool else map
+                yield np.concatenate(list(run(fuse, hpads, opads)))
+                held = held[n_out:]
+
+
+def _fuse_grids(grids, cfg: FusionConfig | None, jobs: int) -> RasterGrid:
+    fused = np.concatenate(list(fuse_strips(read_strips(grids), cfg, jobs)))
+    return RasterGrid.from_nan(grids[0].geometry, fused, grids[0].nodata)
+
+
 def median_fuse(stack: DepthStack) -> RasterGrid:
     """Per-cell median across layers; cells with no valid height get nodata."""
-    arr = np.stack([layer.nan_values() for layer in stack.layers], axis=-1)
-    med = _nan_median(arr)
-    first = stack.layers[0]
-    return RasterGrid.from_nan(stack.geometry, med, first.nodata)
+    return _fuse_grids(stack.layers, None, 1)
 
 
 def _window_offsets(cfg: FusionConfig):
@@ -170,18 +223,6 @@ def _fuse_block(hpad, opad, offsets, cfg: FusionConfig) -> np.ndarray:
     return _nan_median(cands.reshape(n_rows, n_cols, -1))
 
 
-def _fuse_span(span, offsets, cfg: FusionConfig, block_rows: int) -> np.ndarray:
-    """Fuse a padded (heights, ortho) span of rows, block_rows output rows at a time."""
-    blocks = _row_blocks(*span, block_rows, cfg.radius)
-    return np.concatenate([_fuse_block(h, o, offsets, cfg) for h, o in blocks])
-
-
-def _row_blocks(hpad, opad, rows: int, rad: int):
-    """Padded (heights, ortho) slices of ``rows`` output rows; the last may be short."""
-    starts = range(0, len(opad) - 2 * rad, rows)
-    return [(hpad[r0 : r0 + rows + 2 * rad], opad[r0 : r0 + rows + 2 * rad]) for r0 in starts]
-
-
 def adaptive_median_fuse(
     stack: DepthStack,
     ortho: RasterGrid,
@@ -193,8 +234,8 @@ def adaptive_median_fuse(
     Per output cell, the candidate multiset is every valid height of every
     layer at every member cell of the cell's adaptive window computed on
     ``ortho``; the output is the candidates' median, or nodata when there
-    are none.  ``jobs`` > 1 splits the rows into at most that many contiguous
-    spans fused in parallel processes, with bit-identical results.
+    are none.  ``jobs`` > 1 splits each strip's rows into at most that many
+    contiguous spans fused in parallel processes, with bit-identical results.
     """
     if cfg is None:
         cfg = FusionConfig()
@@ -202,27 +243,4 @@ def adaptive_median_fuse(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if ortho.geometry != stack.geometry:
         raise GeometryMismatchError("orthophoto geometry differs from the stack")
-    geom = stack.geometry
-    nodata = stack.layers[0].nodata
-    offsets = _window_offsets(cfg)
-    if not offsets:  # gamma = 1 exactly: the strict gate admits no cell
-        return RasterGrid(geom, np.full((geom.n_rows, geom.n_cols), nodata), nodata)
-    rad = cfg.radius
-    n_layers = len(stack.layers)
-    hpad = np.full((geom.n_rows + 2 * rad, geom.n_cols + 2 * rad, n_layers), np.nan)
-    for li, layer in enumerate(stack.layers):
-        hpad[rad : rad + geom.n_rows, rad : rad + geom.n_cols, li] = layer.nan_values()
-    opad = np.pad(ortho.nan_values(), rad, constant_values=np.nan)
-
-    block_rows = max(1, _BLOCK_BYTES // (geom.n_cols * len(offsets) * n_layers * hpad.itemsize))
-    spans = _row_blocks(hpad, opad, math.ceil(geom.n_rows / jobs), rad)
-    fuse = partial(_fuse_span, offsets=offsets, cfg=cfg, block_rows=block_rows)
-    if len(spans) > 1:
-        # imported here: loading multiprocessing costs every command ~6 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            fused = list(pool.map(fuse, spans))
-    else:
-        fused = [fuse(spans[0])]
-    return RasterGrid.from_nan(geom, np.concatenate(fused), nodata)
+    return _fuse_grids(stack.layers + [ortho], cfg, jobs)

@@ -13,14 +13,17 @@ Conventions (stated once, used everywhere):
   invalid as well.
 
 Grids are immutable after construction (the value array is a read-only
-copy), so any number of concurrent readers is safe.
+copy), so any number of concurrent readers is safe.  ``GridReader`` parses
+an ASCII grid a strip of rows at a time, ``write_rows`` writes rows, so a
+caller can stream a grid through either without holding it whole.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +33,18 @@ DEFAULT_NODATA = -9999.0
 # fractional source indices this close to an integer are snapped, so that
 # resampling onto a cell-aligned geometry is exact despite float rounding
 _SNAP_EPS = 1e-9
+
+_STRIP_BYTES = 1 << 20  # float64 bytes per row strip, over every grid read in lockstep
+
+
+def strip_rows(n_cols: int, n_grids: int) -> int:
+    """Rows per strip when ``n_grids`` grids of ``n_cols`` columns are read in lockstep."""
+    return max(1, _STRIP_BYTES // (n_cols * n_grids * 8))
+
+
+def valid(values, nodata: float) -> np.ndarray:
+    """Cells that hold a sample: finite and not the nodata sentinel."""
+    return np.isfinite(values) & (values != nodata)
 
 
 class AsciiGridError(Exception):
@@ -125,11 +140,13 @@ def world_to_cell(geom: GridGeometry, x: float, y: float) -> CellIndex | None:
 class RasterGrid:
     """A georeferenced grid of heights (meters) or intensities (gray levels).
 
-    ``values`` is a read-only float64 array of shape (n_rows, n_cols).
+    ``values`` is a read-only float64 array of shape (n_rows, n_cols): a copy
+    of the given values, unless they already are such an array.
     """
 
     def __init__(self, geometry: GridGeometry, values, nodata: float = DEFAULT_NODATA):
-        arr = np.array(values, dtype=np.float64, order="C", copy=True)
+        shared = isinstance(values, np.ndarray) and not values.flags.writeable
+        arr = np.array(values, dtype=np.float64, order="C", copy=None if shared else True)
         if arr.shape != (geometry.n_rows, geometry.n_cols):
             raise ValueError(
                 f"values shape {arr.shape} does not match geometry "
@@ -148,13 +165,11 @@ class RasterGrid:
         return cls(geometry, arr, nodata)
 
     def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values) & (self.values != self.nodata)
+        return valid(self.values, self.nodata)
 
     def nan_values(self) -> np.ndarray:
         """Float copy with every invalid cell replaced by NaN."""
-        out = self.values.copy()
-        out[~self.valid_mask()] = np.nan
-        return out
+        return np.where(self.valid_mask(), self.values, np.nan)
 
     def __repr__(self):
         g = self.geometry
@@ -274,63 +289,105 @@ def _resample_bilinear(src: RasterGrid, target: GridGeometry) -> RasterGrid:
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 
 
-def read_asc(path) -> RasterGrid:
-    """Read an ASCII-grid file.
+class GridReader(AbstractContextManager):
+    """An ASCII-grid file, open for reading its data rows in order.
 
     Header lines must appear in order: ncols, nrows, xllcorner, yllcorner,
     cellsize, then an optional NODATA_value line (default -9999), then
     nrows rows of ncols whitespace-separated numbers, top row first.  Blank
     lines are skipped.  Header values must be finite, and cellsize > 0.
 
-    The data block is parsed by numpy's C text reader (``np.loadtxt``).
-    A block it rejects, or whose shape is wrong, is parsed again row by row
-    with ``float()``, which accepts spellings such as ``1_0`` and names the
-    bad token or row in the error; both keep ``float()``'s token grammar.
+    Opening checks the header (``geometry``, ``nodata``); ``read(n)`` parses
+    the next n rows with numpy's C text reader.  A strip it rejects, one of
+    the wrong shape, or lines after the last row send the reader back to the
+    data block for ``_read_rows``, which parses it all with ``float()`` (so
+    ``1_0`` too), names the bad token or row, and serves the rows left.
     """
-    with open(path, "r", encoding="ascii") as f, decode_errors_as(AsciiGridError, path, "ascii"):
-        header: dict[str, float] = {}
-        for key in _HEADER_KEYS:
-            line = _next_line(f)
-            if not line:
-                raise MalformedHeaderError(f"{path}: missing header line {key!r}")
-            parts = line.split()
-            if len(parts) != 2 or parts[0].lower() != key:
-                raise MalformedHeaderError(
-                    f"{path}: expected header {key!r}, got {line!r}"
-                )
-            try:
-                header[key] = float(parts[1])
-            except ValueError:
-                raise MalformedHeaderError(
-                    f"{path}: header {key!r} has non-numeric value {parts[1]!r}"
-                ) from None
-            if not math.isfinite(header[key]) or (key == "cellsize" and header[key] <= 0):
-                raise MalformedHeaderError(
-                    f"{path}: header {key!r} out of range: {parts[1]!r}"
-                )
 
-        nodata = DEFAULT_NODATA
-        data_start = f.tell()
-        parts = _next_line(f).split()
-        if len(parts) == 2 and parts[0].lower() == "nodata_value":
-            try:
-                nodata = float(parts[1])
-            except ValueError:
-                raise MalformedHeaderError(
-                    f"{path}: NODATA_value not numeric: {parts[1]!r}"
-                ) from None
-        else:
-            f.seek(data_start)
+    def __init__(self, path):
+        self.path = path
+        self._f = open(path, "r", encoding="ascii")
+        try:
+            with decode_errors_as(AsciiGridError, path, "ascii"):
+                self.geometry, self.nodata = _read_header(self._f, path)
+        except BaseException:
+            self._f.close()
+            raise
+        self._data_start = self._f.tell()
+        self._lines = filter(None, map(str.strip, self._f))
+        self._next, self._block = 0, None  # rows served; the block if _read_rows parsed it
 
-        n_cols = int(header["ncols"])
-        n_rows = int(header["nrows"])
-        if n_cols != header["ncols"] or n_rows != header["nrows"] or n_cols < 1 or n_rows < 1:
+    def read(self, n: int) -> np.ndarray:
+        g, r0 = self.geometry, self._next
+        self._next = min(r0 + n, g.n_rows)
+        n = self._next - r0
+        if self._block is None:
+            with decode_errors_as(AsciiGridError, self.path, "ascii"):
+                lines = list(islice(self._lines, n))
+                try:  # a short strip, an empty one included, goes to _read_rows unparsed
+                    strip = np.loadtxt(lines, comments=None, ndmin=2) if len(lines) == n else None
+                except ValueError:
+                    strip = None
+                trailing = self._next == g.n_rows and next(self._lines, None)
+                if strip is not None and strip.shape == (n, g.n_cols) and not trailing:
+                    return strip
+                self._f.seek(self._data_start)
+                self._block = _read_rows(self._f, self.path, g.n_rows, g.n_cols)
+        return self._block[r0 : self._next]
+
+    def __exit__(self, *exc) -> None:
+        self._f.close()
+
+
+def read_asc(path) -> RasterGrid:
+    """Read a whole ASCII-grid file (format and errors as ``GridReader``)."""
+    with GridReader(path) as grid:
+        return RasterGrid(grid.geometry, grid.read(grid.geometry.n_rows), grid.nodata)
+
+
+def _read_header(f, path) -> tuple[GridGeometry, float]:
+    """Parse the header from ``f``'s start, leaving ``f`` at the data block."""
+    header: dict[str, float] = {}
+    for key in _HEADER_KEYS:
+        line = _next_line(f)
+        if not line:
+            raise MalformedHeaderError(f"{path}: missing header line {key!r}")
+        parts = line.split()
+        if len(parts) != 2 or parts[0].lower() != key:
             raise MalformedHeaderError(
-                f"{path}: ncols/nrows must be positive integers, got "
-                f"{header['ncols']}, {header['nrows']}"
+                f"{path}: expected header {key!r}, got {line!r}"
             )
-        values = _read_block(f, path, n_rows, n_cols)
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise MalformedHeaderError(
+                f"{path}: header {key!r} has non-numeric value {parts[1]!r}"
+            ) from None
+        if not math.isfinite(header[key]) or (key == "cellsize" and header[key] <= 0):
+            raise MalformedHeaderError(
+                f"{path}: header {key!r} out of range: {parts[1]!r}"
+            )
 
+    nodata = DEFAULT_NODATA
+    data_start = f.tell()
+    parts = _next_line(f).split()
+    if len(parts) == 2 and parts[0].lower() == "nodata_value":
+        try:
+            nodata = float(parts[1])
+        except ValueError:
+            raise MalformedHeaderError(
+                f"{path}: NODATA_value not numeric: {parts[1]!r}"
+            ) from None
+    else:
+        f.seek(data_start)
+
+    n_cols = int(header["ncols"])
+    n_rows = int(header["nrows"])
+    if n_cols != header["ncols"] or n_rows != header["nrows"] or n_cols < 1 or n_rows < 1:
+        raise MalformedHeaderError(
+            f"{path}: ncols/nrows must be positive integers, got "
+            f"{header['ncols']}, {header['nrows']}"
+        )
     geom = GridGeometry(
         origin_x=header["xllcorner"],
         origin_y=header["yllcorner"],
@@ -338,7 +395,7 @@ def read_asc(path) -> RasterGrid:
         n_cols=n_cols,
         n_rows=n_rows,
     )
-    return RasterGrid(geom, values, nodata)
+    return geom, nodata
 
 
 def _next_line(f) -> str:
@@ -348,27 +405,6 @@ def _next_line(f) -> str:
         if line:
             return line
     return ""
-
-
-def _read_block(f, path, n_rows: int, n_cols: int) -> np.ndarray:
-    """Parse the data block from ``f``'s position with ``np.loadtxt``.
-
-    An empty block (``loadtxt`` would warn), a rejected one and one of the
-    wrong shape go to ``_read_rows``, which raises the error or parses what
-    only ``float()`` accepts.
-    """
-    data_start = f.tell()
-    if _next_line(f):
-        f.seek(data_start)
-        try:
-            values = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if values.shape == (n_rows, n_cols):
-                return values
-    f.seek(data_start)
-    return _read_rows(f, path, n_rows, n_cols)
 
 
 def _read_rows(f, path, n_rows: int, n_cols: int) -> np.ndarray:
@@ -403,52 +439,50 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def write_asc(grid: RasterGrid, path) -> None:
-    """Write in ASCII-grid format, values printed with 6 decimals.
-
-    Each row is one ``%`` of a ``%.6f`` row template, so every token is
-    exactly ``f"{v:.6f}"``.  NODATA_value is written ``:g`` when that reads
-    back exactly, else as ``repr``; a nodata whose ``%.6f`` cell token reads
-    back as another value (``-1e-7``) raises ``ValueError``.
-    """
-    g = grid.geometry
-    nodata = grid.nodata
+def asc_header(geometry: GridGeometry, nodata: float) -> str:
+    """The header lines of an ASCII grid.  NODATA_value is written ``:g`` when
+    that reads back exactly, else as ``repr``; a nodata whose ``%.6f`` cell
+    token reads back as another value (``-1e-7``) raises ``ValueError``."""
     if float("%.6f" % nodata) != nodata and not math.isnan(nodata):
         raise ValueError(f"nodata {nodata!r} would be written as {'%.6f' % nodata}")
     g_token = f"{nodata:g}"
     nodata_token = g_token if float(g_token) == nodata else repr(nodata)
-    row_fmt = " ".join(["%.6f"] * g.n_cols) + "\n"
+    g = geometry
+    return (
+        f"ncols {g.n_cols}\nnrows {g.n_rows}\nxllcorner {g.origin_x:.6f}\n"
+        f"yllcorner {g.origin_y:.6f}\ncellsize {g.cell_size:.6f}\nNODATA_value {nodata_token}\n"
+    )
+
+
+def write_rows(f, rows: np.ndarray, token: str = "%.6f") -> None:
+    """Write each row as one ``%`` of a row template: every value is ``token % v``."""
+    row_fmt = " ".join([token] * rows.shape[1]) + "\n"
+    for row in rows:
+        f.write(row_fmt % tuple(row.tolist()))
+
+
+def write_asc(grid: RasterGrid, path) -> None:
+    """Write in ASCII-grid format (``asc_header``), values printed with 6 decimals."""
+    header = asc_header(grid.geometry, grid.nodata)
     with open(path, "w", encoding="ascii") as f:
-        f.write(f"ncols {g.n_cols}\n")
-        f.write(f"nrows {g.n_rows}\n")
-        f.write(f"xllcorner {g.origin_x:.6f}\n")
-        f.write(f"yllcorner {g.origin_y:.6f}\n")
-        f.write(f"cellsize {g.cell_size:.6f}\n")
-        f.write(f"NODATA_value {nodata_token}\n")
-        for row in grid.values:
-            f.write(row_fmt % tuple(row.tolist()))
+        f.write(header)
+        write_rows(f, grid.values)
 
 
 def write_pgm(grid: RasterGrid, path) -> None:
     """Write an 8-bit P2 PGM preview: linear min-max stretch, nodata as 0.
 
     A constant-valued grid renders its valid cells as 255 so they stay
-    distinguishable from nodata.
+    distinguishable from nodata.  Rows are scaled a strip at a time.
     """
-    valid = grid.valid_mask()
-    gray = np.zeros(grid.values.shape, dtype=np.int64)
-    if valid.any():
-        vmin = grid.values[valid].min()
-        vmax = grid.values[valid].max()
-        if vmax > vmin:
-            scaled = np.rint((grid.values - vmin) / (vmax - vmin) * 255.0)
-            gray[valid] = scaled[valid].astype(np.int64)
-        else:
-            gray[valid] = 255
-    row_fmt = " ".join(["%d"] * grid.geometry.n_cols) + "\n"
+    g = grid.geometry
+    ok = grid.valid_mask()
+    vmin = grid.values.min(initial=np.inf, where=ok)
+    vmax = grid.values.max(initial=-np.inf, where=ok)
+    rows = strip_rows(g.n_cols, 8)  # the strip's temporaries share one strip budget
     with open(path, "w", encoding="ascii") as f:
-        f.write("P2\n")
-        f.write(f"{grid.geometry.n_cols} {grid.geometry.n_rows}\n")
-        f.write("255\n")
-        for row in gray:
-            f.write(row_fmt % tuple(row.tolist()))
+        f.write(f"P2\n{g.n_cols} {g.n_rows}\n255\n")
+        for r0 in range(0, g.n_rows, rows):
+            vals = grid.values[r0 : r0 + rows]
+            scaled = np.rint((vals - vmin) / (vmax - vmin) * 255.0) if vmax > vmin else 255
+            write_rows(f, np.where(ok[r0 : r0 + rows], scaled, 0).astype(np.int64), "%d")

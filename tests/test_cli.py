@@ -87,6 +87,7 @@ class TestFuse:
 
         write_asc(hill_grid(), tmp_path / "l.asc")
         monkeypatch.setattr(cli, "read_asc", no_read)
+        monkeypatch.setattr(cli, "GridReader", no_read)
         code = main(["fuse", "--layers", str(tmp_path / "l.asc"),
                      "--mode", "adaptive", "--out", str(tmp_path / "o.asc")])
         assert code == 4
@@ -120,24 +121,30 @@ class TestFuse:
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
     @pytest.mark.parametrize("mode", ["median", "adaptive"])
-    def test_nan_token_bytes_match_full_resampling(self, tmp_path, rng, monkeypatch, mode):
-        # identity resampling returns the grid as read, so a NaN cell stays
-        # NaN instead of becoming nodata; the fused bytes must not notice
+    def test_nan_token_bytes_match_full_resampling(self, tmp_path, rng, mode):
+        # an input on the target geometry is streamed as read, so a NaN cell
+        # stays NaN where a full resampling would write nodata; the fused
+        # bytes must not notice
+        names = [f"l{i}.asc" for i in range(3)] + ["ortho.asc"]
+        grids = []
         for i in range(3):
             vals = rng.normal(15, 4, size=(12, 10))
             vals[rng.random((12, 10)) < 0.1] = -9999.0
             vals[i, 2 * i] = np.nan
-            write_asc(grid_of(vals), tmp_path / f"l{i}.asc")
+            grids.append(vals)
         ortho = rng.uniform(0, 255, (12, 10))
         ortho[5, 5] = np.nan
-        write_asc(grid_of(ortho), tmp_path / "ortho.asc")
-        assert "nan" in (tmp_path / "l0.asc").read_text().split()
-        args = ["fuse", "--layers", *(str(tmp_path / f"l{i}.asc") for i in range(3)),
-                "--mode", mode, "--ortho", str(tmp_path / "ortho.asc")]
-        assert main(args + ["--out", str(tmp_path / "short.asc")]) == 0
-        full = {"nearest": raster._resample_nearest, "bilinear": raster._resample_bilinear}
-        monkeypatch.setattr(cli, "resample", lambda src, target, method: full[method](src, target))
-        assert main(args + ["--out", str(tmp_path / "full.asc")]) == 0
+        grids.append(ortho)
+        for kind in ("short", "full"):
+            (tmp_path / kind).mkdir()
+            for name, vals in zip(names, grids):
+                if kind == "full":
+                    vals = np.where(np.isnan(vals), -9999.0, vals)
+                write_asc(grid_of(vals), tmp_path / kind / name)
+            assert main(["fuse", "--layers", *(str(tmp_path / kind / n) for n in names[:3]),
+                         "--mode", mode, "--ortho", str(tmp_path / kind / "ortho.asc"),
+                         "--out", str(tmp_path / f"{kind}.asc")]) == 0
+        assert "nan" in (tmp_path / "short" / "l0.asc").read_text().split()
         for ext in (".asc", ".pgm"):
             short = (tmp_path / "short").with_suffix(ext).read_bytes()
             assert short == (tmp_path / "full").with_suffix(ext).read_bytes()
@@ -161,6 +168,7 @@ class TestFuse:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("out=\n")
         monkeypatch.setattr(cli, "read_asc", no_read)
+        monkeypatch.setattr(cli, "GridReader", no_read)
         extra = ["--config", str(cfg)] if via == "config" else ["--out", ""]
         assert main(["fuse", "--layers", str(tmp_path / "l.asc"), *extra]) == 4
         assert "--out is required" in capsys.readouterr().err
@@ -172,6 +180,118 @@ class TestFuse:
         code = main(["fuse", "--layers", str(tmp_path / "l.asc"),
                      "--config", str(cfg), "--out", str(tmp_path / "o.asc")])
         assert code == 4
+
+
+def _write_stack(tmp_path, rng, n_rows, n_cols, n_layers, shift_last=True):
+    """Layer files with nodata cells and a NaN token, and an ortho file.
+
+    With ``shift_last`` the last layer sits half a cell east of the others,
+    so it is read whole and resampled while the other inputs are streamed.
+    Returns the layer paths and the ortho path.
+    """
+    paths = []
+    for i in range(n_layers):
+        vals = rng.normal(15, 4, size=(n_rows, n_cols))
+        vals[rng.random((n_rows, n_cols)) < 0.1] = -9999.0
+        vals[i % n_rows, 0] = np.nan
+        origin = (0.5, 0.0) if shift_last and i == n_layers - 1 else (0.0, 0.0)
+        paths.append(str(tmp_path / f"l{i}.asc"))
+        write_asc(grid_of(vals, origin=origin), paths[-1])
+    ortho = rng.uniform(0, 255, (n_rows, n_cols))
+    ortho[rng.random((n_rows, n_cols)) < 0.05] = -9999.0
+    write_asc(grid_of(ortho), tmp_path / "ortho.asc")
+    return paths, str(tmp_path / "ortho.asc")
+
+
+def _fuse_args(layers, ortho, mode, out, *extra):
+    ortho_args = ["--ortho", ortho] if mode == "adaptive" else []
+    return ["fuse", "--layers", *layers, "--mode", mode, *ortho_args, *extra, "--out", str(out)]
+
+
+class TestFuseStream:
+    """fuse reads, fuses and writes one row strip at a time."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_any_strip_height_gives_same_bytes(self, tmp_path, rng, monkeypatch, mode, jobs):
+        n_rows, n_cols = 23, 9
+        layers, ortho = _write_stack(tmp_path, rng, n_rows, n_cols, 3)
+        n_grids = 4 if mode == "adaptive" else 3
+        outputs = []
+        for rows in (n_rows + 10, 1, 7):
+            monkeypatch.setattr(raster, "_STRIP_BYTES", rows * n_cols * n_grids * 8)
+            assert raster.strip_rows(n_cols, n_grids) == rows
+            out = tmp_path / f"fused{rows}.asc"
+            assert main(_fuse_args(layers, ortho, mode, out, "--jobs", jobs)) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".pgm").read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_peak_memory_flat_in_layer_count(self, tmp_path, rng, mode):
+        # numpy reports its buffers to tracemalloc, so the traced peak
+        # covers every array a fuse holds
+        import tracemalloc
+
+        n = 400
+        layers, ortho = _write_stack(tmp_path, rng, n, n, 8, shift_last=False)
+        peaks = []
+        for n_layers in (2, 8):
+            tracemalloc.start()
+            try:
+                out = tmp_path / f"fused{n_layers}.asc"
+                assert main(_fuse_args(layers[:n_layers], ortho, mode, out)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < n * n * 8, peaks  # less than one grid
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    @pytest.mark.parametrize("fault", ["token", "extra_row"])
+    def test_bad_row_mid_stream_exit_2_leaves_nothing(
+        self, tmp_path, capsys, monkeypatch, rng, mode, fault
+    ):
+        n_rows, n_cols = 400, 6
+        layers, ortho = _write_stack(tmp_path, rng, n_rows, n_cols, 5)
+        bad = Path(layers[3])
+        lines = bad.read_text().splitlines(keepends=True)
+        if fault == "token":
+            lines[6 + 390] = lines[6 + 390].replace(" ", " oops ", 1)
+        else:
+            lines.append(lines[-1])
+        bad.write_text("".join(lines))
+        with pytest.raises(raster.AsciiGridError) as expected:
+            read_asc(bad)
+        written = []
+
+        def counting_write_rows(f, rows, *args):
+            written.append(len(rows))
+            raster.write_rows(f, rows, *args)
+
+        monkeypatch.setattr(cli, "write_rows", counting_write_rows)
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 64 * n_cols * 6 * 8)
+        before = sorted(tmp_path.iterdir())
+        assert main(_fuse_args(layers, ortho, mode, tmp_path / "fused.asc")) == 2
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert sum(written) > 0  # the error came after the first strips were written
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_float_only_token_mid_stream(self, tmp_path, monkeypatch, rng, mode):
+        # the reader falls back to float() for the whole block and serves
+        # the remaining strips from it
+        layers, ortho = _write_stack(tmp_path, rng, 200, 6, 3)
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 16 * 6 * 4 * 8)
+        path = Path(layers[1])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[6 + 150] = "10.0 1_0.5 " + lines[6 + 150].split(" ", 2)[2]
+        path.write_text("".join(lines))
+        assert main(_fuse_args(layers, ortho, mode, tmp_path / "underscore.asc")) == 0
+        path.write_text("".join(lines).replace("1_0.5", "10.5"))
+        assert main(_fuse_args(layers, ortho, mode, tmp_path / "plain.asc")) == 0
+        for ext in (".asc", ".pgm"):
+            got = (tmp_path / "underscore").with_suffix(ext).read_bytes()
+            assert got == (tmp_path / "plain").with_suffix(ext).read_bytes()
 
 
 class TestConfigFile:
@@ -250,7 +370,8 @@ class TestFlagTable:
         def no_read(*args):
             raise AssertionError("read an input before checking the config")
 
-        for name in ("read_asc", "read_rpc", "read_pair_manifest", "_parse_scene_file"):
+        for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest",
+                     "_parse_scene_file"):
             monkeypatch.setattr(cli, name, no_read)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"{key}={_bad_tokens(cli._COMMANDS[command][2][key][1])}\n")
@@ -268,6 +389,7 @@ class TestFlagTable:
             raise AssertionError(f"read {path} before checking --jobs")
 
         monkeypatch.setattr(cli, "read_asc", no_read)
+        monkeypatch.setattr(cli, "GridReader", no_read)
         code = main([*argv, "--layers", "l.asc", "--jobs", jobs, "--out", "o.asc"])
         assert code == 4
         assert "--jobs must be >= 1" in capsys.readouterr().err
@@ -540,6 +662,17 @@ class TestRpcCommand:
         assert code == 0
         out = capsys.readouterr().out.strip()
         assert float(out.split("=")[1]) == pytest.approx(20.0, abs=0.1)
+
+    def test_domain_warning_logged_once(self, tmp_path):
+        write_rpc(linear_ray_model(0.0), tmp_path / "img0.rpc")
+        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
+                          "rpc", "project", "--rpc", str(tmp_path / "img0.rpc"),
+                          "--u", "1e6", "--v", "0", "--z", "0")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("WARNING dsmfuse.rpc: ground point (1000000.0, 0.0, 0.0)")
+        assert ".py:" not in proc.stderr
 
     def test_missing_action_exit_4(self):
         assert main(["rpc"]) == 4

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dsmfuse import fusion
+from dsmfuse import fusion, raster
 from dsmfuse.fusion import (
     DepthStack,
     FusionConfig,
@@ -352,6 +352,55 @@ class TestBlockPartition:
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, FusionConfig(), 7))
         adaptive_median_fuse(stack, ortho)
         assert heights == [7, 7, 7, 2]
+
+
+class TestStripPartition:
+    """Strips of any height, the radius-row halo carried between them, give
+    the bits of one strip over the whole grid."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize(
+        "cfg",
+        [None, FusionConfig(), FusionConfig(radius=0), FusionConfig(radius=5), FusionConfig(gamma=1.0)],
+        ids=["median", "default", "radius0", "radius5", "gamma1"],
+    )
+    def test_any_strip_height_is_bit_identical(self, rng, monkeypatch, cfg, jobs):
+        stack, ortho = random_stack(rng, 23, 9, 3)
+        n_grids = 3 if cfg is None else 4
+
+        def fuse():
+            if cfg is None:
+                return median_fuse(stack)
+            return adaptive_median_fuse(stack, ortho, cfg, jobs=jobs)
+
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 1 << 40)
+        whole = fuse()
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(raster, "_STRIP_BYTES", rows * 9 * n_grids * 8)
+            assert raster.strip_rows(9, n_grids) == rows
+            assert whole.values.tobytes() == fuse().values.tobytes(), rows
+
+    def test_strips_read_in_lockstep(self, monkeypatch):
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 2 * 2 * 2 * 8)  # two rows
+        calls = []
+
+        class Reader:
+            geometry = raster.GridGeometry(0.0, 0.0, 1.0, 2, 5)
+            nodata = -9999.0
+
+            def __init__(self, name):
+                self.name, self.served = name, 0
+
+            def read(self, n):
+                calls.append((self.name, n))
+                n = min(n, 5 - self.served)
+                self.served += n
+                return np.full((n, 2), 1.0 if self.served <= 2 else -9999.0)
+
+        strips = list(fusion.read_strips([Reader("a"), Reader("b")]))
+        assert calls == [("a", 2), ("b", 2)] * 3
+        assert [s.shape for s in strips] == [(2, 2, 2), (2, 2, 2), (1, 2, 2)]
+        assert (strips[0] == 1.0).all() and np.isnan(strips[1]).all()
 
 
 _heights = st.one_of(
