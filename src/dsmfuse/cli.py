@@ -215,6 +215,11 @@ def _ortho_checked(strips):
         yield strip
 
 
+def _align_config(opts: SimpleNamespace) -> AlignConfig:
+    """The align flags, checked before any input is read."""
+    return AlignConfig(blunder_threshold=opts.threshold, max_search=opts.max_search)
+
+
 def _fusion_config(opts: SimpleNamespace) -> FusionConfig:
     """The fusion flags, checked (``--jobs`` included) before any input is read."""
     if opts.jobs < 1:
@@ -278,6 +283,7 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
 def cmd_rank(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "manifest", "truth", "out")
+    acfg = _align_config(opts)
     entries = read_pair_manifest(opts.manifest)
     truth = read_asc(opts.truth)
     if opts.at is None:
@@ -312,7 +318,6 @@ def cmd_rank(opts: SimpleNamespace) -> int:
         log.warning("no pairs inside the intersection-angle gate")
         ranked = []
     else:
-        acfg = AlignConfig(blunder_threshold=opts.threshold, max_search=opts.max_search)
         ranked = rank_pairs(candidates, truth, acfg, gate)
 
     lines = ["id_a,id_b,angle_deg,rank_rmse_m,selected"]
@@ -328,17 +333,13 @@ def cmd_rank(opts: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _eval_against_truth(computed: RasterGrid, truth: RasterGrid, opts):
-    cfg = AlignConfig(blunder_threshold=opts.threshold, max_search=opts.max_search)
-    return align(computed, truth, cfg)
-
-
 def cmd_eval(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "computed", "truth", "out")
+    acfg = _align_config(opts)
     computed = read_asc(opts.computed)
     truth = read_asc(opts.truth)
-    res = _eval_against_truth(computed, truth, opts)
+    res = align(computed, truth, acfg)
     lines = [
         "rmse_inliers_m,rmse_all_m,dx_m,dy_m,dz_m,n_inliers,n_total,converged",
         f"{res.rmse_inliers:.6f},{res.rmse_all:.6f},"
@@ -354,7 +355,7 @@ def cmd_eval(opts: SimpleNamespace) -> int:
 def cmd_curve(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "ortho", "truth", "out")
-    fcfg = _fusion_config(opts)
+    fcfg, acfg = _fusion_config(opts), _align_config(opts)
     with ExitStack() as exits:
         target, sources = _open_sources(
             [*opts.layers, opts.ortho], len(opts.layers), None, opts.resample_method, exits
@@ -368,8 +369,8 @@ def cmd_curve(opts: SimpleNamespace) -> int:
         top = DepthStack(layers=layers[:k])
         fused_a = adaptive_median_fuse(top, ortho, fcfg, jobs=opts.jobs)
         fused_m = median_fuse(top)
-        res_a = _eval_against_truth(fused_a, truth, opts)
-        res_m = _eval_against_truth(fused_m, truth, opts)
+        res_a = align(fused_a, truth, acfg)
+        res_m = align(fused_m, truth, acfg)
         lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
     out = Path(opts.out)
     _write_text_atomic("\n".join(lines) + "\n", out)

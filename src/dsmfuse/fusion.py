@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -71,7 +71,6 @@ class DepthStack:
     """Ordered depth layers sharing a single grid geometry."""
 
     layers: list[RasterGrid]
-    ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.layers:
@@ -82,10 +81,6 @@ class DepthStack:
                 raise GeometryMismatchError(
                     f"layer {i} geometry differs from layer 0"
                 )
-        if not self.ids:
-            self.ids = [f"layer-{i}" for i in range(len(self.layers))]
-        if len(self.ids) != len(self.layers):
-            raise ValueError("ids and layers must have the same length")
 
     @property
     def geometry(self):

@@ -41,7 +41,6 @@ class PairRecord:
     dsm_path: str | None = None
     rank_rmse: float | None = None
     selected: bool = False
-    align_failed: bool = False
 
     def __post_init__(self):
         if self.id_a == self.id_b:
@@ -130,11 +129,9 @@ def rank_pairs(
     Each candidate's DSM (from its dsm_path) is aligned to the truth patch
     first, so a constant vertical offset cannot change the ranking.  The
     sorted list has the top_k best marked selected; candidates whose
-    alignment fails (e.g. insufficient overlap) sink to the end, flagged
-    and never selected.  Ties break on (id_a, id_b).
+    alignment fails (e.g. insufficient overlap) sink to the end with
+    rank_rmse None, never selected.  Ties break on (id_a, id_b).
     """
-    if cfg is None:
-        cfg = AlignConfig()
     if gate is None:
         gate = PairGate()
     ranked = []
@@ -143,24 +140,21 @@ def rank_pairs(
             raise ValueError(f"pair ({rec.id_a}, {rec.id_b}) has no dsm_path")
         patch = read_asc(rec.dsm_path)
         try:
-            result = align(patch, truth_patch, cfg)
+            rank_rmse = align(patch, truth_patch, cfg).rmse_inliers
         except InsufficientOverlapError as exc:
             log.warning("pair (%s, %s) not rankable: %s", rec.id_a, rec.id_b, exc)
-            ranked.append(replace(rec, rank_rmse=None, align_failed=True, selected=False))
-            continue
-        ranked.append(
-            replace(rec, rank_rmse=result.rmse_inliers, align_failed=False)
-        )
+            rank_rmse = None
+        ranked.append(replace(rec, rank_rmse=rank_rmse))
     ranked.sort(
         key=lambda r: (
-            r.align_failed,
+            r.rank_rmse is None,
             r.rank_rmse if r.rank_rmse is not None else math.inf,
             r.id_a,
             r.id_b,
         )
     )
     return [
-        replace(r, selected=(i < gate.top_k and not r.align_failed))
+        replace(r, selected=(i < gate.top_k and r.rank_rmse is not None))
         for i, r in enumerate(ranked)
     ]
 

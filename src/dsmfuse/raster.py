@@ -5,7 +5,7 @@ Conventions (stated once, used everywhere):
 * World origin is the lower-left corner of the lower-left cell
   (``origin_x``, ``origin_y``); cells are square.
 * Values are stored row-major, top row first: ``values[0, :]`` is the
-  northernmost row.  ``CellIndex.row`` counts from the top.
+  northernmost row, and rows count from the top.
 * A point belongs to the cell whose left/bottom edges it lies on; the
   right and top edges of the grid are exclusive.
 * The nodata sentinel (default -9999) marks cells without a valid sample
@@ -24,7 +24,6 @@ import math
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,11 +84,6 @@ def decode_errors_as(error: type[Exception], path, encoding: str):
         raise
 
 
-class CellIndex(NamedTuple):
-    col: int
-    row: int
-
-
 @dataclass(frozen=True)
 class GridGeometry:
     """Placement of a regular square-celled grid in world coordinates."""
@@ -108,33 +102,12 @@ class GridGeometry:
                 f"grid must be at least 1x1, got {self.n_cols}x{self.n_rows}"
             )
 
-    def cell_center(self, cell: CellIndex) -> tuple[float, float]:
-        """World coordinates of a cell's center."""
-        x = self.origin_x + (cell.col + 0.5) * self.cell_size
-        y = self.origin_y + (self.n_rows - cell.row - 0.5) * self.cell_size
-        return x, y
-
     def center_point(self) -> tuple[float, float]:
         """World coordinates of the grid's midpoint."""
         return (
             self.origin_x + 0.5 * self.n_cols * self.cell_size,
             self.origin_y + 0.5 * self.n_rows * self.cell_size,
         )
-
-
-def world_to_cell(geom: GridGeometry, x: float, y: float) -> CellIndex | None:
-    """Cell containing world point (x, y), or None when out of bounds.
-
-    Left/bottom edges are inclusive, right/top edges exclusive; out of
-    bounds is a regular result, never clamped.
-    """
-    u = (x - geom.origin_x) / geom.cell_size
-    v = (y - geom.origin_y) / geom.cell_size
-    col = math.floor(u)
-    row_b = math.floor(v)
-    if col < 0 or col >= geom.n_cols or row_b < 0 or row_b >= geom.n_rows:
-        return None
-    return CellIndex(col=col, row=geom.n_rows - 1 - row_b)
 
 
 class RasterGrid:
@@ -184,13 +157,19 @@ def _snap(a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a - near) < _SNAP_EPS, near, a)
 
 
+def _cell_centers(geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """World x of each column's cell centers, and y of each row's, top row first."""
+    xs = geom.origin_x + (np.arange(geom.n_cols) + 0.5) * geom.cell_size
+    ys = geom.origin_y + (geom.n_rows - np.arange(geom.n_rows) - 0.5) * geom.cell_size
+    return xs, ys
+
+
 def _source_indices(src_geom: GridGeometry, target: GridGeometry):
     """Fractional (col, row-from-bottom) coords of target cell centers in src.
 
     Integer coordinate k means the center of source column/row k.
     """
-    xs = target.origin_x + (np.arange(target.n_cols) + 0.5) * target.cell_size
-    ys = target.origin_y + (target.n_rows - np.arange(target.n_rows) - 0.5) * target.cell_size
+    xs, ys = _cell_centers(target)
     gx = _snap((xs - src_geom.origin_x) / src_geom.cell_size - 0.5)
     gyb = _snap((ys - src_geom.origin_y) / src_geom.cell_size - 0.5)
     return np.meshgrid(gx, gyb)  # each (n_rows_t, n_cols_t)
@@ -216,8 +195,7 @@ def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") ->
 
 def _resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:
     g = src.geometry
-    xs = target.origin_x + (np.arange(target.n_cols) + 0.5) * target.cell_size
-    ys = target.origin_y + (target.n_rows - np.arange(target.n_rows) - 0.5) * target.cell_size
+    xs, ys = _cell_centers(target)
     u, v = np.meshgrid((xs - g.origin_x) / g.cell_size, (ys - g.origin_y) / g.cell_size)
     col = np.floor(u).astype(np.int64)
     row_b = np.floor(v).astype(np.int64)

@@ -59,6 +59,8 @@ log = logging.getLogger(__name__)
 
 _MIN_OVERLAP_CELLS = 100
 _DZ_FIXED_POINT_ROUNDS = 2
+_MAX_ITERATIONS = 50  # Gauss-Newton steps
+_CONVERGENCE_TOL = 1e-4  # cells: a step below it has converged
 _PYRAMID_MIN_REACH = 2  # cells of search reach a coarser level must keep
 _PYRAMID_MIN_SIDE = 32  # cells on the short side of the coarsest level
 
@@ -71,18 +73,12 @@ class InsufficientOverlapError(ValueError):
 class AlignConfig:
     blunder_threshold: float = 6.0
     max_search: int = 10
-    max_iterations: int = 50
-    convergence_tol: float = 1e-4  # cells
 
     def __post_init__(self):
         if not self.blunder_threshold > 0:
             raise ValueError("blunder_threshold must be > 0")
         if self.max_search < 0:
             raise ValueError("max_search must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -95,28 +91,15 @@ class AlignmentResult:
     converged: bool
 
 
-def rmse(
-    a: RasterGrid,
-    b: RasterGrid,
-    include_blunders: bool = True,
-    threshold: float = 6.0,
-) -> tuple[float, int]:
-    """Root mean square height difference over mutually valid cells.
-
-    With include_blunders False, cells whose absolute difference exceeds
-    the threshold are excluded.  Returns (rmse, cell count); (nan, 0) when
-    the blunder filter removes everything.
-    """
+def rmse(a: RasterGrid, b: RasterGrid) -> tuple[float, int]:
+    """Root mean square height difference over mutually valid cells, blunders
+    included, and the number of those cells."""
     if a.geometry != b.geometry:
         raise GeometryMismatchError("rmse needs a common geometry")
     d = a.nan_values() - b.nan_values()
     d = d[np.isfinite(d)]
     if d.size == 0:
         raise InsufficientOverlapError("no mutually valid cells")
-    if not include_blunders:
-        d = d[np.abs(d) <= threshold]
-        if d.size == 0:
-            return float("nan"), 0
     return float(np.sqrt(np.mean(d * d))), int(d.size)
 
 
@@ -180,10 +163,11 @@ def _dz_and_inliers(d: np.ndarray, threshold: float):
     return dz, inliers
 
 
-def _inlier_rms(d: np.ndarray, dz: float, inliers: np.ndarray) -> float:
-    if not inliers.any():
+def _rms(d: np.ndarray, dz: float, cells: np.ndarray) -> float:
+    """RMS of d + dz over the masked cells; inf when there are none."""
+    if not cells.any():
         return math.inf
-    r = d[inliers] + dz
+    r = d[cells] + dz
     return float(np.sqrt(np.mean(r * r)))
 
 
@@ -281,7 +265,7 @@ def align(
 
     converged = False
     best_state = None
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         d = mov - _sample_at_offset(ref, -v, u)
         dz, inl = _dz_and_inliers(d, cfg.blunder_threshold)
         score = _truncated_score(d, dz, cfg.blunder_threshold)
@@ -307,7 +291,7 @@ def align(
             break
         u += float(step[0])
         v += float(step[1])
-        if max(abs(step[0]), abs(step[1])) < cfg.convergence_tol:
+        if max(abs(step[0]), abs(step[1])) < _CONVERGENCE_TOL:
             converged = True
             break
 
@@ -321,13 +305,10 @@ def align(
         inl = np.isfinite(d) & (np.abs(d + dz) <= cfg.blunder_threshold)
 
     finite = np.isfinite(d)
-    rmse_inl = _inlier_rms(d, dz, inl)
-    r_all = d[finite] + dz
-    rmse_all = float(np.sqrt(np.mean(r_all * r_all))) if finite.any() else math.inf
     return AlignmentResult(
         shift=(u * cell, v * cell, dz),
-        rmse_inliers=rmse_inl,
-        rmse_all=rmse_all,
+        rmse_inliers=_rms(d, dz, inl),
+        rmse_all=_rms(d, dz, finite),
         n_inliers=int(np.count_nonzero(inl)),
         n_total=int(np.count_nonzero(finite)),
         converged=converged,

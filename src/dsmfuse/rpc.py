@@ -26,7 +26,7 @@ offsets, so a bias-corrected model is again an ordinary model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -78,21 +78,6 @@ class GroundPoint(NamedTuple):
 class ImagePoint(NamedTuple):
     s: float
     l: float
-
-
-@dataclass(frozen=True)
-class BiasCorrection:
-    """Object-space shift and the image-space correction it induces.
-
-    The image-space part depends on where the model is evaluated, so it is
-    recomputed per point; a zero shift induces a zero correction.
-    """
-
-    du: float
-    dv: float
-    dz: float
-    ds: float
-    dl: float
 
 
 @dataclass
@@ -268,21 +253,6 @@ def apply_bias(model: RpcModel, shift: tuple[float, float, float]) -> RpcModel:
     )
 
 
-def bias_correction(
-    model: RpcModel, shift: tuple[float, float, float], at: GroundPoint
-) -> BiasCorrection:
-    """Image-space correction the object-space shift induces at a point."""
-    base = project(model, at)
-    moved = project(apply_bias(model, shift), at)
-    return BiasCorrection(
-        du=shift[0],
-        dv=shift[1],
-        dz=shift[2],
-        ds=moved.s - base.s,
-        dl=moved.l - base.l,
-    )
-
-
 def viewing_ray(
     model: RpcModel,
     at: GroundPoint,
@@ -323,15 +293,26 @@ def intersection_angle(
     return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
 
 
-_SCALAR_KEYS = (
-    "SAMP_OFF", "SAMP_SCALE", "LINE_OFF", "LINE_SCALE",
-    "U_OFF", "U_SCALE", "V_OFF", "V_SCALE", "Z_OFF", "Z_SCALE",
-)
-_COEFF_PREFIXES = ("SAMP_NUM_COEFF", "SAMP_DEN_COEFF", "LINE_NUM_COEFF", "LINE_DEN_COEFF")
+# each RpcModel field's key in the RPC file, in file order; a ``_COEFF`` key
+# is the prefix of the field's 20 numbered keys
+_KEYS = {
+    "s_off": "SAMP_OFF", "s_scale": "SAMP_SCALE",
+    "l_off": "LINE_OFF", "l_scale": "LINE_SCALE",
+    "u_off": "U_OFF", "u_scale": "U_SCALE",
+    "v_off": "V_OFF", "v_scale": "V_SCALE",
+    "z_off": "Z_OFF", "z_scale": "Z_SCALE",
+    "num_s": "SAMP_NUM_COEFF", "den_s": "SAMP_DEN_COEFF",
+    "num_l": "LINE_NUM_COEFF", "den_l": "LINE_DEN_COEFF",
+}
+
+
+def _file_keys(key: str) -> list[str]:
+    """The file keys of a ``_KEYS`` value."""
+    return [f"{key}_{i}" for i in range(1, 21)] if key.endswith("_COEFF") else [key]
 
 
 def read_rpc(path) -> RpcModel:
-    """Read a `KEY: value` RPC text file.  All 90 keys are mandatory."""
+    """Read a `KEY: value` RPC text file.  All 90 keys are mandatory and finite."""
     entries: dict[str, float] = {}
     with open(path, "r", encoding="ascii") as f, decode_errors_as(RpcFileError, path, "ascii"):
         for lineno, raw in enumerate(f, start=1):
@@ -348,55 +329,26 @@ def read_rpc(path) -> RpcModel:
                 raise RpcFileError(
                     f"{path}:{lineno}: unparseable value for {key}: {value.strip()!r}"
                 ) from None
+            if not np.isfinite(entries[key]):
+                raise RpcFileError(f"{path}:{lineno}: {key} is not finite: {value.strip()!r}")
 
-    def scalar(key):
+    def lookup(key):
         if key not in entries:
             raise RpcFileError(f"{path}: missing key {key}")
         return entries[key]
 
-    def coeffs(prefix):
-        out = np.empty(20)
-        for i in range(20):
-            key = f"{prefix}_{i + 1}"
-            if key not in entries:
-                raise RpcFileError(f"{path}: missing key {key}")
-            out[i] = entries[key]
-        return out
-
-    return RpcModel(
-        num_s=coeffs("SAMP_NUM_COEFF"),
-        den_s=coeffs("SAMP_DEN_COEFF"),
-        num_l=coeffs("LINE_NUM_COEFF"),
-        den_l=coeffs("LINE_DEN_COEFF"),
-        s_off=scalar("SAMP_OFF"),
-        s_scale=scalar("SAMP_SCALE"),
-        l_off=scalar("LINE_OFF"),
-        l_scale=scalar("LINE_SCALE"),
-        u_off=scalar("U_OFF"),
-        u_scale=scalar("U_SCALE"),
-        v_off=scalar("V_OFF"),
-        v_scale=scalar("V_SCALE"),
-        z_off=scalar("Z_OFF"),
-        z_scale=scalar("Z_SCALE"),
-    )
+    values = {}
+    # in RpcModel's field order, coefficients first, which fixes the missing key named first
+    for field in fields(RpcModel):
+        vals = [lookup(k) for k in _file_keys(_KEYS[field.name])]
+        values[field.name] = vals if len(vals) > 1 else vals[0]
+    return RpcModel(**values)
 
 
 def write_rpc(model: RpcModel, path) -> None:
     """Write the `KEY: value` RPC text format (full float precision)."""
-    scalars = (
-        ("SAMP_OFF", model.s_off), ("SAMP_SCALE", model.s_scale),
-        ("LINE_OFF", model.l_off), ("LINE_SCALE", model.l_scale),
-        ("U_OFF", model.u_off), ("U_SCALE", model.u_scale),
-        ("V_OFF", model.v_off), ("V_SCALE", model.v_scale),
-        ("Z_OFF", model.z_off), ("Z_SCALE", model.z_scale),
-    )
-    vectors = (
-        ("SAMP_NUM_COEFF", model.num_s), ("SAMP_DEN_COEFF", model.den_s),
-        ("LINE_NUM_COEFF", model.num_l), ("LINE_DEN_COEFF", model.den_l),
-    )
     with open(path, "w", encoding="ascii") as f:
-        for key, val in scalars:
-            f.write(f"{key}: {val:.17g}\n")
-        for prefix, arr in vectors:
-            for i, c in enumerate(arr, start=1):
-                f.write(f"{prefix}_{i}: {c:.17g}\n")
+        for name, key in _KEYS.items():
+            vals = np.atleast_1d(getattr(model, name)).tolist()
+            for file_key, val in zip(_file_keys(key), vals):
+                f.write(f"{file_key}: {val:.17g}\n")

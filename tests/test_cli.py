@@ -394,6 +394,24 @@ class TestFlagTable:
         assert code == 4
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--threshold", "0"], "blunder_threshold must be > 0"),
+        (["--max-search", "-1"], "max_search must be >= 0"),
+    ], ids=["threshold", "max_search"])
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--manifest", "pairs.csv", "--truth", "truth.asc"],
+        ["eval", "--computed", "c.asc", "--truth", "truth.asc"],
+        ["curve", "--layers", "l.asc", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+    ], ids=["rank", "eval", "curve"])
+    def test_bad_align_flag_exit_4_before_reading(self, capsys, monkeypatch, argv, flag, message):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking the align flags")
+
+        for name in ("read_asc", "GridReader", "read_pair_manifest"):
+            monkeypatch.setattr(cli, name, no_read)
+        assert main([*argv, *flag, "--out", "o.csv"]) == 4
+        assert message in capsys.readouterr().err
+
     def test_defaults_come_from_the_library(self):
         fcfg, acfg, gate = FusionConfig(), AlignConfig(), PairGate()
         defaults = {c: {k: d for k, (d, _) in flags.items()}
@@ -676,6 +694,24 @@ class TestRpcCommand:
 
     def test_missing_action_exit_4(self):
         assert main(["rpc"]) == 4
+
+    @pytest.mark.parametrize("action, key, token", [
+        ("project", "U_SCALE", "nan"), ("angle", "SAMP_NUM_COEFF_4", "inf"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, action, key, token):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        write_rpc(linear_ray_model(0.3), tmp_path / "b.rpc")
+        lines = (tmp_path / "b.rpc").read_text().splitlines()
+        lineno = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(key + ":"))
+        lines[lineno - 1] = f"{key}: {token}"
+        (tmp_path / "b.rpc").write_text("\n".join(lines) + "\n")
+        rpcs = {"project": ["--rpc", str(tmp_path / "b.rpc")],
+                "angle": ["--rpc", str(tmp_path / "a.rpc"), "--rpc-b", str(tmp_path / "b.rpc")]}
+        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
+                          "rpc", action, *rpcs[action], "--u", "0", "--v", "0", "--z", "0")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {tmp_path / 'b.rpc'}:{lineno}: {key} is not finite: {token!r}\n"
 
 
 class TestSynthCommand:

@@ -14,7 +14,7 @@ from dsmfuse.fusion import (
     median_fuse,
     window_weights,
 )
-from dsmfuse.raster import CellIndex, GeometryMismatchError
+from dsmfuse.raster import GeometryMismatchError
 
 from conftest import grid_of
 
@@ -96,13 +96,14 @@ def weight_at(center_intensity, dcol, intensity, cfg):
 
 
 def window_of(ortho, center, cfg):
-    """Cells, the padding outside the grid included, whose weight around
-    ``center`` passes the gate."""
+    """``(col, row)`` cells, the padding outside the grid included, whose
+    weight around the ``(col, row)`` center passes the gate."""
+    col, row = center
     w, offsets = weights_of(ortho, cfg)
     return frozenset(
-        CellIndex(center.col + dj, center.row + di)
+        (col + dj, row + di)
         for k, (di, dj, _) in enumerate(offsets)
-        if w[center.row, center.col, k] > cfg.gamma
+        if w[row, col, k] > cfg.gamma
     )
 
 
@@ -148,7 +149,7 @@ class TestAdaptiveWindow:
     def test_uniform_intensity_keeps_whole_square(self):
         cfg = FusionConfig(delta_s=10.0, gamma=0.5, radius=2)
         ortho = grid_of(np.full((7, 7), 80.0))
-        win = window_of(ortho, CellIndex(3, 3), cfg)
+        win = window_of(ortho, (3, 3), cfg)
         assert len(win) == 25
 
     def test_step_edge_confines_window(self):
@@ -156,23 +157,23 @@ class TestAdaptiveWindow:
         vals = np.full((9, 9), 50.0)
         vals[:, 5:] = 150.0
         ortho = grid_of(vals)
-        win = window_of(ortho, CellIndex(3, 4), cfg)
-        assert all(cell.col < 5 for cell in win)
-        assert CellIndex(3, 4) in win
+        win = window_of(ortho, (3, 4), cfg)
+        assert all(col < 5 for col, _ in win)
+        assert (3, 4) in win
 
     def test_gamma_near_one_collapses_to_center(self):
         cfg = FusionConfig(gamma=0.999999, radius=3)
         ortho = grid_of(np.full((9, 9), 80.0))
-        win = window_of(ortho, CellIndex(4, 4), cfg)
-        assert win == frozenset([CellIndex(4, 4)])
+        win = window_of(ortho, (4, 4), cfg)
+        assert win == frozenset([(4, 4)])
 
     def test_nodata_member_excluded_when_center_valid(self):
         cfg = FusionConfig(delta_s=10.0, radius=1)
         vals = np.full((3, 3), 80.0)
         vals[0, 0] = -9999.0
         ortho = grid_of(vals)
-        win = window_of(ortho, CellIndex(1, 1), cfg)
-        assert CellIndex(0, 0) not in win
+        win = window_of(ortho, (1, 1), cfg)
+        assert (0, 0) not in win
         assert len(win) == 8
 
     def test_nodata_center_goes_spatial_only(self):
@@ -180,13 +181,13 @@ class TestAdaptiveWindow:
         vals = np.full((3, 3), 80.0)
         vals[1, 1] = -9999.0
         ortho = grid_of(vals)
-        win = window_of(ortho, CellIndex(1, 1), cfg)
+        win = window_of(ortho, (1, 1), cfg)
         assert len(win) == 9
 
     def test_window_clipped_at_grid_border(self):
         cfg = FusionConfig(delta_s=10.0, radius=2)
         ortho = grid_of(np.full((5, 5), 80.0))
-        win = window_of(ortho, CellIndex(0, 0), cfg)
+        win = window_of(ortho, (0, 0), cfg)
         assert len(win) == 9
 
 
@@ -498,7 +499,3 @@ class TestConfigAndStack:
         b = grid_of(np.zeros((3, 4)))
         with pytest.raises(GeometryMismatchError):
             DepthStack(layers=[a, b])
-
-    def test_default_ids_generated(self):
-        stack = DepthStack(layers=[grid_of(np.zeros((2, 2)))] * 2)
-        assert stack.ids == ["layer-0", "layer-1"]

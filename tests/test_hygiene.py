@@ -1,0 +1,45 @@
+"""Source hygiene: no private module-level name in ``src/dsmfuse`` is dead."""
+
+import ast
+from pathlib import Path
+
+import dsmfuse
+
+SRC = Path(dsmfuse.__file__).resolve().parent
+
+
+def _private_definitions(tree):
+    """Module-level ``_name`` definitions (dunders aside) of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _references(tree):
+    """Every name a parsed module reads, by bare name, attribute or import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_module_name_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    dead = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+    assert not dead, f"defined but never used in src/dsmfuse: {dead}"

@@ -168,10 +168,9 @@ class TestRankPairs:
         records = self.write_candidates(tmp_path, [hollow, ok])
         ranked = rank_pairs(records, truth, RANK_CFG)
         assert ranked[-1].id_a == "a0"
-        assert ranked[-1].align_failed
         assert ranked[-1].rank_rmse is None
         assert not ranked[-1].selected
-        assert ranked[0].id_a == "a1" and not ranked[0].align_failed
+        assert ranked[0].id_a == "a1" and ranked[0].rank_rmse is not None
 
     @pytest.fixture(autouse=True)
     def _mkdirs(self, tmp_path):

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from dsmfuse.raster import (
     AsciiGridError,
-    CellIndex,
     GridGeometry,
     MalformedHeaderError,
     RasterGrid,
@@ -21,7 +20,6 @@ from dsmfuse.raster import (
     _resample_nearest,
     read_asc,
     resample,
-    world_to_cell,
     write_asc,
     write_pgm,
 )
@@ -33,26 +31,40 @@ def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=-9999.0):
     return RasterGrid(geom, arr, nodata)
 
 
+def cell_at(geom, x, y):
+    """``(col, row)`` of the cell holding world point (x, y), None outside:
+    nearest resampling of unique cell values onto a 1x1 grid centred there."""
+    src = RasterGrid(geom, np.arange(geom.n_rows * geom.n_cols).reshape(geom.n_rows, geom.n_cols))
+    value = resample(src, GridGeometry(x - 0.5, y - 0.5, 1.0, 1, 1), "nearest").values[0, 0]
+    if value == src.nodata:
+        return None
+    row, col = divmod(int(value), geom.n_cols)
+    return col, row
+
+
 class TestWorldToCell:
+    """The cell convention: which cell holds a world point."""
+
     def test_origin_cell(self):
         geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert world_to_cell(geom, 0.5, 0.5) == CellIndex(col=0, row=9)
+        assert cell_at(geom, 0.5, 0.5) == (0, 9)
 
     def test_right_edge_exclusive(self):
         geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert world_to_cell(geom, 10.0, 0.5) is None
-        assert world_to_cell(geom, 0.5, 10.0) is None
+        assert cell_at(geom, 10.0, 0.5) is None
+        assert cell_at(geom, 0.5, 10.0) is None
 
     def test_left_bottom_edge_inclusive(self):
         geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert world_to_cell(geom, 0.0, 0.0) == CellIndex(col=0, row=9)
+        assert cell_at(geom, 0.0, 0.0) == (0, 9)
 
     def test_interior_point_floor_arithmetic(self):
         # floor(3.7)=3 cols in; floor(2.2)=2 rows up from bottom -> row 7
         geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert world_to_cell(geom, 3.7, 2.2) == CellIndex(col=3, row=7)
+        assert cell_at(geom, 3.7, 2.2) == (3, 7)
 
     def test_cell_center_round_trip_all_cells(self):
+        # every cell center of a grid lands in its own cell
         rng = np.random.default_rng(7)
         for _ in range(20):
             geom = GridGeometry(
@@ -62,11 +74,9 @@ class TestWorldToCell:
                 n_cols=int(rng.integers(1, 12)),
                 n_rows=int(rng.integers(1, 12)),
             )
-            for col in range(geom.n_cols):
-                for row in range(geom.n_rows):
-                    c = CellIndex(col, row)
-                    x, y = geom.cell_center(c)
-                    assert world_to_cell(geom, x, y) == c
+            unique = np.arange(geom.n_rows * geom.n_cols).reshape(geom.n_rows, geom.n_cols)
+            src = RasterGrid(geom, unique)
+            assert np.array_equal(_resample_nearest(src, geom).values, unique)
 
 
 class TestGeometryValidation:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsmfuse import register
 from dsmfuse.raster import GeometryMismatchError, GridGeometry, RasterGrid
 from dsmfuse.register import (
     AlignConfig,
@@ -90,13 +91,6 @@ class TestRmse:
         a = grid_of(rng.normal(0, 2, size=(6, 6)))
         b = grid_of(rng.normal(0, 2, size=(6, 6)))
         assert rmse(a, b) == rmse(b, a)
-
-    def test_blunder_exclusion(self):
-        a = np.zeros((3, 4))
-        a[0, 0] = 50.0
-        val, n = rmse(grid_of(a), grid_of(np.zeros((3, 4))), include_blunders=False, threshold=6.0)
-        assert val == 0.0
-        assert n == 11
 
     def test_zero_if_and_only_if_equal(self, rng):
         vals = rng.normal(5, 2, size=(6, 6))
@@ -266,18 +260,9 @@ class TestAlignConfig:
         with pytest.raises(ValueError):
             AlignConfig(max_search=-1)
 
-    def test_iterations_at_least_one(self):
-        with pytest.raises(ValueError):
-            AlignConfig(max_iterations=0)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
-    def test_convergence_tol_positive(self, tol):
-        with pytest.raises(ValueError):
-            AlignConfig(convergence_tol=tol)
-
     def test_defaults_match_protocol(self):
         cfg = AlignConfig()
         assert cfg.blunder_threshold == 6.0
         assert cfg.max_search == 10
-        assert cfg.max_iterations == 50
-        assert cfg.convergence_tol == 1e-4
+        assert register._MAX_ITERATIONS == 50
+        assert register._CONVERGENCE_TOL == 1e-4

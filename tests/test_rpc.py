@@ -9,7 +9,6 @@ from dsmfuse.rpc import (
     RpcDomainWarning,
     RpcFileError,
     apply_bias,
-    bias_correction,
     intersection_angle,
     invert,
     project,
@@ -171,15 +170,6 @@ class TestApplyBias:
             0.1 * 250.0, abs=1e-12
         )
 
-    def test_bias_correction_zero_shift(self):
-        bc = bias_correction(identity_model(), (0.0, 0.0, 0.0), GroundPoint(0.1, 0.2, 0))
-        assert bc.ds == 0.0 and bc.dl == 0.0
-
-    def test_bias_correction_reports_image_shift(self):
-        bc = bias_correction(identity_model(), (0.05, -0.02, 0.0), GroundPoint(0, 0, 0))
-        assert bc.ds == pytest.approx(0.05, abs=1e-12)
-        assert bc.dl == pytest.approx(-0.02, abs=1e-12)
-
 
 class TestIntersectionAngle:
     def test_same_model_zero_angle(self):
@@ -243,6 +233,44 @@ class TestRpcFile:
         (tmp_path / "broken.rpc").write_text("\n".join(kept) + "\n")
         with pytest.raises(RpcFileError):
             read_rpc(tmp_path / "broken.rpc")
+
+    def test_layout(self, rng, tmp_path):
+        model = random_rpc_model(rng)
+        p = tmp_path / "model.rpc"
+        write_rpc(model, p)
+        lines = p.read_text().splitlines()
+        scalars = ["SAMP_OFF", "SAMP_SCALE", "LINE_OFF", "LINE_SCALE",
+                   "U_OFF", "U_SCALE", "V_OFF", "V_SCALE", "Z_OFF", "Z_SCALE"]
+        coeffs = [f"{prefix}_COEFF_{i}" for prefix in ("SAMP_NUM", "SAMP_DEN", "LINE_NUM", "LINE_DEN")
+                  for i in range(1, 21)]
+        assert len(lines) == 90
+        assert [ln.split(":")[0] for ln in lines] == scalars + coeffs
+        assert lines[0] == f"SAMP_OFF: {model.s_off:.17g}"
+        assert lines[-1] == f"LINE_DEN_COEFF_20: {model.den_l[19]:.17g}"
+
+    @pytest.mark.parametrize("dropped, named", [
+        (("Z_SCALE", "SAMP_NUM_COEFF_3"), "SAMP_NUM_COEFF_3"),
+        (("LINE_OFF", "LINE_DEN_COEFF_20"), "LINE_DEN_COEFF_20"),
+        (("U_OFF", "SAMP_SCALE"), "SAMP_SCALE"),
+    ])
+    def test_first_missing_key_named(self, tmp_path, dropped, named):
+        # the coefficients are looked up first, then the scalars in file order
+        p = tmp_path / "model.rpc"
+        write_rpc(identity_model(), p)
+        kept = [ln for ln in p.read_text().splitlines() if ln.split(":")[0] not in dropped]
+        p.write_text("\n".join(kept) + "\n")
+        with pytest.raises(RpcFileError, match=f"missing key {named}$"):
+            read_rpc(p)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value(self, tmp_path, token):
+        p = tmp_path / "model.rpc"
+        write_rpc(identity_model(), p)
+        lines = p.read_text().splitlines()
+        lines[5] = f"U_SCALE: {token}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RpcFileError, match=f":6: U_SCALE is not finite: '{token}'$"):
+            read_rpc(p)
 
     def test_unparseable_value(self, tmp_path):
         p = tmp_path / "bad.rpc"
