@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 import time
 import warnings
 from contextlib import ExitStack, closing, contextmanager
@@ -51,6 +52,8 @@ from .raster import (
     decode_errors_as,
     read_asc,
     resample,
+    strip_rows,
+    valid,
     write_asc,
     write_pgm,
     write_rows,
@@ -244,6 +247,21 @@ def _open_sources(paths, n_layers: int, target_path, method, exits: ExitStack):
     return target, readers
 
 
+def _out_path(opts: SimpleNamespace) -> Path:
+    """``--out``, checked to lie in an existing directory before any input is read."""
+    out = Path(opts.out)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
+    return out
+
+
+def _spilled_strips(f, n_cols: int):
+    """Row strips of the float64 rows in binary file ``f``, from its position on."""
+    rows = strip_rows(n_cols, 8)  # the preview's temporaries share one strip budget
+    while chunk := f.read(rows * n_cols * 8):
+        yield np.frombuffer(chunk).reshape(-1, n_cols)
+
+
 def cmd_fuse(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "out")
@@ -252,7 +270,7 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
     if adaptive and not opts.ortho:
         raise ConfigError("--ortho is required when --mode is adaptive")
     inputs = list(opts.layers) + ([opts.ortho] if adaptive else [])
-    out = Path(opts.out)
+    out = _out_path(opts)
     preview = out.with_suffix(".pgm")
     with ExitStack() as exits:
         target, sources = _open_sources(
@@ -263,19 +281,20 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
         strips = _ortho_checked(read_strips(sources)) if adaptive else read_strips(sources)
         fused_rows = fuse_strips(strips, fcfg if adaptive else None, opts.jobs)
         exits.enter_context(closing(fused_rows))
-        # the whole fused grid is kept only for the preview's min-max stretch
-        fused = np.empty((target.n_rows, target.n_cols))
-        r0 = 0
+        # the fused rows again, for the preview's min-max stretch once all are seen
+        spill = exits.enter_context(tempfile.TemporaryFile(dir=out.parent))
+        vmin, vmax = np.inf, -np.inf
         with _atomic(out) as tmp, open(tmp, "w", encoding="ascii") as f:
             f.write(header)
             for rows in fused_rows:
                 rows[~np.isfinite(rows)] = nodata
                 write_rows(f, rows)
-                fused[r0 : r0 + len(rows)] = rows
-                r0 += len(rows)
-    fused.flags.writeable = False  # the grid below shares it
-    with _atomic(preview) as tmp:
-        write_pgm(RasterGrid(target, fused, nodata), tmp)
+                ok = valid(rows, nodata)
+                vmin, vmax = rows.min(initial=vmin, where=ok), rows.max(initial=vmax, where=ok)
+                spill.write(rows.tobytes())
+        spill.seek(0)
+        with _atomic(preview) as tmp:
+            write_pgm(_spilled_strips(spill, target.n_cols), tmp, target, nodata, vmin, vmax)
     _write_manifest(out, "fuse", inputs, [out, preview], opts, started=started)
     return EXIT_OK
 
@@ -284,6 +303,7 @@ def cmd_rank(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "manifest", "truth", "out")
     acfg = _align_config(opts)
+    out = _out_path(opts)
     entries = read_pair_manifest(opts.manifest)
     truth = read_asc(opts.truth)
     if opts.at is None:
@@ -327,7 +347,6 @@ def cmd_rank(opts: SimpleNamespace) -> int:
             f"{r.id_a},{r.id_b},{r.angle_deg:.6f},{rank_txt},"
             f"{'true' if r.selected else 'false'}"
         )
-    out = Path(opts.out)
     _write_text_atomic("\n".join(lines) + "\n", out)
     _write_manifest(out, "rank", [opts.manifest, opts.truth], [out], opts, started=started)
     return EXIT_OK
@@ -337,6 +356,7 @@ def cmd_eval(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "computed", "truth", "out")
     acfg = _align_config(opts)
+    out = _out_path(opts)
     computed = read_asc(opts.computed)
     truth = read_asc(opts.truth)
     res = align(computed, truth, acfg)
@@ -346,7 +366,6 @@ def cmd_eval(opts: SimpleNamespace) -> int:
         f"{res.shift[0]:.6f},{res.shift[1]:.6f},{res.shift[2]:.6f},"
         f"{res.n_inliers},{res.n_total},{'true' if res.converged else 'false'}",
     ]
-    out = Path(opts.out)
     _write_text_atomic("\n".join(lines) + "\n", out)
     _write_manifest(out, "eval", [opts.computed, opts.truth], [out], opts, started=started)
     return EXIT_OK
@@ -356,6 +375,7 @@ def cmd_curve(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "ortho", "truth", "out")
     fcfg, acfg = _fusion_config(opts), _align_config(opts)
+    out = _out_path(opts)
     with ExitStack() as exits:
         target, sources = _open_sources(
             [*opts.layers, opts.ortho], len(opts.layers), None, opts.resample_method, exits
@@ -372,7 +392,6 @@ def cmd_curve(opts: SimpleNamespace) -> int:
         res_a = align(fused_a, truth, acfg)
         res_m = align(fused_m, truth, acfg)
         lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
-    out = Path(opts.out)
     _write_text_atomic("\n".join(lines) + "\n", out)
     _write_manifest(
         out, "curve", list(opts.layers) + [opts.ortho, opts.truth], [out], opts,

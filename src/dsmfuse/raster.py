@@ -447,20 +447,20 @@ def write_asc(grid: RasterGrid, path) -> None:
         write_rows(f, grid.values)
 
 
-def write_pgm(grid: RasterGrid, path) -> None:
-    """Write an 8-bit P2 PGM preview: linear min-max stretch, nodata as 0.
+def write_pgm(strips, path, geometry: GridGeometry, nodata: float, vmin, vmax) -> None:
+    """Write an 8-bit P2 PGM preview of a grid given as row strips, top first.
 
-    A constant-valued grid renders its valid cells as 255 so they stay
-    distinguishable from nodata.  Rows are scaled a strip at a time.
+    ``vmin`` and ``vmax`` are the least and greatest valid values of the
+    whole grid (``inf`` and ``-inf`` when none is valid), so the caller can
+    find them while the rows stream past and the grid is never held whole.
+    Valid cells get a linear min-max stretch to 0-255, rounded half to even;
+    invalid ones get 0.  When ``vmax`` is not above ``vmin`` every valid
+    cell renders as 255, so a constant grid stays distinguishable from
+    nodata.  Each strip is scaled and written on its own, so the output
+    does not depend on how the rows are cut into strips.
     """
-    g = grid.geometry
-    ok = grid.valid_mask()
-    vmin = grid.values.min(initial=np.inf, where=ok)
-    vmax = grid.values.max(initial=-np.inf, where=ok)
-    rows = strip_rows(g.n_cols, 8)  # the strip's temporaries share one strip budget
     with open(path, "w", encoding="ascii") as f:
-        f.write(f"P2\n{g.n_cols} {g.n_rows}\n255\n")
-        for r0 in range(0, g.n_rows, rows):
-            vals = grid.values[r0 : r0 + rows]
+        f.write(f"P2\n{geometry.n_cols} {geometry.n_rows}\n255\n")
+        for vals in strips:
             scaled = np.rint((vals - vmin) / (vmax - vmin) * 255.0) if vmax > vmin else 255
-            write_rows(f, np.where(ok[r0 : r0 + rows], scaled, 0).astype(np.int64), "%d")
+            write_rows(f, np.where(valid(vals, nodata), scaled, 0).astype(np.int64), "%d")

@@ -105,6 +105,9 @@ class RpcModel:
             if arr.shape != (20,):
                 raise ValueError(f"{name} must have exactly 20 coefficients")
             object.__setattr__(self, name, arr)
+        for field in fields(self):
+            if not np.isfinite(getattr(self, field.name)).all():
+                raise ValueError(f"{field.name} must be finite")
         if abs(self.den_s[0]) == 0.0 or abs(self.den_l[0]) == 0.0:
             raise ValueError("denominator constant terms must be nonzero")
         for name in ("s_scale", "l_scale", "u_scale", "v_scale", "z_scale"):

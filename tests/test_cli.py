@@ -9,7 +9,7 @@ import pytest
 
 from dsmfuse import cli, raster
 from dsmfuse.cli import main
-from dsmfuse.fusion import FusionConfig
+from dsmfuse.fusion import DepthStack, FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, write_asc
 from dsmfuse.register import AlignConfig
@@ -247,6 +247,23 @@ class TestFuseStream:
         assert peaks[1] - peaks[0] < n * n * 8, peaks  # less than one grid
 
     @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_peak_memory_flat_in_grid_size(self, tmp_path, rng, mode):
+        import tracemalloc
+
+        peaks = []
+        for n in (200, 800):
+            (tmp_path / str(n)).mkdir()
+            layers, ortho = _write_stack(tmp_path / str(n), rng, n, n, 5, shift_last=False)
+            tracemalloc.start()
+            try:
+                out = tmp_path / str(n) / "fused.asc"
+                assert main(_fuse_args(layers, ortho, mode, out)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 800 * 800 * 4, peaks  # less than half a fused grid
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
     @pytest.mark.parametrize("fault", ["token", "extra_row"])
     def test_bad_row_mid_stream_exit_2_leaves_nothing(
         self, tmp_path, capsys, monkeypatch, rng, mode, fault
@@ -292,6 +309,82 @@ class TestFuseStream:
         for ext in (".asc", ".pgm"):
             got = (tmp_path / "underscore").with_suffix(ext).read_bytes()
             assert got == (tmp_path / "plain").with_suffix(ext).read_bytes()
+
+
+def _preview(fused: RasterGrid) -> str:
+    """The PGM text of a fused grid: a min-max stretch of its valid cells to
+    0-255, rounded half to even, nodata black, a constant grid white."""
+    vals, ok = fused.values, fused.valid_mask()
+    gray = np.zeros(vals.shape, dtype=np.int64)
+    if ok.any():
+        lo, hi = vals[ok].min(), vals[ok].max()
+        gray[ok] = 255 if hi == lo else np.rint((vals[ok] - lo) / (hi - lo) * 255.0)
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in gray.tolist())
+    return f"P2\n{vals.shape[1]} {vals.shape[0]}\n255\n{rows}"
+
+
+class TestFusePreview:
+    """fuse's PGM preview stretches over the valid cells of the whole grid."""
+
+    def fuse(self, tmp_path, mode, layers, ortho, nodata=-9999.0):
+        """Write the grids, run fuse; the PGM text and the library's fused grid."""
+        paths = []
+        for i, vals in enumerate([*layers, ortho]):
+            paths.append(str(tmp_path / f"g{i}.asc"))
+            write_asc(grid_of(vals, nodata=nodata), paths[-1])
+        out = tmp_path / "fused.asc"
+        assert main(_fuse_args(paths[:-1], paths[-1], mode, out)) == 0
+        stack = DepthStack([read_asc(p) for p in paths[:-1]])
+        fused = median_fuse(stack) if mode == "median" else \
+            adaptive_median_fuse(stack, read_asc(paths[-1]))
+        return out.with_suffix(".pgm").read_text(), fused
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_all_nodata_renders_black(self, tmp_path, rng, mode):
+        layers = [np.full((9, 7), -9999.0) for _ in range(3)]
+        layers[1][2, 3] = np.nan
+        pgm, _ = self.fuse(tmp_path, mode, layers, rng.uniform(0, 255, (9, 7)))
+        assert pgm == "P2\n7 9\n255\n" + "0 0 0 0 0 0 0\n" * 9
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_constant_renders_white(self, tmp_path, rng, mode):
+        layers = [np.full((9, 7), 7.25) for _ in range(3)]
+        layers[0][rng.random((9, 7)) < 0.3] = -9999.0  # the other layers fill the holes
+        pgm, _ = self.fuse(tmp_path, mode, layers, rng.uniform(0, 255, (9, 7)))
+        assert pgm == "P2\n7 9\n255\n" + "255 255 255 255 255 255 255\n" * 9
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_nan_nodata(self, tmp_path, rng, mode):
+        layers = [rng.normal(15, 4, (12, 10)) for _ in range(3)]
+        for vals in layers:
+            vals[rng.random((12, 10)) < 0.2] = np.nan
+            vals[0, :4] = np.nan  # no layer covers these cells
+        ortho = rng.uniform(0, 255, (12, 10))
+        pgm, fused = self.fuse(tmp_path, mode, layers, ortho, nodata=np.nan)
+        assert "NODATA_value nan" in (tmp_path / "fused.asc").read_text()
+        assert pgm == _preview(fused)
+        assert pgm.splitlines()[3].startswith("0 0 0 0 ") == (mode == "median")
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_extremes_only_in_last_strip(self, tmp_path, rng, monkeypatch, mode):
+        # one row per strip; the last row holds the lowest and the highest
+        # height, on ortho intensities far from every other row's
+        n_rows, n_cols = 10, 8
+        layers = [rng.uniform(10, 20, (n_rows, n_cols)) for _ in range(3)]
+        for vals in layers:
+            vals[-1] = [0.0] * 4 + [100.0] * 4
+            vals[rng.random((n_rows, n_cols)) < 0.1] = -9999.0
+        ortho = rng.uniform(0, 50, (n_rows, n_cols))
+        ortho[-1] = [250.0] * 4 + [150.0] * 4
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 1)
+        assert raster.strip_rows(n_cols, 8) == 1
+        pgm, fused = self.fuse(tmp_path, mode, layers, ortho)
+        assert pgm == _preview(fused)
+        ok = fused.valid_mask()
+        assert fused.values[:-1][ok[:-1]].min() > 0.0
+        assert fused.values[:-1][ok[:-1]].max() < 100.0
+        assert pgm.splitlines()[-1].split().count("0") > 0
+        assert pgm.splitlines()[-1].split().count("255") > 0
 
 
 class TestConfigFile:
@@ -462,6 +555,25 @@ class TestUndecodableInput:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert f"byte 0xe9 at offset {offset}" in err
+
+
+class TestMissingOutDir:
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--layers", "l.asc", "--mode", "median"],
+        ["rank", "--manifest", "pairs.csv", "--truth", "truth.asc"],
+        ["eval", "--computed", "c.asc", "--truth", "truth.asc"],
+        ["curve", "--layers", "l.asc", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+    ], ids=["fuse", "rank", "eval", "curve"])
+    def test_exit_2_naming_it_before_reading(self, tmp_path, capsys, monkeypatch, argv):
+        def no_read(*args):
+            raise AssertionError("read an input before checking the --out directory")
+
+        for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest"):
+            monkeypatch.setattr(cli, name, no_read)
+        missing = tmp_path / "nodir"
+        assert main([*argv, "--out", str(missing / "o.out")]) == 2
+        assert capsys.readouterr().err == f"error: output directory {missing} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:

@@ -31,6 +31,16 @@ def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=-9999.0):
     return RasterGrid(geom, arr, nodata)
 
 
+def pgm_of(grid, path, rows=None):
+    """``write_pgm`` of a whole grid: the stretch over its valid cells, the
+    rows cut into strips of ``rows`` (default: one strip)."""
+    vals, ok = grid.values, grid.valid_mask()
+    rows = rows or len(vals)
+    strips = [vals[r : r + rows] for r in range(0, len(vals), rows)]
+    lo, hi = vals.min(initial=np.inf, where=ok), vals.max(initial=-np.inf, where=ok)
+    write_pgm(strips, path, grid.geometry, grid.nodata, lo, hi)
+
+
 def cell_at(geom, x, y):
     """``(col, row)`` of the cell holding world point (x, y), None outside:
     nearest resampling of unique cell values onto a 1x1 grid centred there."""
@@ -416,7 +426,7 @@ class TestCodecByteParity:
         hole.flat[0] = hole.flat[-1] = False
         vals = np.where(hole, -9999.0, gray.astype(float))
         p = _fresh(tmp_path, ".pgm")
-        write_pgm(make_grid(vals), p)
+        pgm_of(make_grid(vals), p)
         expected = np.where(hole, 0, gray)
         assert p.read_text().split("\n")[3:] == [
             " ".join(str(v) for v in row) for row in expected
@@ -471,7 +481,7 @@ class TestPgm:
     def test_stretch_and_nodata(self, tmp_path):
         src = make_grid(np.array([[0.0, 5.0], [10.0, -9999.0]]))
         p = tmp_path / "g.pgm"
-        write_pgm(src, p)
+        pgm_of(src, p)
         lines = p.read_text().splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "2 2"
@@ -482,6 +492,16 @@ class TestPgm:
     def test_constant_grid_renders_white(self, tmp_path):
         src = make_grid(np.full((2, 2), 7.0))
         p = tmp_path / "g.pgm"
-        write_pgm(src, p)
+        pgm_of(src, p)
         body = p.read_text().splitlines()[3:]
         assert all(tok == "255" for line in body for tok in line.split())
+
+    @_fixture_ok
+    @given(vals=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 5)),
+                       elements=st.sampled_from([-9999.0, np.nan, -0.0, 0.0, 0.5, 3.25, 1e9])),
+           rows=st.integers(1, 9))
+    def test_strip_height_does_not_change_bytes(self, tmp_path, vals, rows):
+        whole, cut = _fresh(tmp_path, ".pgm"), _fresh(tmp_path, ".pgm")
+        pgm_of(make_grid(vals), whole)
+        pgm_of(make_grid(vals), cut, rows)
+        assert cut.read_bytes() == whole.read_bytes()

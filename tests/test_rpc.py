@@ -293,3 +293,17 @@ class TestModelValidation:
     def test_zero_scale(self):
         with pytest.raises(ValueError):
             identity_model(u_scale=0.0)
+
+    def test_nan_scale_named(self):
+        with pytest.raises(ValueError, match="^u_scale must be finite$"):
+            identity_model(u_scale=float("nan"))
+
+    def test_inf_coefficient_named(self):
+        coeff = np.zeros(20)
+        coeff[0], coeff[7] = 1.0, np.inf
+        with pytest.raises(ValueError, match="^den_l must be finite$"):
+            identity_model(den_l=coeff)
+
+    def test_non_finite_offset_named(self):
+        with pytest.raises(ValueError, match="^z_off must be finite$"):
+            identity_model(z_off=-np.inf)
