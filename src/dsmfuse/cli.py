@@ -460,9 +460,17 @@ def cmd_synth(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "scene", "out_dir")
     spec = _parse_scene_file(opts.scene)
+    lo, hi, n = opts.sigma_start, opts.sigma_end, opts.layers
+    dspecs = [  # every layer's spec is checked before anything is written
+        DegradeSpec(
+            seed=spec.seed * 1000 + i, gaussian_sigma=lo + (hi - lo) * (i / max(n - 1, 1)),
+            spike_prob=opts.spike_prob, spike_amp=opts.spike_amp, hole_prob=opts.hole_prob,
+        )
+        for i in range(n)
+    ]
+    truth, ortho = gen_scene(spec)
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    truth, ortho = gen_scene(spec)
 
     outputs = []
     truth_path = out_dir / "truth.asc"
@@ -471,17 +479,7 @@ def cmd_synth(opts: SimpleNamespace) -> int:
     _write_grid_atomic(ortho, ortho_path)
     outputs += [truth_path, ortho_path]
 
-    n = opts.layers
-    for i in range(n):
-        frac = i / (n - 1) if n > 1 else 0.0
-        sigma = opts.sigma_start + (opts.sigma_end - opts.sigma_start) * frac
-        dspec = DegradeSpec(
-            seed=spec.seed * 1000 + i,
-            gaussian_sigma=sigma,
-            spike_prob=opts.spike_prob,
-            spike_amp=opts.spike_amp,
-            hole_prob=opts.hole_prob,
-        )
+    for i, dspec in enumerate(dspecs):
         layer_path = out_dir / f"layer_{i + 1:02d}.asc"
         _write_grid_atomic(degrade(truth, dspec), layer_path)
         outputs.append(layer_path)

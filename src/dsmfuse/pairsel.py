@@ -25,6 +25,7 @@ from .rpc import (
     GroundPoint,
     InversionError,
     RpcModel,
+    check_probe,
     intersection_angle,
 )
 
@@ -94,13 +95,14 @@ def gate_pairs(
     """All unordered pairs whose intersection angle falls inside the gate.
 
     Pairs are canonicalized (id_a < id_b) and sorted by ascending angle, so
-    the output is invariant to the input ordering.  A pair whose angle
-    cannot be computed is dropped with a logged reason, not fatal.
+    the output is invariant to the input ordering.  A pair whose angle cannot
+    be computed is dropped with a logged reason; bad probe settings raise.
     """
     if gate is None:
         gate = PairGate()
     if len(models) < 2:
         raise ValueError(f"need at least 2 models to form pairs, got {len(models)}")
+    check_probe(dz_probe, meters_per_unit)
     records = []
     for i in range(len(models)):
         for j in range(i + 1, len(models)):

@@ -95,8 +95,8 @@ class GridGeometry:
     n_rows: int
 
     def __post_init__(self):
-        if not self.cell_size > 0:
-            raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError(
                 f"grid must be at least 1x1, got {self.n_cols}x{self.n_rows}"
@@ -164,15 +164,13 @@ def _cell_centers(geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _source_indices(src_geom: GridGeometry, target: GridGeometry):
-    """Fractional (col, row-from-bottom) coords of target cell centers in src.
-
-    Integer coordinate k means the center of source column/row k.
-    """
-    xs, ys = _cell_centers(target)
-    gx = _snap((xs - src_geom.origin_x) / src_geom.cell_size - 0.5)
-    gyb = _snap((ys - src_geom.origin_y) / src_geom.cell_size - 0.5)
-    return np.meshgrid(gx, gyb)  # each (n_rows_t, n_cols_t)
+def _at(src: RasterGrid, rb: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``src``'s values at integer rows-from-bottom ``rb`` and columns ``c``, broadcast
+    against each other and clamped onto the grid, and whether each lies on it."""
+    g = src.geometry
+    on = (rb >= 0) & (rb < g.n_rows) & (c >= 0) & (c < g.n_cols)
+    r = g.n_rows - 1 - np.clip(rb, 0, g.n_rows - 1)
+    return src.values[r, np.clip(c, 0, g.n_cols - 1)], on
 
 
 def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") -> RasterGrid:
@@ -183,85 +181,48 @@ def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") ->
     centers; when any of the four is invalid it falls back to the nearest
     valid one of the four, and to nodata when none is valid.  Onto the
     source's own geometry both are exact, so ``src`` itself is returned.
+
+    ``src`` is held whole, but the output is filled a strip of rows at a time
+    within the ``strip_rows`` budget and is the only whole-grid array made:
+    at 2048x2048 a resample holds 34 MB beyond ``src``, 33.5 MB of it output.
     """
     if method not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resampling method {method!r}")
     if target == src.geometry:
         return src
-    if method == "nearest":
-        return _resample_nearest(src, target)
-    return _resample_bilinear(src, target)
-
-
-def _resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:
-    g = src.geometry
+    g, nodata = src.geometry, src.nodata
     xs, ys = _cell_centers(target)
-    u, v = np.meshgrid((xs - g.origin_x) / g.cell_size, (ys - g.origin_y) / g.cell_size)
-    col = np.floor(u).astype(np.int64)
-    row_b = np.floor(v).astype(np.int64)
-    inside = (col >= 0) & (col < g.n_cols) & (row_b >= 0) & (row_b < g.n_rows)
-    row = g.n_rows - 1 - np.clip(row_b, 0, g.n_rows - 1)
-    col_c = np.clip(col, 0, g.n_cols - 1)
-    out = np.where(inside, src.values[row, col_c], src.nodata)
-    return RasterGrid(target, out, src.nodata)
-
-
-def _resample_bilinear(src: RasterGrid, target: GridGeometry) -> RasterGrid:
-    g = src.geometry
-    vals = src.values
-    valid = src.valid_mask()
-    gx, gyb = _source_indices(g, target)
-    c0 = np.floor(gx).astype(np.int64)
-    rb0 = np.floor(gyb).astype(np.int64)
-    fx = gx - c0
-    fy = gyb - rb0
-
-    def corner(dc, drb):
-        c = c0 + dc
-        rb = rb0 + drb
-        inb = (c >= 0) & (c < g.n_cols) & (rb >= 0) & (rb < g.n_rows)
-        cc = np.clip(c, 0, g.n_cols - 1)
-        r = g.n_rows - 1 - np.clip(rb, 0, g.n_rows - 1)
-        v = vals[r, cc]
-        ok = inb & valid[r, cc]
-        return v, ok
-
-    v00, ok00 = corner(0, 0)
-    v10, ok10 = corner(1, 0)
-    v01, ok01 = corner(0, 1)
-    v11, ok11 = corner(1, 1)
-
-    all4 = ok00 & ok10 & ok01 & ok11
-    bil = (
-        (1 - fx) * (1 - fy) * v00
-        + fx * (1 - fy) * v10
-        + (1 - fx) * fy * v01
-        + fx * fy * v11
-    )
-
-    # fallback: nearest valid support corner strictly within one cell of
-    # the sample point.  The strict bound keeps identity resampling exact:
-    # a point on an invalid cell's center has no eligible neighbor (the
-    # others sit at distance >= 1) and stays nodata.  Exact hits (fx=fy=0)
-    # route here too, resolving to the hit corner at distance zero.
-    cand_v = np.stack([v00, v10, v01, v11])
-    cand_d = np.stack(
-        [
-            fx**2 + fy**2,
-            (1 - fx) ** 2 + fy**2,
-            fx**2 + (1 - fy) ** 2,
-            (1 - fx) ** 2 + (1 - fy) ** 2,
-        ]
-    )
-    cand_ok = np.stack([ok00, ok10, ok01, ok11]) & (cand_d < 1.0)
-    cand_d = np.where(cand_ok, cand_d, np.inf)
-    pick = np.argmin(cand_d, axis=0)
-    near_v = np.take_along_axis(cand_v, pick[None], axis=0)[0]
-    any_ok = cand_ok.any(axis=0)
-
-    exact = (fx == 0) & (fy == 0)
-    out = np.where(all4 & ~exact, bil, np.where(any_ok, near_v, src.nodata))
-    return RasterGrid(target, out, src.nodata)
+    # per-axis source coordinates; integer k is column/row k's left/bottom edge ...
+    u, v = (xs - g.origin_x) / g.cell_size, ((ys - g.origin_y) / g.cell_size)[:, None]
+    if method == "bilinear":  # ... and here its center
+        u, v = _snap(u - 0.5), _snap(v - 0.5)
+    c0, rb0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+    fx, fy = u - c0, v - rb0
+    wx, wy = (1 - fx, fx), (1 - fy, fy)  # bilinear weights of corner offsets 0 and 1
+    out = np.empty((target.n_rows, target.n_cols))
+    rows = strip_rows(target.n_cols, 16)  # a bilinear strip's temporaries share one budget
+    for s in (slice(r, r + rows) for r in range(0, target.n_rows, rows)):
+        if method == "nearest":
+            vals, on = _at(src, rb0[s], c0)
+            out[s] = np.where(on, vals, nodata)
+            continue
+        # fallback: the first nearest valid support corner strictly within one
+        # cell of the sample point.  The strict bound keeps identity resampling
+        # exact: a point on an invalid cell's center has no eligible neighbor (the
+        # others sit at distance >= 1) and stays nodata.  Exact hits (fx=fy=0)
+        # route here too, resolving to the hit corner at distance zero.
+        near, best, all4 = nodata, np.inf, True
+        for dc, drb in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            vals, on = _at(src, rb0[s] + drb, c0 + dc)
+            ok = on & valid(vals, nodata)
+            term = wx[dc] * wy[drb][s] * vals
+            bil = term if dc + drb == 0 else bil + term
+            d = wx[1 - dc] ** 2 + wy[1 - drb][s] ** 2
+            take = ok & (d < 1.0) & (d < best)
+            near, best, all4 = np.where(take, vals, near), np.where(take, d, best), all4 & ok
+        out[s] = np.where(all4 & ~((fx == 0) & (fy[s] == 0)), bil, near)
+    out.flags.writeable = False
+    return RasterGrid(target, out, nodata)
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")

@@ -256,6 +256,13 @@ def apply_bias(model: RpcModel, shift: tuple[float, float, float]) -> RpcModel:
     )
 
 
+def check_probe(dz_probe: float, meters_per_unit: float) -> None:
+    """Raise ``ValueError`` unless both ray-probe settings are finite and > 0."""
+    for name, value in (("dz_probe", dz_probe), ("meters_per_unit", meters_per_unit)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def viewing_ray(
     model: RpcModel,
     at: GroundPoint,
@@ -268,8 +275,7 @@ def viewing_ray(
     coordinates at heights z and z + dz_probe, with the horizontal ground
     axes converted to meters by ``meters_per_unit``.
     """
-    if not dz_probe > 0:
-        raise ValueError(f"dz_probe must be > 0, got {dz_probe}")
+    check_probe(dz_probe, meters_per_unit)
     ip = project(model, at)
     g0 = invert(model, ip, at.z)
     g1 = invert(model, ip, at.z + dz_probe)

@@ -13,11 +13,17 @@ zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .raster import GridGeometry, RasterGrid
+
+
+def _require_finite(spec, *names: str) -> None:
+    if bad := [name for name in names if not math.isfinite(getattr(spec, name))]:
+        raise ValueError(f"{bad[0]} must be finite, got {getattr(spec, bad[0])}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,9 @@ class Building:
     n_rows: int
     height: float
     intensity: float
+
+    def __post_init__(self):
+        _require_finite(self, "height", "intensity")
 
 
 @dataclass
@@ -48,6 +57,7 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("scene must be at least 1x1 cells")
+        _require_finite(self, "cell_size", "ground_height", "ground_intensity")
         for b in self.buildings:
             if b.height < 0:
                 raise ValueError(f"building height must be >= 0, got {b.height}")
@@ -69,6 +79,7 @@ class DegradeSpec:
     hole_prob: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "gaussian_sigma", "spike_amp")
         if self.gaussian_sigma < 0:
             raise ValueError("gaussian_sigma must be >= 0")
         for name in ("spike_prob", "hole_prob"):

@@ -684,6 +684,17 @@ class TestRank:
             "id_a,id_b,angle_deg,rank_rmse_m,selected"
         ]
 
+    @pytest.mark.parametrize("mpu", ["0", "nan", "inf"])
+    def test_meters_per_unit_out_of_range_exit_4(self, tmp_path, capsys, mpu):
+        self.build_inputs(tmp_path)
+        out = tmp_path / "ranked.csv"
+        code = main(["rank", "--manifest", str(tmp_path / "pairs.csv"),
+                     "--truth", str(tmp_path / "truth.asc"), "--at", "0", "0", "0",
+                     "--meters-per-unit", mpu, "--out", str(out)])
+        assert code == 4
+        assert "meters_per_unit must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_manifest_exit_2(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "truth.asc")
         code = main(["rank", "--manifest", str(tmp_path / "nope.csv"),
@@ -807,6 +818,18 @@ class TestRpcCommand:
     def test_missing_action_exit_4(self):
         assert main(["rpc"]) == 4
 
+    @pytest.mark.parametrize("mpu", ["0", "nan", "inf"])
+    def test_meters_per_unit_out_of_range_exit_4(self, tmp_path, capsys, mpu):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        write_rpc(linear_ray_model(0.3), tmp_path / "b.rpc")
+        code = main(["rpc", "angle", "--rpc", str(tmp_path / "a.rpc"),
+                     "--rpc-b", str(tmp_path / "b.rpc"), "--u", "0", "--v", "0", "--z", "0",
+                     "--meters-per-unit", mpu])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"meters_per_unit must be finite and > 0, got {float(mpu)}" in err
+
     @pytest.mark.parametrize("action, key, token", [
         ("project", "U_SCALE", "nan"), ("angle", "SAMP_NUM_COEFF_4", "inf"),
     ])
@@ -871,6 +894,25 @@ class TestSynthCommand:
                      "--out", "fused_median.asc"]) == 0
         for name, digest in pinned.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("flags, scene_line, name", [
+        (["--sigma-start", "nan", "--sigma-end", "nan"], None, "gaussian_sigma"),
+        (["--spike-amp", "inf"], None, "spike_amp"),
+        ([], "ground_height=nan", "ground_height"),
+        ([], "cell_size=inf", "cell_size"),
+        ([], "cell_size=0", "cell_size"),
+        ([], "building=6,5,10,8,-inf,170", "height"),
+    ])
+    def test_bad_parameter_exit_4_writes_nothing(
+        self, tmp_path, capsys, scene_dir, flags, scene_line, name
+    ):
+        if scene_line:
+            scene_dir.write_text(scene_dir.read_text() + scene_line + "\n")
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--scene", str(scene_dir), "--layers", "3", *flags,
+                     "--out-dir", str(out_dir)]) == 4
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_scene_key_exit_4(self, tmp_path):
         bad = tmp_path / "scene.txt"

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dsmfuse import raster
 from dsmfuse.raster import (
     AsciiGridError,
     GridGeometry,
@@ -16,8 +17,6 @@ from dsmfuse.raster import (
     RasterGrid,
     RowLengthError,
     UnparseableNumberError,
-    _resample_bilinear,
-    _resample_nearest,
     read_asc,
     resample,
     write_asc,
@@ -39,6 +38,12 @@ def pgm_of(grid, path, rows=None):
     strips = [vals[r : r + rows] for r in range(0, len(vals), rows)]
     lo, hi = vals.min(initial=np.inf, where=ok), vals.max(initial=-np.inf, where=ok)
     write_pgm(strips, path, grid.geometry, grid.nodata, lo, hi)
+
+
+def enlarged(geom, k):
+    """``geom`` with ``k`` more cells on every side."""
+    return GridGeometry(geom.origin_x - k * geom.cell_size, geom.origin_y - k * geom.cell_size,
+                        geom.cell_size, geom.n_cols + 2 * k, geom.n_rows + 2 * k)
 
 
 def cell_at(geom, x, y):
@@ -86,13 +91,22 @@ class TestWorldToCell:
             )
             unique = np.arange(geom.n_rows * geom.n_cols).reshape(geom.n_rows, geom.n_cols)
             src = RasterGrid(geom, unique)
-            assert np.array_equal(_resample_nearest(src, geom).values, unique)
+            k = int(rng.integers(1, 4))
+            out = resample(src, enlarged(geom, k), "nearest").values.copy()
+            assert np.array_equal(out[k:-k, k:-k], unique)
+            out[k:-k, k:-k] = src.nodata
+            assert np.all(out == src.nodata)
 
 
 class TestGeometryValidation:
     def test_rejects_nonpositive_cell(self):
         with pytest.raises(ValueError):
             GridGeometry(0, 0, 0.0, 4, 4)
+
+    @pytest.mark.parametrize("cell", [math.inf, math.nan])
+    def test_rejects_non_finite_cell(self, cell):
+        with pytest.raises(ValueError, match="cell_size must be finite"):
+            GridGeometry(0, 0, cell, 4, 4)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
@@ -117,10 +131,55 @@ class TestResample:
         src = make_grid(vals, origin=(12.5, -33.25), cell=0.3)
         for method in ("nearest", "bilinear"):
             assert resample(src, src.geometry, method) is src
-        # the interpolating paths are exact on the identity too
-        for path in (_resample_nearest, _resample_bilinear):
-            out = path(src, src.geometry)
-            assert np.array_equal(out.values, src.values)
+        # the interpolating paths are exact on cell-aligned targets too, and
+        # the cells around the source get no value
+        for method in ("nearest", "bilinear"):
+            out = resample(src, enlarged(src.geometry, 2), method).values.copy()
+            assert out[2:-2, 2:-2].tobytes() == src.values.tobytes()
+            out[2:-2, 2:-2] = src.nodata
+            assert np.all(out == src.nodata)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_strip_height_does_not_change_bytes(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_rows, n_cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        vals = rng.choice([-9999.0, np.nan, -0.0, 0.0, 1.5], size=(n_rows, n_cols))
+        vals = np.where(rng.random(vals.shape) < 0.5, rng.normal(0, 10, vals.shape), vals)
+        src = make_grid(vals, origin=tuple(rng.uniform(-50, 50, 2)), cell=rng.uniform(0.1, 3))
+        g = src.geometry
+        ratio = data.draw(st.sampled_from([0.5, 1.0, 2.0, 1 / 3, 3.0]) | st.floats(0.2, 4.0))
+        target = GridGeometry(
+            g.origin_x + data.draw(st.floats(-3, 3)) * g.cell_size,
+            g.origin_y + data.draw(st.floats(-3, 3)) * g.cell_size,
+            g.cell_size * ratio, data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30)),
+        )
+        budget = data.draw(st.integers(1, 1 << 16))
+        for method in ("nearest", "bilinear"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(raster, "_STRIP_BYTES", 1 << 30)
+                whole = resample(src, target, method).values
+                mp.setattr(raster, "_STRIP_BYTES", budget)
+                cut = resample(src, target, method).values
+            assert cut.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("method", ["nearest", "bilinear"])
+    def test_peak_memory_is_the_output_and_a_strip(self, method):
+        # numpy reports its buffers to tracemalloc, so the traced peak covers
+        # every array the resample makes
+        import tracemalloc
+
+        n = 800
+        src = make_grid(np.random.default_rng(2).normal(size=(n, n)))
+        target = GridGeometry(0.5, 0.0, 1.0, n, n)
+        tracemalloc.start()
+        try:
+            out = resample(src, target, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.geometry == target
+        assert peak < n * n * 8 + 2 * 2**20, peak
 
     def test_all_nodata_stays_all_nodata(self):
         src = make_grid(np.full((4, 4), -9999.0))

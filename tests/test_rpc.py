@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,13 @@ class TestIntersectionAngle:
         m = linear_ray_model()
         with pytest.raises(ValueError):
             intersection_angle(m, m, GroundPoint(0, 0, 0), dz_probe=0.0)
+
+    @pytest.mark.parametrize("key", ["dz_probe", "meters_per_unit"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_probe_settings_out_of_range(self, key, bad):
+        m = linear_ray_model()
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+            intersection_angle(m, m, GroundPoint(0, 0, 0), **{key: bad})
 
 
 class TestRpcFile:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,22 @@ class TestDegrade:
             DegradeSpec(seed=1, spike_prob=1.5)
         with pytest.raises(ValueError):
             DegradeSpec(seed=1, gaussian_sigma=-0.1)
+
+
+_VALID = {
+    Building: dict(col=0, row=0, n_cols=2, n_rows=2, height=10.0, intensity=100.0),
+    SceneSpec: dict(seed=1, width=4, height=4),
+    DegradeSpec: dict(seed=1),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", [
+    (Building, "height"), (Building, "intensity"),
+    (SceneSpec, "cell_size"), (SceneSpec, "ground_height"), (SceneSpec, "ground_intensity"),
+    (DegradeSpec, "gaussian_sigma"), (DegradeSpec, "spike_amp"),
+])
+def test_non_finite_parameter_rejected(cls, name, bad):
+    cls(**_VALID[cls])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{**_VALID[cls], name: bad})
