@@ -277,14 +277,14 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
             inputs, len(opts.layers), opts.target_geometry, opts.resample_method, exits
         )
         nodata = sources[0].nodata
-        header = asc_header(target, nodata)
+        header = asc_header(target, nodata).encode("ascii")
         strips = _ortho_checked(read_strips(sources)) if adaptive else read_strips(sources)
         fused_rows = fuse_strips(strips, fcfg if adaptive else None, opts.jobs)
         exits.enter_context(closing(fused_rows))
         # the fused rows again, for the preview's min-max stretch once all are seen
         spill = exits.enter_context(tempfile.TemporaryFile(dir=out.parent))
         vmin, vmax = np.inf, -np.inf
-        with _atomic(out) as tmp, open(tmp, "w", encoding="ascii") as f:
+        with _atomic(out) as tmp, open(tmp, "wb") as f:
             f.write(header)
             for rows in fused_rows:
                 rows[~np.isfinite(rows)] = nodata

@@ -15,7 +15,8 @@ Conventions (stated once, used everywhere):
 Grids are immutable after construction (the value array is a read-only
 copy), so any number of concurrent readers is safe.  ``GridReader`` parses
 an ASCII grid a strip of rows at a time, ``write_rows`` writes rows, so a
-caller can stream a grid through either without holding it whole.
+caller can stream a grid through either without holding it whole.  Cells
+print as ``%.6f`` from digit tables in numpy, exactly (see ``write_rows``).
 """
 
 from __future__ import annotations
@@ -393,18 +394,66 @@ def asc_header(geometry: GridGeometry, nodata: float) -> str:
     )
 
 
-def write_rows(f, rows: np.ndarray, token: str = "%.6f") -> None:
-    """Write each row as one ``%`` of a row template: every value is ``token % v``."""
-    row_fmt = " ".join([token] * rows.shape[1]) + "\n"
-    for row in rows:
-        f.write(row_fmt % tuple(row.tolist()))
+# 3-digit groups: k zero-padded, 1000 + k with leading zeros NUL, 2000 + k the
+# same but 0 as 0.  A slot: sign, 9 digits, [dot, 6 digits,] separator.
+_DIGITS = np.array([b"%03d" % k for k in range(1000)]
+                   + [(b"%3d" % k).replace(b" ", b"\0") if k else b"" for k in range(1000)]
+                   + [(b"%3d" % k).replace(b" ", b"\0") for k in range(1000)], "S3")
+_INT_SLOT = np.dtype([("sign", "u1"), ("g0", "S3"), ("g1", "S3"), ("g2", "S3"), ("sep", "u1")])
+_FLOAT_SLOT = np.dtype(_INT_SLOT.descr[:-1] + [("dot", "u1"), ("g3", "S3"), ("g4", "S3"), ("sep", "u1")])
+
+
+def _tokens(rows: np.ndarray) -> np.ndarray:
+    """The bytes ``write_rows`` prints for ``rows``, as uint8."""
+    if np.issubdtype(rows.dtype, np.integer):
+        v = rows.reshape(-1)
+        fits = (v > -(10**9)) & (v < 10**9)
+        m, neg, slot, token, scale = np.where(fits, np.abs(v), 0), v < 0, _INT_SLOT, b"%d", 1
+    else:
+        v = rows.reshape(-1).astype(np.float64, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = v * 1e6
+            n = np.rint(x)
+            fits = (np.abs(np.abs(x - n) - 0.5) > np.abs(x) * 2.0**-52) & (np.abs(n) < 1e15)
+        m = np.where(fits, np.abs(n), 0).astype(np.int64)
+        neg, slot, token, scale = np.signbit(v), _FLOAT_SLOT, b"%.6f", 10**6
+    slow = np.flatnonzero(~fits)
+    fallback = [token % t for t in v[slow].tolist()]
+    width = max([slot.itemsize, *(len(t) + 1 for t in fallback)])
+    u8 = np.zeros((v.size, width), np.uint8)
+    rec = u8[:, width - slot.itemsize :].view(slot)[:, 0]
+    rec["sign"], rec["sep"] = np.where(neg, ord("-"), 0), ord(" ")
+    ints = m // scale
+    offsets = [(ints < 1000) * 2000, (ints < 10**6) * 1000, 1000]  # least significant group first
+    if scale > 1:
+        rec["dot"], offsets = ord("."), [0, 0, *offsets]
+    for k, offset in enumerate(offsets):
+        q = m // 1000
+        rec[f"g{len(offsets) - 1 - k}"] = _DIGITS.take(m - q * 1000 + offset)
+        m = q
+    u8.reshape(*rows.shape, width)[:, -1, -1] = ord("\n")
+    padded = b"".join(t.rjust(width - 1, b"\0") for t in fallback)
+    u8[slow, :-1] = np.frombuffer(padded, np.uint8).reshape(len(slow), width - 1)
+    return u8[u8 != 0]
+
+
+def write_rows(f, rows: np.ndarray) -> None:
+    """Write 2-D ``rows`` to binary file ``f`` as ASCII-grid lines, integers as
+    ``%d`` and others as ``%.6f``, with the bytes ``%`` gives, a chunk of rows at
+    a time: in numpy, ``n = rint(x)`` for ``x = v * 1e6`` is cut into 3-digit
+    groups printed from ``_DIGITS``.  ``x`` is within ``|x| 2**-53`` of the exact
+    product, so ``n`` is right wherever ``x`` is over ``|x| 2**-52`` from a half;
+    other values (near ties, non-finite, ``|n| >= 1e15``) are printed by ``%``."""
+    step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
+    for r in range(0, len(rows), step):
+        f.write(_tokens(rows[r : r + step]))
 
 
 def write_asc(grid: RasterGrid, path) -> None:
     """Write in ASCII-grid format (``asc_header``), values printed with 6 decimals."""
     header = asc_header(grid.geometry, grid.nodata)
-    with open(path, "w", encoding="ascii") as f:
-        f.write(header)
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
         write_rows(f, grid.values)
 
 
@@ -420,8 +469,8 @@ def write_pgm(strips, path, geometry: GridGeometry, nodata: float, vmin, vmax) -
     nodata.  Each strip is scaled and written on its own, so the output
     does not depend on how the rows are cut into strips.
     """
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"P2\n{geometry.n_cols} {geometry.n_rows}\n255\n")
+    with open(path, "wb") as f:
+        f.write(b"P2\n%d %d\n255\n" % (geometry.n_cols, geometry.n_rows))
         for vals in strips:
             scaled = np.rint((vals - vmin) / (vmax - vmin) * 255.0) if vmax > vmin else 255
-            write_rows(f, np.where(valid(vals, nodata), scaled, 0).astype(np.int64), "%d")
+            write_rows(f, np.where(valid(vals, nodata), scaled, 0).astype(np.int64))

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import re
@@ -458,8 +459,8 @@ def _reference_values(path, n_rows, n_cols, n_header):
 
 
 class TestCodecByteParity:
-    """The row-template codecs keep the bytes and grammar of per-value
-    ``f"{v:.6f}"`` / ``str(v)`` formatting and per-token ``float()``."""
+    """The codecs keep the bytes and grammar of per-value ``f"{v:.6f}"`` /
+    ``str(v)`` formatting and per-token ``float()``."""
 
     def test_binary_ties_round_half_even(self, tmp_path):
         p = tmp_path / "g.asc"
@@ -474,6 +475,71 @@ class TestCodecByteParity:
         rows = p.read_text().split("\n")[6:]
         assert rows[-1] == ""
         assert [r.split(" ") for r in rows[:-1]] == [[f"{v:.6f}" for v in row] for row in vals]
+
+    def _assert_tokens_match_fstring(self, tmp_path, values, n_cols):
+        vals = np.asarray(values, np.float64).reshape(-1, n_cols)
+        p = _fresh(tmp_path, ".asc")
+        write_asc(make_grid(vals), p)
+        rows = p.read_text().split("\n")[6:]
+        assert rows[-1] == ""
+        got = [tok for row in rows[:-1] for tok in row.split(" ")]
+        expected = [f"{v:.6f}" for v in vals.ravel().tolist()]
+        assert len(got) == len(expected)
+        bad = [(v, g, e) for v, g, e in zip(vals.ravel().tolist(), got, expected) if g != e]
+        assert not bad, bad[:5]
+
+    def test_binary_fractions_match_fstring(self, tmp_path):
+        k = np.arange(-20000, 20000, dtype=np.float64)
+        self._assert_tokens_match_fstring(tmp_path, np.concatenate([k / 128, k / 2**20]), 400)
+
+    def test_neighbours_of_six_decimal_halves_match_fstring(self, tmp_path):
+        rng = np.random.default_rng(7)
+        k = np.concatenate([np.arange(-5000, 5000), rng.integers(-10**15, 10**15, 10000)])
+        halves = (k + 0.5) / 1e6
+        values = [halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)]
+        self._assert_tokens_match_fstring(tmp_path, np.concatenate(values), 300)
+
+    def test_large_non_finite_and_signed_zero_match_fstring(self, tmp_path):
+        values = [1e9, -1e9, 1e300, -1e300, np.nextafter(1e9, 0), 999999999.9999996,
+                  np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, -1e-9, -4e-7, 1e15]
+        self._assert_tokens_match_fstring(tmp_path, values, 4)
+
+    def test_log_uniform_sweep_matches_fstring(self, tmp_path):
+        rng = np.random.default_rng(11)
+        magnitude = np.exp(rng.uniform(np.log(1e-17), np.log(1e12), 10**5))
+        self._assert_tokens_match_fstring(tmp_path, magnitude * rng.choice([-1, 1], 10**5), 500)
+
+    def test_integer_rows_match_str(self):
+        vals = np.array([[0, -1, 999_999_999, 10**9, -(10**9), -(2**63)], [2**63 - 1, 7, 0, 1000, -1000, 5]])
+        f = io.BytesIO()
+        raster.write_rows(f, vals)
+        assert f.getvalue().decode() == "".join(" ".join(map(str, row)) + "\n" for row in vals.tolist())
+
+    def test_chunk_boundaries_do_not_show(self, tmp_path, monkeypatch):
+        # fallback tokens of different widths in different rows: a chunk's
+        # slots widen to fit its own tokens only
+        vals = np.random.default_rng(3).normal(0.0, 100.0, (9, 7))
+        vals[[1, 4, 6], [2, 0, 6]] = [1e300, np.nan, 0.0078125]
+        whole, cut = tmp_path / "whole.asc", tmp_path / "cut.asc"
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 1 << 30)
+        write_asc(make_grid(vals), whole)
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 1)  # one row per chunk
+        write_asc(make_grid(vals), cut)
+        assert cut.read_bytes() == whole.read_bytes()
+
+    def test_write_asc_peak_memory_is_a_chunk(self, tmp_path):
+        # numpy reports its buffers to tracemalloc, so the traced peak covers
+        # every array the writer makes
+        import tracemalloc
+
+        grid = make_grid(np.random.default_rng(5).normal(50.0, 20.0, (2048, 2048)))
+        tracemalloc.start()
+        try:
+            write_asc(grid, tmp_path / "big.asc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     @_fixture_ok
     @given(gray=arrays(np.int64, _grids, elements=st.integers(0, 255)), data=st.data())
