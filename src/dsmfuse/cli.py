@@ -33,8 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .fusion import DepthStack, FusionConfig, adaptive_median_fuse, fuse_strips, median_fuse
-from .fusion import read_strips
+from .fusion import FusionConfig, fuse_strips, read_strips
 from .pairsel import (
     ManifestError,
     PairGate,
@@ -286,7 +285,7 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
         vmin, vmax = np.inf, -np.inf
         with _atomic(out) as tmp, open(tmp, "wb") as f:
             f.write(header)
-            for rows in fused_rows:
+            for (rows,) in fused_rows:
                 rows[~np.isfinite(rows)] = nodata
                 write_rows(f, rows)
                 ok = valid(rows, nodata)
@@ -376,27 +375,29 @@ def cmd_curve(opts: SimpleNamespace) -> int:
     _require(opts, "layers", "ortho", "truth", "out")
     fcfg, acfg = _fusion_config(opts), _align_config(opts)
     out = _out_path(opts)
+    inputs, ks = [*opts.layers, opts.ortho], range(1, len(opts.layers) + 1)
     with ExitStack() as exits:
-        target, sources = _open_sources(
-            [*opts.layers, opts.ortho], len(opts.layers), None, opts.resample_method, exits
-        )
-        stack = np.concatenate(list(_ortho_checked(read_strips(sources))))
-    *layers, ortho = [RasterGrid(target, stack[..., k]) for k in range(stack.shape[2])]
-    truth = read_asc(opts.truth)
+        target, sources = _open_sources(inputs, len(ks), None, opts.resample_method, exits)
+        truth = exits.enter_context(GridReader(opts.truth))  # its header checked before fusing
+        fused = np.empty((2, len(ks), target.n_rows, target.n_cols))  # adaptive, median
+
+        def medians_too(strips, r=0):  # ks stops short of the ortho: the median sorts copies
+            for strip in strips:
+                fused[1, :, r : r + len(strip)] = next(fuse_strips([strip], ks=ks))
+                r += len(strip)
+                yield strip
+        r = 0
+        for rows in fuse_strips(medians_too(_ortho_checked(read_strips(sources))), fcfg, opts.jobs, ks):
+            fused[0, :, r : r + rows.shape[1]] = rows
+            r += rows.shape[1]
+        truth = RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata)
 
     lines = ["k,rmse_adaptive_m,rmse_median_m"]
-    for k in range(1, len(layers) + 1):
-        top = DepthStack(layers=layers[:k])
-        fused_a = adaptive_median_fuse(top, ortho, fcfg, jobs=opts.jobs)
-        fused_m = median_fuse(top)
-        res_a = align(fused_a, truth, acfg)
-        res_m = align(fused_m, truth, acfg)
+    for k in ks:
+        res_a, res_m = (align(RasterGrid.from_nan(target, f[k - 1]), truth, acfg) for f in fused)
         lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
     _write_text_atomic("\n".join(lines) + "\n", out)
-    _write_manifest(
-        out, "curve", list(opts.layers) + [opts.ortho, opts.truth], [out], opts,
-        started=started,
-    )
+    _write_manifest(out, "curve", [*inputs, opts.truth], [out], opts, started=started)
     return EXIT_OK
 
 

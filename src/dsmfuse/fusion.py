@@ -20,11 +20,11 @@ Two fusion operators:
 W(x0) = 1 is the maximum of W, so weights need no further normalization.
 The median of an even candidate count is the average of the two middle
 values.  Fusion streams: ``read_strips`` reads the grids in lockstep, a row
-strip at a time within one byte budget, ``fuse_strips`` fuses each strip,
-carrying a radius-row halo to the next; the adaptive kernel runs on row
-blocks within a candidate-byte budget, ``_BLOCK_BYTES``, and ``jobs`` > 1
-shares a strip's blocks among processes.  Results are bit-identical for
-any strip height, block height and worker count.
+strip at a time within one byte budget, and ``fuse_strips`` fuses each strip
+for every layer count in ``ks`` with one gate and one gather per row block of
+at most ``_BLOCK_BYTES`` candidate bytes, carrying a radius-row halo to the
+next; ``jobs`` > 1 shares a strip's blocks among processes.  Results are
+bit-identical for any strip height, block height, worker count and ``ks``.
 
 The block budget is 2 MiB.  A block's candidates, weights and masks are
 the adaptive fuse's largest allocation, so the budget sets its peak
@@ -53,7 +53,7 @@ class FusionConfig:
     """Adaptive-window parameters.
 
     delta_s is in cells, delta_i in gray levels on a 0-255 intensity scale,
-    gamma in (0, 1], radius in cells (half-width of the square search
+    gamma in (0, 1), radius in cells (half-width of the square search
     window).  Only the average-of-two-middles median tie rule is supported.
     """
 
@@ -67,8 +67,8 @@ class FusionConfig:
             raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
         if not self.delta_i > 0:
             raise ValueError(f"delta_i must be > 0, got {self.delta_i}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
@@ -97,10 +97,11 @@ class DepthStack:
 def _nan_median(a: np.ndarray) -> np.ndarray:
     """Median over the last axis ignoring NaN; all-NaN rows give NaN.
 
-    Sorts ``a`` in place.  Even counts average the two middle order
-    statistics.  Sort-based so the result is deterministic and independent
-    of candidate ordering.
+    Sorts ``a`` in place if it is C-contiguous, else a copy (a prefix of more grids).
+    Even counts average the two middle order statistics.  Sort-based so the
+    result is deterministic and independent of candidate ordering.
     """
+    a = np.ascontiguousarray(a)
     a.sort(axis=-1)  # NaN sorts to the end
     n = np.count_nonzero(~np.isnan(a), axis=-1)
     safe = np.maximum(n, 1)
@@ -124,17 +125,14 @@ def read_strips(grids):
         yield strip
 
 
-def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1):
-    """Fused NaN rows of ``read_strips`` strips: per-cell median of every grid
-    with ``cfg`` None, else the adaptive median with the ortho as last grid,
-    a strip's last ``radius`` rows waiting for the next strip."""
+def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None):
+    """Fused NaN rows of ``read_strips`` strips, (len(ks), rows, cols) at a time: for each
+    ascending k in ``ks`` (default: all layers), the median of the first k grids or, with
+    ``cfg``, their adaptive median (the ortho is the last grid; radius rows wait a strip)."""
     if cfg is None:
-        yield from map(_nan_median, strips)
+        yield from (np.stack([_nan_median(s[..., :k]) for k in ks or [s.shape[2]]]) for s in strips)
         return
-    offsets = _window_offsets(cfg)
-    if not offsets:  # gamma = 1 exactly: the strict gate admits no cell
-        yield from (np.full(strip.shape[:2], np.nan) for strip in strips)
-        return
+    offsets = _window_offsets(cfg)  # the center always passes a gamma below 1
     if jobs > 1:  # imported here: loading multiprocessing costs every command ~6 ms
         from concurrent.futures import ProcessPoolExecutor
     rad = cfg.radius
@@ -143,7 +141,7 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1):
     n_cols, n_layers = ahead.shape[1], ahead.shape[2] - 1
     width = n_cols + 2 * rad
     rows = max(1, _BLOCK_BYTES // (n_cols * len(offsets) * n_layers * 8))
-    fuse = partial(_fuse_block, offsets=offsets, cfg=cfg)
+    fuse = partial(_fuse_block, offsets=offsets, cfg=cfg, ks=ks or [n_layers])
     # padded heights and ortho not yet fused, under the halo above them
     held = np.full((rad, width, n_layers), np.nan), np.full((rad, width), np.nan)
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
@@ -165,11 +163,11 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1):
                 opads = [opad[r : r + rows + 2 * rad] for r in range(0, n_out, rows)]
                 # consecutive blocks in at most ``jobs`` chunks, one per worker
                 run = partial(pool.map, chunksize=-(-len(hpads) // jobs)) if pool else map
-                yield np.concatenate(list(run(fuse, hpads, opads)))
+                yield np.concatenate(list(run(fuse, hpads, opads)), axis=1)
 
 
 def _fuse_grids(grids, cfg: FusionConfig | None, jobs: int) -> RasterGrid:
-    fused = np.concatenate(list(fuse_strips(read_strips(grids), cfg, jobs)))
+    (fused,) = np.concatenate(list(fuse_strips(read_strips(grids), cfg, jobs)), axis=1)
     return RasterGrid.from_nan(grids[0].geometry, fused, grids[0].nodata)
 
 
@@ -221,8 +219,9 @@ def window_weights(opad, offsets, cfg: FusionConfig) -> np.ndarray:
     return w
 
 
-def _fuse_block(hpad, opad, offsets, cfg: FusionConfig) -> np.ndarray:
-    """Fuse one padded row block; hpad is (rows+2r, cols+2r, layers)."""
+def _fuse_block(hpad, opad, offsets, cfg: FusionConfig, ks) -> np.ndarray:
+    """Fuse one padded row block, hpad (rows+2r, cols+2r, layers), for each layer
+    count in ``ks``, ascending: a count of all layers sorts the candidates in place."""
     rad = cfg.radius
     member = window_weights(opad, offsets, cfg) > cfg.gamma
     n_rows, n_cols = member.shape[:2]
@@ -230,7 +229,7 @@ def _fuse_block(hpad, opad, offsets, cfg: FusionConfig) -> np.ndarray:
     for k, (di, dj, _) in enumerate(offsets):
         cands[:, :, k, :] = hpad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols]
     np.copyto(cands, np.nan, where=~member[..., None])
-    return _nan_median(cands.reshape(n_rows, n_cols, -1))
+    return np.stack([_nan_median(cands[..., :k].reshape(n_rows, n_cols, -1)) for k in ks])
 
 
 def adaptive_median_fuse(

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsmfuse import cli, raster
+from dsmfuse import cli, fusion, raster
 from dsmfuse.cli import main
 from dsmfuse.fusion import DepthStack, FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate
-from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, write_asc
-from dsmfuse.register import AlignConfig
+from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, resample, write_asc
+from dsmfuse.register import AlignConfig, align
 from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, write_rpc
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
@@ -487,6 +487,19 @@ class TestFlagTable:
         assert code == 4
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--mode", "adaptive", "--ortho", "ortho.asc"],
+        ["curve", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+    ], ids=["fuse", "curve"])
+    def test_gamma_one_exit_4_before_reading(self, capsys, monkeypatch, argv):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking --gamma")
+
+        monkeypatch.setattr(cli, "read_asc", no_read)
+        monkeypatch.setattr(cli, "GridReader", no_read)
+        assert main([*argv, "--layers", "l.asc", "--gamma", "1", "--out", "o.asc"]) == 4
+        assert "gamma must be in (0, 1), got 1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, message", [
         (["--threshold", "0"], "blunder_threshold must be > 0"),
         (["--max-search", "-1"], "max_search must be >= 0"),
@@ -761,6 +774,86 @@ class TestCurve:
         assert len(lines) == 4
         assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
 
+
+    @staticmethod
+    def _scene(tmp_path, n_layers):
+        """40x40 truth, layers with spikes and holes, and an ortho half a cell
+        east of them; returns the layer paths."""
+        truth, ortho = gen_scene(SceneSpec(seed=9, width=40, height=40, buildings=(
+            Building(5, 6, 14, 10, 18.0, 190.0), Building(24, 20, 10, 14, 9.0, 120.0),
+        )))
+        write_asc(truth, tmp_path / "truth.asc")
+        g = ortho.geometry
+        east = GridGeometry(g.origin_x + 0.5, g.origin_y, g.cell_size, g.n_cols, g.n_rows)
+        write_asc(RasterGrid(east, ortho.values), tmp_path / "ortho.asc")
+        paths = []
+        for i in range(n_layers):
+            spec = DegradeSpec(seed=70 + i, gaussian_sigma=0.3 + 0.4 * i,
+                               spike_prob=0.05, spike_amp=10.0, hole_prob=0.05)
+            paths.append(str(tmp_path / f"l{i}.asc"))
+            write_asc(degrade(truth, spec), paths[-1])
+        return paths
+
+    def _curve(self, tmp_path, paths, *extra):
+        return main(["curve", "--layers", *paths, "--ortho", str(tmp_path / "ortho.asc"),
+                     "--truth", str(tmp_path / "truth.asc"), "--max-search", "2", *extra,
+                     "--out", str(tmp_path / "curve.csv")])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rows_match_fusing_each_prefix_alone(self, tmp_path, monkeypatch, jobs):
+        paths = self._scene(tmp_path, 4)
+        # strips of 9 rows and blocks of 7, so halos and row offsets cross both
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 9 * 40 * 5 * 8)
+        n_offsets = len(fusion._window_offsets(FusionConfig()))
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 7 * 40 * n_offsets * 4 * 8)
+        assert self._curve(tmp_path, paths, "--jobs", jobs) == 0
+        monkeypatch.undo()
+        layers = [read_asc(p) for p in paths]
+        ortho = resample(read_asc(tmp_path / "ortho.asc"), layers[0].geometry)
+        truth, acfg = read_asc(tmp_path / "truth.asc"), AlignConfig(max_search=2)
+        want = ["k,rmse_adaptive_m,rmse_median_m"]
+        for k in range(1, 5):
+            top = DepthStack(layers[:k])
+            a, m = (align(f, truth, acfg).rmse_all
+                    for f in (adaptive_median_fuse(top, ortho, FusionConfig()), median_fuse(top)))
+            want.append(f"{k},{a:.6f},{m:.6f}")
+        assert (tmp_path / "curve.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_one_gate_per_block_for_every_k(self, tmp_path, monkeypatch):
+        paths = self._scene(tmp_path, 3)
+        calls = []
+
+        def counted(*args, _real=fusion.window_weights):
+            calls.append(args[0].shape)
+            return _real(*args)
+
+        monkeypatch.setattr(fusion, "window_weights", counted)
+        n_offsets = len(fusion._window_offsets(FusionConfig()))
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 7 * 40 * n_offsets * 3 * 8)
+        assert main(["fuse", "--layers", *paths, "--mode", "adaptive",
+                     "--ortho", str(tmp_path / "ortho.asc"),
+                     "--out", str(tmp_path / "fused.asc")]) == 0
+        fuse_calls = calls[:]
+        calls.clear()
+        assert self._curve(tmp_path, paths) == 0
+        assert len(fuse_calls) == 6 and calls == fuse_calls
+
+    @pytest.mark.parametrize("truth", ["missing", "bad header"])
+    def test_bad_truth_exit_2_before_fusing(self, tmp_path, capsys, monkeypatch, truth):
+        paths = self._scene(tmp_path, 2)
+        bad = tmp_path / "bad.asc"
+        if truth == "bad header":
+            bad.write_text("ncols 40\nnrows forty\n")
+
+        def no_fuse(*args):
+            raise AssertionError("fused a block before opening --truth")
+
+        monkeypatch.setattr(fusion, "_nan_median", no_fuse)
+        code = main(["curve", "--layers", *paths, "--ortho", str(tmp_path / "ortho.asc"),
+                     "--truth", str(bad), "--out", str(tmp_path / "curve.csv")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
 
     @pytest.mark.parametrize("command", ["curve", "fuse"])
     def test_ortho_outside_gray_scale_warns(self, tmp_path, command):

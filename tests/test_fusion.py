@@ -289,12 +289,11 @@ class TestAdaptiveMedianFuse:
         fused = adaptive_median_fuse(stack, ortho, FusionConfig(radius=1))
         assert fused.values[3, 3] == pytest.approx(10.0)
 
-    def test_gamma_exactly_one_gives_all_nodata(self, rng):
+    def test_gamma_exactly_one_rejected(self):
         # strict membership: nothing exceeds a threshold of 1, not even the
-        # center, so no cell has candidates
-        stack, ortho = random_stack(rng, 6, 6, 2)
-        out = adaptive_median_fuse(stack, ortho, FusionConfig(gamma=1.0))
-        assert not out.valid_mask().any()
+        # center, so every cell would be nodata; such a config is refused
+        with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\), got 1.0"):
+            FusionConfig(gamma=1.0)
 
     def test_geometry_mismatch_rejected(self, rng):
         stack, _ = random_stack(rng, 6, 6, 2)
@@ -325,17 +324,15 @@ def _budget_for_rows(stack, cfg, rows):
 class TestBlockPartition:
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("shape", [(23, 9), (1, 11)])
-    @pytest.mark.parametrize(
-        "cfg", [FusionConfig(), FusionConfig(radius=0), FusionConfig(gamma=1.0)]
-    )
+    @pytest.mark.parametrize("cfg", [
+        FusionConfig(), FusionConfig(radius=0), FusionConfig(delta_s=4.0, gamma=0.1, radius=5),
+    ])
     def test_any_block_height_is_bit_identical(self, rng, monkeypatch, cfg, shape, jobs):
         stack, ortho = random_stack(rng, *shape, 3)
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1 << 40)
         whole = adaptive_median_fuse(stack, ortho, cfg)
-        budgets = [1]  # smaller than one row: blocks of one row
-        if fusion._window_offsets(cfg):
-            budgets += [_budget_for_rows(stack, cfg, rows) for rows in (1, 2, 7)]
-        for budget in budgets:
+        # 1 is smaller than one row: blocks of one row
+        for budget in [1] + [_budget_for_rows(stack, cfg, rows) for rows in (1, 2, 7)]:
             monkeypatch.setattr(fusion, "_BLOCK_BYTES", budget)
             out = adaptive_median_fuse(stack, ortho, cfg, jobs=jobs)
             assert np.array_equal(out.values, whole.values), budget
@@ -345,9 +342,9 @@ class TestBlockPartition:
         heights = []
         real = fusion._fuse_block
 
-        def spy(hpad, opad, offsets, cfg):
+        def spy(hpad, opad, offsets, cfg, ks):
             heights.append(opad.shape[0] - 2 * cfg.radius)
-            return real(hpad, opad, offsets, cfg)
+            return real(hpad, opad, offsets, cfg, ks)
 
         monkeypatch.setattr(fusion, "_fuse_block", spy)
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, FusionConfig(), 7))
@@ -362,7 +359,9 @@ class TestStripPartition:
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize(
         "cfg",
-        [None, FusionConfig(), FusionConfig(radius=0), FusionConfig(radius=5), FusionConfig(gamma=1.0)],
+        # gamma1: gamma just below 1, the center-only window under a 3-row halo
+        [None, FusionConfig(), FusionConfig(radius=0), FusionConfig(radius=5),
+         FusionConfig(gamma=0.999999)],
         ids=["median", "default", "radius0", "radius5", "gamma1"],
     )
     def test_any_strip_height_is_bit_identical(self, rng, monkeypatch, cfg, jobs):
@@ -424,12 +423,45 @@ def test_layer_permutation_property(data):
     ortho = grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_intensities)))
     cfg = FusionConfig(
         radius=data.draw(st.integers(0, 2), label="radius"),
-        gamma=data.draw(st.sampled_from([0.3, 0.5, 0.9, 1.0]), label="gamma"),
+        gamma=data.draw(st.sampled_from([0.3, 0.5, 0.9, 0.999999]), label="gamma"),
     )
     order = data.draw(st.permutations(range(n_layers)), label="order")
     out = adaptive_median_fuse(DepthStack(layers=layers), ortho, cfg)
     permuted = adaptive_median_fuse(DepthStack(layers=[layers[i] for i in order]), ortho, cfg)
     assert np.array_equal(out.values, permuted.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_layer_prefixes_match_fusing_them_alone_property(data):
+    """Each prefix of one ``fuse_strips(..., ks=range(1, K + 1))`` pass has the
+    bits of a pass over its first k layers alone (plus the ortho), for any
+    strip heights and block budget, in both modes."""
+    n_rows = data.draw(st.integers(1, 9), label="rows")
+    n_cols = data.draw(st.integers(1, 6), label="cols")
+    n_layers = data.draw(st.integers(1, 5), label="layers")
+    layers = [
+        grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_heights)))
+        for _ in range(n_layers)
+    ]
+    cfg = data.draw(st.sampled_from(
+        [None, FusionConfig(), FusionConfig(radius=1), FusionConfig(delta_s=4.0, gamma=0.1)]
+    ), label="cfg")
+    ortho = [] if cfg is None else [
+        grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_intensities)))
+    ]
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_rows - 1)), label="cuts")) if n_rows > 1 else []
+
+    def fused(grids, cuts, **kwargs):
+        strips = np.split(np.concatenate(list(fusion.read_strips(grids))), cuts)
+        return np.concatenate(list(fusion.fuse_strips(strips, cfg, **kwargs)), axis=1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_BLOCK_BYTES", data.draw(st.integers(1, 5000), label="block bytes"))
+        every = fused(layers + ortho, cuts, ks=range(1, n_layers + 1))
+    for k in range(1, n_layers + 1):
+        (alone,) = fused(layers[:k] + ortho, [])
+        assert every[k - 1].tobytes() == alone.tobytes(), k
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,6 +517,8 @@ class TestConfigAndStack:
             FusionConfig(gamma=0.0)
         with pytest.raises(ValueError):
             FusionConfig(gamma=1.01)
+        with pytest.raises(ValueError):
+            FusionConfig(gamma=1.0)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Source hygiene: no private module-level name in ``src/dsmfuse`` is dead."""
+"""Source hygiene: no private module-level name in ``src/dsmfuse`` is dead,
+and no module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -22,15 +23,25 @@ def _private_definitions(tree):
         yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
 
 
-def _references(tree):
-    """Every name a parsed module reads, by bare name, attribute or import."""
+def _references(tree, imports=True):
+    """Every name a parsed module reads, by bare name, attribute or (with
+    ``imports``) import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
+
+
+def _imported_names(tree):
+    """Every name an import binds in a parsed module, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
 
 
 def test_every_private_module_name_is_used_in_src():
@@ -43,3 +54,12 @@ def test_every_private_module_name_is_used_in_src():
         if name not in used
     ]
     assert not dead, f"defined but never used in src/dsmfuse: {dead}"
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = set(_references(tree, imports=False))
+        unused += [f"{path.name}:{name}" for name in _imported_names(tree) if name not in read]
+    assert not unused, f"imported but never read in src/dsmfuse: {unused}"
