@@ -27,6 +27,7 @@ import tempfile
 import time
 import warnings
 from contextlib import ExitStack, closing, contextmanager
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,7 +38,6 @@ from .fusion import FusionConfig, fuse_strips, read_strips
 from .pairsel import (
     ManifestError,
     PairGate,
-    PairRecord,
     gate_pairs,
     rank_pairs,
     read_pair_manifest,
@@ -271,6 +271,8 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
     inputs = list(opts.layers) + ([opts.ortho] if adaptive else [])
     out = _out_path(opts)
     preview = out.with_suffix(".pgm")
+    if preview == out:
+        raise ConfigError(f"--out {out} would be overwritten by its .pgm preview")
     with ExitStack() as exits:
         target, sources = _open_sources(
             inputs, len(opts.layers), opts.target_geometry, opts.resample_method, exits
@@ -305,39 +307,26 @@ def cmd_rank(opts: SimpleNamespace) -> int:
     out = _out_path(opts)
     entries = read_pair_manifest(opts.manifest)
     truth = read_asc(opts.truth)
-    if opts.at is None:
-        cx, cy = truth.geometry.center_point()
-        at = GroundPoint(cx, cy, 0.0)
-    else:
-        at = GroundPoint(*opts.at)
+    cx, cy = truth.geometry.center_point()
+    at = GroundPoint(cx, cy, 0.0) if opts.at is None else GroundPoint(*opts.at)
     gate = PairGate(min_angle=opts.min_angle, max_angle=opts.max_angle, top_k=opts.top_k)
 
-    models = {}
-    dsm_paths = {}
-    for e in entries:
-        for ident, path in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path)):
-            if ident not in models:
-                models[ident] = read_rpc(path)
-        key = (e.id_a, e.id_b) if e.id_a < e.id_b else (e.id_b, e.id_a)
-        dsm_paths[key] = e.dsm_path
-
+    # one RPC file per id: read_pair_manifest refuses a second
+    rpc_paths = {i: p for e in entries for i, p in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path))}
     gated = gate_pairs(
-        list(models.items()), at, gate,
+        [(ident, read_rpc(path)) for ident, path in rpc_paths.items()], at, gate,
         dz_probe=opts.dz_probe, meters_per_unit=opts.meters_per_unit,
     )
     # only pairs listed in the manifest are candidates
-    candidates = []
-    for rec in gated:
-        key = (rec.id_a, rec.id_b)
-        if key in dsm_paths:
-            candidates.append(
-                PairRecord(rec.id_a, rec.id_b, rec.angle_deg, dsm_path=dsm_paths[key])
-            )
+    dsm_paths = {e.pair: e.dsm_path for e in entries}
+    candidates = [
+        replace(rec, dsm_path=dsm_paths[rec.id_a, rec.id_b])
+        for rec in gated
+        if (rec.id_a, rec.id_b) in dsm_paths
+    ]
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
-        ranked = []
-    else:
-        ranked = rank_pairs(candidates, truth, acfg, gate)
+    ranked = rank_pairs(candidates, truth, acfg, gate)
 
     lines = ["id_a,id_b,angle_deg,rank_rmse_m,selected"]
     for r in ranked:
@@ -498,7 +487,7 @@ _FUSION_FLAGS = {
     "delta_i": (FusionConfig.delta_i, {"type": float, "help": "intensity scale, gray levels"}),
     "gamma": (FusionConfig.gamma, {"type": float, "help": "window membership threshold"}),
     "radius": (FusionConfig.radius, {"type": int, "help": "search window half-width, cells"}),
-    "jobs": (1, {"type": int, "help": "parallel row-block workers"}),
+    "jobs": (1, {"type": int, "help": "threads fusing adaptive row blocks (median ignores it)"}),
     "resample_method": ("bilinear", {"choices": ("nearest", "bilinear")}),
 }
 _ALIGN_FLAGS = {

@@ -23,8 +23,9 @@ values.  Fusion streams: ``read_strips`` reads the grids in lockstep, a row
 strip at a time within one byte budget, and ``fuse_strips`` fuses each strip
 for every layer count in ``ks`` with one gate and one gather per row block of
 at most ``_BLOCK_BYTES`` candidate bytes, carrying a radius-row halo to the
-next; ``jobs`` > 1 shares a strip's blocks among processes.  Results are
-bit-identical for any strip height, block height, worker count and ``ks``.
+next; ``jobs`` > 1 fuses a strip's blocks on that many threads (numpy's
+sorts, ``exp`` and copies release the GIL).  Results are bit-identical for
+any strip height, block height, thread count and ``ks``.
 
 The block budget is 2 MiB.  A block's candidates, weights and masks are
 the adaptive fuse's largest allocation, so the budget sets its peak
@@ -37,7 +38,7 @@ core, the kernel takes 0.173 s at 2 MiB against 0.168 s at 8 MiB on
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -133,8 +134,6 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None)
         yield from (np.stack([_nan_median(s[..., :k]) for k in ks or [s.shape[2]]]) for s in strips)
         return
     offsets = _window_offsets(cfg)  # the center always passes a gamma below 1
-    if jobs > 1:  # imported here: loading multiprocessing costs every command ~6 ms
-        from concurrent.futures import ProcessPoolExecutor
     rad = cfg.radius
     strips = iter(strips)
     ahead = next(strips)  # read one strip ahead: the last one takes the bottom padding
@@ -144,7 +143,8 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None)
     fuse = partial(_fuse_block, offsets=offsets, cfg=cfg, ks=ks or [n_layers])
     # padded heights and ortho not yet fused, under the halo above them
     held = np.full((rad, width, n_layers), np.nan), np.full((rad, width), np.nan)
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(jobs) as pool:  # a thread starts only when a block is queued
+        run = pool.map if jobs > 1 else map  # a one-thread pool is slower than map
         while ahead is not None:
             strip, ahead = ahead, next(strips, None)
             k, n = len(held[0]), len(strip)
@@ -161,8 +161,6 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None)
             if n_out:
                 hpads = [hpad[r : r + rows + 2 * rad] for r in range(0, n_out, rows)]
                 opads = [opad[r : r + rows + 2 * rad] for r in range(0, n_out, rows)]
-                # consecutive blocks in at most ``jobs`` chunks, one per worker
-                run = partial(pool.map, chunksize=-(-len(hpads) // jobs)) if pool else map
                 yield np.concatenate(list(run(fuse, hpads, opads)), axis=1)
 
 
@@ -235,7 +233,7 @@ def _fuse_block(hpad, opad, offsets, cfg: FusionConfig, ks) -> np.ndarray:
 def adaptive_median_fuse(
     stack: DepthStack,
     ortho: RasterGrid,
-    cfg: FusionConfig | None = None,
+    cfg: FusionConfig = FusionConfig(),
     jobs: int = 1,
 ) -> RasterGrid:
     """Adaptive bilateral-weighted median fusion.
@@ -243,11 +241,9 @@ def adaptive_median_fuse(
     Per output cell, the candidate multiset is every valid height of every
     layer at every member cell of the cell's adaptive window computed on
     ``ortho``; the output is the candidates' median, or nodata when there
-    are none.  ``jobs`` > 1 splits each strip's rows into at most that many
-    contiguous spans fused in parallel processes, with bit-identical results.
+    are none.  ``jobs`` > 1 fuses each strip's row blocks on that many
+    threads, with bit-identical results.
     """
-    if cfg is None:
-        cfg = FusionConfig()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if ortho.geometry != stack.geometry:

@@ -77,9 +77,14 @@ class ManifestEntry:
     rpc_b_path: str
     dsm_path: str
 
+    @property
+    def pair(self) -> tuple[str, str]:
+        """The ids in ascending order, the key ``gate_pairs`` records carry."""
+        return min(self.id_a, self.id_b), max(self.id_a, self.id_b)
+
 
 class ManifestError(Exception):
-    """Pair manifest CSV missing columns or rows."""
+    """Pair manifest CSV missing columns or rows, or with a conflicting pair or RPC file."""
 
 
 MANIFEST_COLUMNS = ("id_a", "id_b", "rpc_a_path", "rpc_b_path", "dsm_path")
@@ -88,7 +93,7 @@ MANIFEST_COLUMNS = ("id_a", "id_b", "rpc_a_path", "rpc_b_path", "dsm_path")
 def gate_pairs(
     models: Sequence[tuple[str, RpcModel]],
     at: GroundPoint,
-    gate: PairGate | None = None,
+    gate: PairGate = PairGate(),
     dz_probe: float = DEFAULT_DZ_PROBE,
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
 ) -> list[PairRecord]:
@@ -98,8 +103,6 @@ def gate_pairs(
     the output is invariant to the input ordering.  A pair whose angle cannot
     be computed is dropped with a logged reason; bad probe settings raise.
     """
-    if gate is None:
-        gate = PairGate()
     if len(models) < 2:
         raise ValueError(f"need at least 2 models to form pairs, got {len(models)}")
     check_probe(dz_probe, meters_per_unit)
@@ -123,8 +126,8 @@ def gate_pairs(
 def rank_pairs(
     candidates: Sequence[PairRecord],
     truth_patch: RasterGrid,
-    cfg: AlignConfig | None = None,
-    gate: PairGate | None = None,
+    cfg: AlignConfig = AlignConfig(),
+    gate: PairGate = PairGate(),
 ) -> list[PairRecord]:
     """Rank candidate pairs by inlier RMSE of their DSM patch against truth.
 
@@ -134,8 +137,6 @@ def rank_pairs(
     alignment fails (e.g. insufficient overlap) sink to the end with
     rank_rmse None, never selected.  Ties break on (id_a, id_b).
     """
-    if gate is None:
-        gate = PairGate()
     ranked = []
     for rec in candidates:
         if rec.dsm_path is None:
@@ -163,7 +164,8 @@ def rank_pairs(
 
 def read_pair_manifest(path) -> list[ManifestEntry]:
     """Read the pair manifest CSV (columns: id_a, id_b, rpc_a_path,
-    rpc_b_path, dsm_path)."""
+    rpc_b_path, dsm_path).  A pair of one id twice, a pair listed again in
+    either order, and an id given a second RPC file are errors."""
     with (
         open(path, "r", encoding="utf-8", newline="") as f,
         decode_errors_as(ManifestError, path, "utf-8"),
@@ -174,12 +176,23 @@ def read_pair_manifest(path) -> list[ManifestEntry]:
         missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ManifestError(f"{path}: missing columns {missing}")
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            vals = [row.get(c) or "" for c in MANIFEST_COLUMNS]
-            if any(not v.strip() for v in vals):
-                raise ManifestError(f"{path}:{lineno}: incomplete row")
-            entries.append(ManifestEntry(*(v.strip() for v in vals)))
+        entries, lines, rpc_paths = [], {}, {}
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            vals = [(row.get(c) or "").strip() for c in MANIFEST_COLUMNS]
+            if not all(vals):
+                raise ManifestError(f"{where}: incomplete row")
+            e = ManifestEntry(*vals)
+            pair = f"pair ({e.id_a}, {e.id_b})"
+            if e.id_a == e.id_b:
+                raise ManifestError(f"{where}: {pair} names one id twice")
+            if e.pair in lines:
+                raise ManifestError(f"{where}: {pair} is already on line {lines[e.pair]}")
+            lines[e.pair] = reader.line_num
+            for ident, rpc in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path)):
+                if (first := rpc_paths.setdefault(ident, rpc)) != rpc:
+                    raise ManifestError(f"{where}: id {ident} has RPC files {first} and {rpc}")
+            entries.append(e)
     if not entries:
         raise ManifestError(f"{path}: manifest has no pairs")
     return entries

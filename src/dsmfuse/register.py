@@ -227,11 +227,9 @@ def _integer_search(mov: np.ndarray, ref: np.ndarray, cfg: AlignConfig) -> tuple
 
 
 def align(
-    moving: RasterGrid, reference: RasterGrid, cfg: AlignConfig | None = None
+    moving: RasterGrid, reference: RasterGrid, cfg: AlignConfig = AlignConfig()
 ) -> AlignmentResult:
     """Estimate the translation aligning a moving DSM to a reference."""
-    if cfg is None:
-        cfg = AlignConfig()
     cell = reference.geometry.cell_size
     mov = resample(moving, reference.geometry, "bilinear").nan_values()
     ref = reference.nan_values()

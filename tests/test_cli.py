@@ -94,6 +94,19 @@ class TestFuse:
         assert "--ortho" in capsys.readouterr().err
         assert not (tmp_path / "o.asc").exists()
 
+    def test_out_named_like_its_preview_exit_4(self, tmp_path, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking --out")
+
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        monkeypatch.setattr(cli, "read_asc", no_read)
+        monkeypatch.setattr(cli, "GridReader", no_read)
+        code = main(["fuse", "--layers", str(tmp_path / "l.asc"), "--mode", "median",
+                     "--out", str(tmp_path / "fused.pgm")])
+        assert code == 4
+        assert "overwritten by its .pgm preview" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.asc"]
+
     def test_unreadable_layer_exit_2(self, tmp_path):
         code = main(["fuse", "--layers", str(tmp_path / "missing.asc"),
                      "--out", str(tmp_path / "o.asc")])
@@ -203,6 +216,13 @@ def _write_stack(tmp_path, rng, n_rows, n_cols, n_layers, shift_last=True):
     return paths, str(tmp_path / "ortho.asc")
 
 
+def _no_fork(monkeypatch):
+    def fork():
+        raise OSError("fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
 def _fuse_args(layers, ortho, mode, out, *extra):
     ortho_args = ["--ortho", ortho] if mode == "adaptive" else []
     return ["fuse", "--layers", *layers, "--mode", mode, *ortho_args, *extra, "--out", str(out)]
@@ -222,6 +242,19 @@ class TestFuseStream:
             monkeypatch.setattr(raster, "_STRIP_BYTES", rows * n_cols * n_grids * 8)
             assert raster.strip_rows(n_cols, n_grids) == rows
             out = tmp_path / f"fused{rows}.asc"
+            assert main(_fuse_args(layers, ortho, mode, out, "--jobs", jobs)) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".pgm").read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_jobs_fuse_in_process_same_bytes(self, tmp_path, rng, monkeypatch, mode):
+        layers, ortho = _write_stack(tmp_path, rng, 23, 9, 3)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1)  # one-row blocks: 23 per strip
+        _no_fork(monkeypatch)
+        outputs = []
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"fused{jobs}.asc"
             assert main(_fuse_args(layers, ortho, mode, out, "--jobs", jobs)) == 0
             outputs.append((out.read_bytes(), out.with_suffix(".pgm").read_bytes()))
         assert outputs[1] == outputs[0]
@@ -708,6 +741,19 @@ class TestRank:
         assert "meters_per_unit must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_manifest_conflict_exit_2(self, tmp_path, capsys):
+        self.build_inputs(tmp_path)
+        manifest = tmp_path / "pairs.csv"
+        rows = manifest.read_text().splitlines()
+        a, b, rpc_a, rpc_b, dsm = rows[1].split(",")
+        manifest.write_text("\n".join([*rows, f"{b},{a},{rpc_b},{rpc_a},{dsm}"]) + "\n")
+        out = tmp_path / "ranked.csv"
+        code = main(["rank", "--manifest", str(manifest), "--truth", str(tmp_path / "truth.asc"),
+                     "--at", "0", "0", "0", "--meters-per-unit", "1.0", "--out", str(out)])
+        assert code == 2
+        assert f"{manifest}:5: pair (imgB, imgA) is already on line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_manifest_exit_2(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "truth.asc")
         code = main(["rank", "--manifest", str(tmp_path / "nope.csv"),
@@ -818,6 +864,16 @@ class TestCurve:
                     for f in (adaptive_median_fuse(top, ortho, FusionConfig()), median_fuse(top)))
             want.append(f"{k},{a:.6f},{m:.6f}")
         assert (tmp_path / "curve.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_jobs_fuse_in_process_same_bytes(self, tmp_path, monkeypatch):
+        paths = self._scene(tmp_path, 3)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1)  # one-row blocks
+        _no_fork(monkeypatch)
+        outputs = []
+        for jobs in ("1", "2"):
+            assert self._curve(tmp_path, paths, "--jobs", jobs) == 0
+            outputs.append((tmp_path / "curve.csv").read_bytes())
+        assert outputs[1] == outputs[0]
 
     def test_one_gate_per_block_for_every_k(self, tmp_path, monkeypatch):
         paths = self._scene(tmp_path, 3)

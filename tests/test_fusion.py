@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -306,6 +307,23 @@ class TestAdaptiveMedianFuse:
         stack, ortho = random_stack(rng, 150, 20, 3)
         serial = adaptive_median_fuse(stack, ortho, jobs=1)
         parallel = adaptive_median_fuse(stack, ortho, jobs=3)
+        assert np.array_equal(serial.values, parallel.values)
+
+    def test_jobs_start_no_more_threads_than_blocks(self, rng, monkeypatch):
+        # one strip of 6 one-row blocks; a pool of 64 starts a thread per queued block
+        stack, ortho = random_stack(rng, 6, 8, 2)
+        serial = adaptive_median_fuse(stack, ortho)
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        parallel = adaptive_median_fuse(stack, ortho, jobs=64)
+        assert 1 <= len(started) <= 6
         assert np.array_equal(serial.values, parallel.values)
 
     @pytest.mark.parametrize("jobs", [0, -3])

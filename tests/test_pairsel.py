@@ -26,7 +26,7 @@ def ray_model(theta_deg, azimuth_deg=0.0):
     return linear_ray_model(t * np.cos(phi), t * np.sin(phi))
 
 
-def gate_at(models, gate=None):
+def gate_at(models, gate=PairGate()):
     return gate_pairs(models, ORIGIN, gate, meters_per_unit=1.0)
 
 
@@ -243,6 +243,24 @@ class TestManifest:
         )
         with pytest.raises(ManifestError):
             read_pair_manifest(p)
+
+    @pytest.mark.parametrize("rows, error", [
+        ("img1,img2,a.rpc,b.rpc,p12.asc\n\nimg1,img3,a.rpc,,p13.asc\n", ":4: incomplete row"),
+        ("img1,img2,a.rpc,b.rpc,sigma01.asc\nimg1,img2,a.rpc,b.rpc,sigma10.asc\n",
+         ":3: pair (img1, img2) is already on line 2"),
+        ("img1,img2,a.rpc,b.rpc,sigma01.asc\nimg2,img1,b.rpc,a.rpc,sigma10.asc\n",
+         ":3: pair (img2, img1) is already on line 2"),
+        ("img1,img2,a.rpc,b.rpc,p12.asc\nimg1,img1,a.rpc,a.rpc,p11.asc\n",
+         ":3: pair (img1, img1) names one id twice"),
+        ("img1,img2,a.rpc,b.rpc,p12.asc\nimg3,img1,c.rpc,other.rpc,p13.asc\n",
+         ":3: id img1 has RPC files a.rpc and other.rpc"),
+    ], ids=["blank-line", "repeated-pair", "reversed-pair", "one-id", "second-rpc-file"])
+    def test_error_names_file_and_line(self, tmp_path, rows, error):
+        p = tmp_path / "pairs.csv"
+        p.write_text("id_a,id_b,rpc_a_path,rpc_b_path,dsm_path\n" + rows)
+        with pytest.raises(ManifestError) as err:
+            read_pair_manifest(p)
+        assert str(err.value) == f"{p}{error}"
 
     def test_empty_manifest(self, tmp_path):
         p = tmp_path / "pairs.csv"
