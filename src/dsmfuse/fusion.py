@@ -27,12 +27,12 @@ next; ``jobs`` > 1 fuses a strip's blocks on that many threads (numpy's
 sorts, ``exp`` and copies release the GIL).  Results are bit-identical for
 any strip height, block height, thread count and ``ks``.
 
-The block budget is 2 MiB.  A block's candidates, weights and masks are
-the adaptive fuse's largest allocation, so the budget sets its peak
-memory, while the kernel's time barely depends on it.  On the benchmark
+The block budget is 2 MiB per thread.  A block's candidates, weights and
+masks are the adaptive fuse's largest allocation, so the budget sets its
+peak memory, while the kernel's time barely depends on it.  On the benchmark
 scene of seed 401 with 5 layers, on a 2-core AMD EPYC with 1 MiB of L2 per
-core, the kernel takes 0.173 s at 2 MiB against 0.168 s at 8 MiB on
-640x640 cells, and 1.71 s against 1.64 s on 2048x2048.
+core, the kernel takes 0.113 s at 2 MiB against 0.108 s at 4 MiB on 640x640
+cells, and 1.22 s (one-row blocks) against 1.19 s at 8 MiB on 2048x2048.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .raster import GeometryMismatchError, RasterGrid, strip_rows, valid
 
@@ -202,31 +205,42 @@ def window_weights(opad, offsets, cfg: FusionConfig) -> np.ndarray:
     heights there are NaN, so no candidate comes from outside the grid.
     """
     rad = cfg.radius
-    n_rows = opad.shape[0] - 2 * rad
-    n_cols = opad.shape[1] - 2 * rad
-    i0 = opad[rad : rad + n_rows, rad : rad + n_cols]
-    i0_nan = np.isnan(i0)
-    w = np.empty((n_rows, n_cols, len(offsets)))
-    for k, (di, dj, spatial) in enumerate(offsets):
-        d = opad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols] - i0
-        wk = np.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
-        # math.exp, as in _window_offsets: np.exp may differ by an ulp and
-        # flip a kept offset out of the gate
-        wk[i0_nan] = math.exp(-spatial)
-        w[:, :, k] = wk
+    i0 = opad[rad : opad.shape[0] - rad, rad : opad.shape[1] - rad, None]
+    w = _gather(opad, offsets, rad)
+    w -= i0  # W = exp(-(spatial + d * d / (2 delta_i^2))), d the intensity step
+    w *= w
+    w /= 2.0 * cfg.delta_i * cfg.delta_i
+    w += [spatial for _, _, spatial in offsets]
+    np.exp(np.negative(w, out=w), out=w)
+    # math.exp, as in _window_offsets: np.exp may differ by an ulp and
+    # flip a kept offset out of the gate
+    w[np.isnan(i0[..., 0])] = [math.exp(-spatial) for _, _, spatial in offsets]
     return w
+
+
+def _gather(a, offsets, rad) -> np.ndarray:
+    """(rows, cols, offsets, ...) values at every window offset of every cell of
+    ``a``, a block padded by ``rad`` on each side.  One window row's offsets are
+    consecutive with consecutive columns, so each window row is one slice of a
+    strided view, and each cell copies one contiguous run of its values."""
+    n_rows, n_cols, side = a.shape[0] - 2 * rad, a.shape[1] - 2 * rad, 2 * rad + 1
+    win = as_strided(a, (n_rows, n_cols, side, side) + a.shape[2:], a.strides[:2] * 2 + a.strides[2:])
+    out = np.empty((n_rows, n_cols, len(offsets)) + a.shape[2:])
+    k = 0
+    for di, row in groupby(offsets, key=itemgetter(0)):
+        n, dj = len(list(row)), offsets[k][1]
+        out[:, :, k : k + n] = win[:, :, rad + di, rad + dj : rad + dj + n]
+        k += n
+    return out
 
 
 def _fuse_block(hpad, opad, offsets, cfg: FusionConfig, ks) -> np.ndarray:
     """Fuse one padded row block, hpad (rows+2r, cols+2r, layers), for each layer
     count in ``ks``, ascending: a count of all layers sorts the candidates in place."""
-    rad = cfg.radius
     member = window_weights(opad, offsets, cfg) > cfg.gamma
     n_rows, n_cols = member.shape[:2]
-    cands = np.empty((n_rows, n_cols, len(offsets), hpad.shape[2]))
-    for k, (di, dj, _) in enumerate(offsets):
-        cands[:, :, k, :] = hpad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols]
-    np.copyto(cands, np.nan, where=~member[..., None])
+    cands = _gather(hpad, offsets, cfg.radius)
+    cands.reshape(-1, hpad.shape[2])[np.flatnonzero(~member)] = np.nan  # every layer at a non-member offset
     return np.stack([_nan_median(cands[..., :k].reshape(n_rows, n_cols, -1)) for k in ks])
 
 

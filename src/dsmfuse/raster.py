@@ -414,7 +414,13 @@ def _tokens(rows: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             x = v * 1e6
             n = np.rint(x)
-            fits = (np.abs(np.abs(x - n) - 0.5) > np.abs(x) * 2.0**-52) & (np.abs(n) < 1e15)
+            fits = np.abs(n) < 1e15
+            half = np.flatnonzero(np.abs(x - n) == 0.5)  # x - n is exact
+        vh, xh = v[half], x[half]
+        hi = vh * 134217729.0  # Veltkamp split: hi has 26 bits and 1e6 14, so hi * 1e6 is exact
+        hi -= hi - vh
+        err = (hi * 1e6 - xh) + (vh - hi) * 1e6  # v * 1e6 - x, exactly (Dekker)
+        n[half] = np.where(err == 0, n[half], xh + np.copysign(0.5, err))
         m = np.where(fits, np.abs(n), 0).astype(np.int64)
         neg, slot, token, scale = np.signbit(v), _FLOAT_SLOT, b"%.6f", 10**6
     slow = np.flatnonzero(~fits)
@@ -440,10 +446,12 @@ def _tokens(rows: np.ndarray) -> np.ndarray:
 def write_rows(f, rows: np.ndarray) -> None:
     """Write 2-D ``rows`` to binary file ``f`` as ASCII-grid lines, integers as
     ``%d`` and others as ``%.6f``, with the bytes ``%`` gives, a chunk of rows at
-    a time: in numpy, ``n = rint(x)`` for ``x = v * 1e6`` is cut into 3-digit
-    groups printed from ``_DIGITS``.  ``x`` is within ``|x| 2**-53`` of the exact
-    product, so ``n`` is right wherever ``x`` is over ``|x| 2**-52`` from a half;
-    other values (near ties, non-finite, ``|n| >= 1e15``) are printed by ``%``."""
+    a time: in numpy, ``x = v * 1e6`` is rounded to an integer ``n`` cut into
+    3-digit groups printed from ``_DIGITS``.  ``x`` is the double nearest the
+    exact product and every half below 2**52 is a double, so ``rint(x)`` is right
+    unless ``x`` is itself a half; there the sign of the product's rounding
+    error, exact by Dekker's product, picks the side, and half-even stands when
+    it is 0.  Non-finite values and ``|n| >= 1e15`` are printed by ``%``."""
     step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
     for r in range(0, len(rows), step):
         f.write(_tokens(rows[r : r + step]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -75,6 +76,10 @@ def random_stack(rng, n_rows, n_cols, n_layers, hole_frac=0.15):
     return DepthStack(layers=layers), grid_of(ortho_vals)
 
 
+# windows whose rows differ in length: a disk cut by radius 5, and a cross
+NON_SQUARE = [FusionConfig(delta_s=4.0, gamma=0.3, radius=5), FusionConfig(radius=1, gamma=0.9)]
+
+
 def weights_of(ortho, cfg):
     """``window_weights`` over a whole orthophoto grid, and its offsets."""
     offsets = fusion._window_offsets(cfg)
@@ -144,6 +149,21 @@ class TestWeight:
         w = weight_at(10.0, 1, None, cfg)
         assert np.isnan(w)
         assert not w > cfg.gamma
+
+    @pytest.mark.parametrize("cfg", [FusionConfig(), *NON_SQUARE, FusionConfig(delta_i=3.0, radius=4)])
+    def test_matches_one_offset_at_a_time(self, rng, cfg):
+        # the same float ops as a per-offset slice loop, so the same bits
+        ortho = rng.uniform(0.0, 255.0, (13, 17))
+        ortho[rng.random(ortho.shape) < 0.1] = -9999.0
+        w, offsets = weights_of(grid_of(ortho), cfg)
+        opad = np.pad(grid_of(ortho).nan_values(), cfg.radius, constant_values=np.nan)
+        rad, (n_rows, n_cols) = cfg.radius, ortho.shape
+        i0 = opad[rad : rad + n_rows, rad : rad + n_cols]
+        for k, (di, dj, spatial) in enumerate(offsets):
+            d = opad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols] - i0
+            want = np.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
+            want[np.isnan(i0)] = math.exp(-spatial)
+            assert w[:, :, k].tobytes() == want.tobytes(), (di, dj)
 
 
 class TestAdaptiveWindow:
@@ -368,6 +388,56 @@ class TestBlockPartition:
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, FusionConfig(), 7))
         adaptive_median_fuse(stack, ortho)
         assert heights == [7, 7, 7, 2]
+
+
+class TestGather:
+    """``_gather`` copies each window row of offsets as one run per cell."""
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 5, 8])
+    def test_window_rows_are_runs_of_consecutive_columns(self, radius):
+        for delta_s, gamma in itertools.product([0.5, 1.0, 2.5, 4.0, 10.0], [0.01, 0.3, 0.5, 0.9, 0.999999]):
+            offsets = fusion._window_offsets(FusionConfig(delta_s=delta_s, gamma=gamma, radius=radius))
+            rows = [(di, [dj for _, dj, _ in row]) for di, row in itertools.groupby(offsets, key=lambda o: o[0])]
+            assert len({di for di, _ in rows}) == len(rows)  # each window row is one run
+            for di, djs in rows:
+                assert djs == list(range(djs[0], djs[0] + len(djs))), (delta_s, gamma, di)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cfg", NON_SQUARE, ids=["disk", "cross"])
+    def test_prefixes_match_oracle_on_non_square_windows(self, rng, monkeypatch, cfg, jobs):
+        lengths = {sum(1 for _ in row) for _, row in itertools.groupby(fusion._window_offsets(cfg), key=lambda o: o[0])}
+        assert len(lengths) > 1
+        stack, ortho = random_stack(rng, 14, 11, 4)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, cfg, 3))
+        strips = fusion.read_strips(stack.layers + [ortho])
+        fused = np.concatenate(list(fusion.fuse_strips(strips, cfg, jobs, ks=range(1, 5))), axis=1)
+        for k in range(1, 5):
+            want = oracle_adaptive_fuse(stack.layers[:k], ortho, cfg)
+            # bit patterns: array_equal would not tell -0.0 from 0.0
+            assert fused[k - 1].view(np.int64).tolist() == want.view(np.int64).tolist(), k
+
+    def test_one_block_gathers_twice(self, rng, monkeypatch):
+        # the ortho for the gate, then the heights: no per-offset loop of copies
+        gathers, per_block = [], []
+        real_gather, real_block = fusion._gather, fusion._fuse_block
+
+        def gather(*args):
+            gathers.append(args[0].ndim)
+            return real_gather(*args)
+
+        def block(*args, **kwargs):
+            gathers.clear()
+            out = real_block(*args, **kwargs)
+            per_block.append(list(gathers))
+            return out
+
+        monkeypatch.setattr(fusion, "_gather", gather)
+        monkeypatch.setattr(fusion, "_fuse_block", block)
+        for cfg in [FusionConfig(), *NON_SQUARE]:
+            stack, ortho = random_stack(rng, 12, 9, 3)
+            monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, cfg, 4))
+            adaptive_median_fuse(stack, ortho, cfg)
+        assert per_block == [[2, 3]] * 9
 
 
 class TestStripPartition:

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -508,6 +509,25 @@ class TestCodecByteParity:
         rng = np.random.default_rng(11)
         magnitude = np.exp(rng.uniform(np.log(1e-17), np.log(1e12), 10**5))
         self._assert_tokens_match_fstring(tmp_path, magnitude * rng.choice([-1, 1], 10**5), 500)
+
+    def test_six_decimal_halves_match_fstring(self, tmp_path):
+        # where v * 1e6 rounds to a half, the side comes from the sign of the
+        # product's rounding error; both kinds of tie must be present
+        rng = np.random.default_rng(13)
+        odd = 2 * np.arange(-3000, 3000) + 1.0
+        near = [(2 * (c + np.arange(-500, 500)) + 1) / 2e6 for c in (5 * 10**8, 5 * 10**13)]
+        near = np.concatenate([*near, *(-h for h in near)])
+        a, b = (np.round(rng.normal(20.0, 8.0, 20000), 6) for _ in range(2))
+        values = np.concatenate([
+            odd / 128, odd / 2**20, [-0.0, 0.0, -5e-7, 5e-7, -1.5e-6],
+            near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+            0.5 * (a + b),  # a fused median of an even count of 6-decimal heights
+        ])
+        x = values * 1e6
+        half = values[np.abs(x - np.rint(x)) == 0.5]
+        exact = [Fraction(v) * 10**6 == Fraction(v * 1e6) for v in half.tolist()]
+        assert sum(exact) > 1000 and len(exact) - sum(exact) > 1000
+        self._assert_tokens_match_fstring(tmp_path, values, 5)
 
     def test_integer_rows_match_str(self):
         vals = np.array([[0, -1, 999_999_999, 10**9, -(10**9), -(2**63)], [2**63 - 1, 7, 0, 1000, -1000, 5]])
