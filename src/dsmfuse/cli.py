@@ -261,6 +261,17 @@ def _spilled_strips(f, n_cols: int):
         yield np.frombuffer(chunk).reshape(-1, n_cols)
 
 
+def _spilled_grid(f, spans, i: int, geometry) -> np.ndarray:
+    """Grid ``i`` of the (grids, rows, cols) float64 strips at ``spans`` (rows, offset) of ``f``."""
+    grid = np.empty((geometry.n_rows, geometry.n_cols))
+    r = 0
+    for n, at in spans:
+        f.seek(at + i * grid[r : r + n].nbytes)
+        f.readinto(grid[r : r + n])
+        r += n
+    return grid
+
+
 def cmd_fuse(opts: SimpleNamespace) -> int:
     started = time.perf_counter()
     _require(opts, "layers", "out")
@@ -368,23 +379,29 @@ def cmd_curve(opts: SimpleNamespace) -> int:
     with ExitStack() as exits:
         target, sources = _open_sources(inputs, len(ks), None, opts.resample_method, exits)
         truth = exits.enter_context(GridReader(opts.truth))  # its header checked before fusing
-        fused = np.empty((2, len(ks), target.n_rows, target.n_cols))  # adaptive, median
+        # every k's fused rows go to disk a strip at a time; one k's pair comes back to align
+        spill = exits.enter_context(tempfile.TemporaryFile(dir=out.parent))
+        spans = ([], [])  # (rows, file offset) of each adaptive and each median strip
 
-        def medians_too(strips, r=0):  # ks stops short of the ortho: the median sorts copies
+        def keep(kind, rows):
+            spans[kind].append((rows.shape[1], spill.tell()))
+            spill.write(rows.tobytes())
+
+        def medians_too(strips):  # ks stops short of the ortho: the median sorts copies
             for strip in strips:
-                fused[1, :, r : r + len(strip)] = next(fuse_strips([strip], ks=ks))
-                r += len(strip)
+                keep(1, next(fuse_strips([strip], ks=ks)))
                 yield strip
-        r = 0
         for rows in fuse_strips(medians_too(_ortho_checked(read_strips(sources))), fcfg, opts.jobs, ks):
-            fused[0, :, r : r + rows.shape[1]] = rows
-            r += rows.shape[1]
+            keep(0, rows)
         truth = RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata)
 
-    lines = ["k,rmse_adaptive_m,rmse_median_m"]
-    for k in ks:
-        res_a, res_m = (align(RasterGrid.from_nan(target, f[k - 1]), truth, acfg) for f in fused)
-        lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
+        lines = ["k,rmse_adaptive_m,rmse_median_m"]
+        for k in ks:
+            res_a, res_m = (
+                align(RasterGrid.from_nan(target, _spilled_grid(spill, s, k - 1, target)), truth, acfg)
+                for s in spans
+            )
+            lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
     _write_text_atomic("\n".join(lines) + "\n", out)
     _write_manifest(out, "curve", [*inputs, opts.truth], [out], opts, started=started)
     return EXIT_OK

@@ -103,80 +103,84 @@ def rmse(a: RasterGrid, b: RasterGrid) -> tuple[float, int]:
     return float(np.sqrt(np.mean(d * d))), int(d.size)
 
 
-def _int_shift(a: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """Array sampled at (r + dr, c + dc); out-of-range becomes NaN."""
-    n_rows, n_cols = a.shape
-    out = np.full_like(a, np.nan)
-    rd0, rd1 = max(0, -dr), min(n_rows, n_rows - dr)
-    cd0, cd1 = max(0, -dc), min(n_cols, n_cols - dc)
-    if rd0 < rd1 and cd0 < cd1:
-        out[rd0:rd1, cd0:cd1] = a[rd0 + dr : rd1 + dr, cd0 + dc : cd1 + dc]
-    return out
-
-
-def _sample_at_offset(a: np.ndarray, dr: float, dc: float) -> np.ndarray:
-    """Bilinear sample of the whole array at (r + dr, c + dc).
+def _sample(a: np.ndarray, dr: float, dc: float):
+    """Bilinear sample of a at (r + dr, c + dc) on the window of cells whose
+    support lies inside a: the window's (row, column) slices and the samples.
 
     The offset is uniform, so the sample is a fixed-weight blend of four
-    integer-shifted copies; NaN neighbors propagate.  Near-integer offsets
-    snap so integer shifts stay exact.
+    shifted views of a, summed in place in the order of the bilinear formula;
+    NaN neighbors propagate.  Near-integer offsets snap so integer shifts stay
+    exact and read one view.
     """
     if abs(dr - round(dr)) < 1e-12:
         dr = round(dr)
     if abs(dc - round(dc)) < 1e-12:
         dc = round(dc)
-    r0 = math.floor(dr)
-    c0 = math.floor(dc)
-    fr = dr - r0
-    fc = dc - c0
-    if fr == 0 and fc == 0:
-        return _int_shift(a, int(r0), int(c0))
-    v00 = _int_shift(a, r0, c0)
-    v01 = _int_shift(a, r0, c0 + 1)
-    v10 = _int_shift(a, r0 + 1, c0)
-    v11 = _int_shift(a, r0 + 1, c0 + 1)
-    return (
-        (1 - fr) * (1 - fc) * v00
-        + (1 - fr) * fc * v01
-        + fr * (1 - fc) * v10
-        + fr * fc * v11
+    r0, c0 = math.floor(dr), math.floor(dc)
+    fr, fc = dr - r0, dc - c0
+    ext = int(fr != 0 or fc != 0)  # a blend also reads the next row and column
+    (r1, r2), (c1, c2) = (
+        (max(0, -o), max(0, -o, min(n, n - o - ext))) for n, o in zip(a.shape, (r0, c0))
     )
+    views = [a[r1 + r0 + i : r2 + r0 + i, c1 + c0 + j : c2 + c0 + j] for i in (0, 1) for j in (0, 1)]
+    win = (slice(r1, r2), slice(c1, c2))
+    if not ext:
+        return win, views[0]
+    out = (1 - fr) * (1 - fc) * views[0]
+    for w, view in zip(((1 - fr) * fc, fr * (1 - fc), fr * fc), views[1:]):
+        out += w * view
+    return win, out
 
 
-def _dz_and_inliers(d: np.ndarray, threshold: float):
-    """Closed-form vertical offset and blunder gate for a difference map.
-
-    d holds aligned-minus-reference differences (NaN where invalid); the
-    model is d + dz = 0.  Seeded with the median for robustness, then a
-    couple of fixed-point rounds of (gate, mean).
-    """
+def _residuals(mov: np.ndarray, ref: np.ndarray, dr: float, dc: float):
+    """The finite d = mov - ref(r + dr, c + dc), row-major, and their mask on
+    ``_sample``'s window: the cells that are NaN in the full-grid difference
+    are exactly the ones left out, so sums see the same sequence."""
+    win, sample = _sample(ref, dr, dc)
+    d = mov[win] - sample
     finite = np.isfinite(d)
-    if not finite.any():
-        return 0.0, finite
-    dz = -float(np.nanmedian(d))
-    inliers = finite
+    return finite, d[finite]
+
+
+def _median(x: np.ndarray) -> float:
+    """np.nanmedian of the non-empty finite vector x, from one partition: the
+    same order statistics and the same average of the middle two.
+
+    Which of +-0 lands in the middle follows the partition, but no output
+    sees it: a zero median gates the cells equal to it in, so the reported
+    dz is always a mean of the gate.
+    """
+    k = x.size
+    y = np.partition(x, k // 2)
+    return float(y[k // 2] if k % 2 else 0.5 * (y[: k // 2].max() + y[k // 2]))
+
+
+def _fit(x: np.ndarray, threshold: float):
+    """Vertical offset, blunder gate and truncated score of the finite
+    differences x, for the model x + dz = 0.
+
+    dz is seeded with the median for robustness, then a couple of fixed-point
+    rounds of (gate, mean); the gate returned is the last round's.  The score
+    is mean(min((x + dz)**2, threshold**2)), inf when x is empty.  Means are
+    sum / size: np.mean's pairwise sum and division without its wrapper.
+    """
+    if x.size == 0:
+        return 0.0, np.zeros(0, bool), math.inf
+    dz = -_median(x)
     for _ in range(_DZ_FIXED_POINT_ROUNDS):
-        inliers = finite & (np.abs(d + dz) <= threshold)
-        if not inliers.any():
-            return dz, inliers
-        dz = -float(np.mean(d[inliers]))
-    return dz, inliers
+        gate = np.abs(x + dz) <= threshold
+        if not gate.any():
+            break
+        inl = x[gate]
+        dz = -float(inl.sum() / inl.size)
+    r = x + dz
+    r *= r
+    return dz, gate, float(np.minimum(r, threshold * threshold, out=r).sum() / r.size)
 
 
-def _rms(d: np.ndarray, dz: float, cells: np.ndarray) -> float:
-    """RMS of d + dz over the masked cells; inf when there are none."""
-    if not cells.any():
-        return math.inf
-    r = d[cells] + dz
-    return float(np.sqrt(np.mean(r * r)))
-
-
-def _truncated_score(d: np.ndarray, dz: float, threshold: float) -> float:
-    """mean(min((d + dz)**2, threshold**2)) over the finite cells of d."""
-    r = d[np.isfinite(d)] + dz
-    if r.size == 0:
-        return math.inf
-    return float(np.mean(np.minimum(r * r, threshold * threshold)))
+def _rms(r: np.ndarray) -> float:
+    """RMS of the residuals r; inf when there are none."""
+    return float(np.sqrt((r * r).sum() / r.size)) if r.size else math.inf
 
 
 def _halve(a: np.ndarray) -> np.ndarray:
@@ -217,13 +221,36 @@ def _integer_search(mov: np.ndarray, ref: np.ndarray, cfg: AlignConfig) -> tuple
         best = (math.inf, u, v)
         for cv in range(max(v - rad, -lim), min(v + rad, lim) + 1):
             for cu in range(max(u - rad, -lim), min(u + rad, lim) + 1):
-                d = m - _int_shift(r, -cv, cu)
-                dz, _ = _dz_and_inliers(d, cfg.blunder_threshold)
-                score = _truncated_score(d, dz, cfg.blunder_threshold)
+                score = _fit(_residuals(m, r, -cv, cu)[1], cfg.blunder_threshold)[2]
                 if score < best[0]:
                     best = (score, cu, cv)
         _, u, v = best
     return u, v
+
+
+def _gauss_newton(mov, ref, grad_col, grad_row, u: float, v: float, threshold: float):
+    """Score and dz at the shift (u, v), and the Gauss-Newton step from it:
+    None when under 3 cells constrain it or the normal equations are singular.
+    Its arrays die on return, so the caller holds none of them."""
+    finite, d = _residuals(mov, ref, -v, u)
+    dz, inl, score = _fit(d, threshold)
+    # the gradients on the residuals' window, at their finite cells
+    gc = _sample(grad_col, -v, u)[1][finite]
+    gr = _sample(grad_row, -v, u)[1][finite]
+    use = inl & np.isfinite(gc) & np.isfinite(gr)
+    if np.count_nonzero(use) < 3:
+        return score, dz, None
+    # residual = mov + dz - ref(r - v, c + u): d/du = -gc, d/dv = +gr; each
+    # array is let go as its used cells are taken, so two never coexist
+    res, d = d[use] + dz, None
+    ju, gc = -gc[use], None
+    jv, gr = gr[use], None
+    ata = np.array([[np.dot(ju, ju), np.dot(ju, jv)], [np.dot(ju, jv), np.dot(jv, jv)]])
+    atb = -np.array([np.dot(ju, res), np.dot(jv, res)])
+    try:
+        return score, dz, np.linalg.solve(ata, atb)
+    except np.linalg.LinAlgError:
+        return score, dz, None
 
 
 def align(
@@ -234,11 +261,10 @@ def align(
     mov = resample(moving, reference.geometry, "bilinear").nan_values()
     ref = reference.nan_values()
 
-    overlap = np.isfinite(mov) & np.isfinite(ref)
-    if np.count_nonzero(overlap) < _MIN_OVERLAP_CELLS:
+    n_overlap = np.count_nonzero(np.isfinite(mov) & np.isfinite(ref))
+    if n_overlap < _MIN_OVERLAP_CELLS:
         raise InsufficientOverlapError(
-            f"only {np.count_nonzero(overlap)} mutually valid cells, "
-            f"need {_MIN_OVERLAP_CELLS}"
+            f"only {n_overlap} mutually valid cells, need {_MIN_OVERLAP_CELLS}"
         )
 
     # Residuals compare each moving cell to the reference sampled at the
@@ -264,28 +290,10 @@ def align(
     converged = False
     best_state = None
     for _ in range(_MAX_ITERATIONS):
-        d = mov - _sample_at_offset(ref, -v, u)
-        dz, inl = _dz_and_inliers(d, cfg.blunder_threshold)
-        score = _truncated_score(d, dz, cfg.blunder_threshold)
+        score, dz, step = _gauss_newton(mov, ref, grad_col, grad_row, u, v, cfg.blunder_threshold)
         if best_state is None or score < best_state[0]:
             best_state = (score, u, v, dz)
-
-        gc = _sample_at_offset(grad_col, -v, u)
-        gr = _sample_at_offset(grad_row, -v, u)
-        use = inl & np.isfinite(gc) & np.isfinite(gr)
-        if np.count_nonzero(use) < 3:
-            break
-        res = d[use] + dz
-        # residual = mov + dz - ref(r - v, c + u): d/du = -gc, d/dv = +gr
-        ju = -gc[use]
-        jv = gr[use]
-        ata = np.array(
-            [[np.dot(ju, ju), np.dot(ju, jv)], [np.dot(ju, jv), np.dot(jv, jv)]]
-        )
-        atb = -np.array([np.dot(ju, res), np.dot(jv, res)])
-        try:
-            step = np.linalg.solve(ata, atb)
-        except np.linalg.LinAlgError:
+        if step is None:
             break
         u += float(step[0])
         v += float(step[1])
@@ -294,20 +302,19 @@ def align(
             break
 
     # final statistics at the best state seen
-    if converged:
-        d = mov - _sample_at_offset(ref, -v, u)
-        dz, inl = _dz_and_inliers(d, cfg.blunder_threshold)
-    else:
+    if not converged:
         _, u, v, dz = best_state
-        d = mov - _sample_at_offset(ref, -v, u)
-        inl = np.isfinite(d) & (np.abs(d + dz) <= cfg.blunder_threshold)
+    d = _residuals(mov, ref, -v, u)[1]
+    if converged:
+        dz, inl, _ = _fit(d, cfg.blunder_threshold)
+    else:
+        inl = np.abs(d + dz) <= cfg.blunder_threshold
 
-    finite = np.isfinite(d)
     return AlignmentResult(
         shift=(u * cell, v * cell, dz),
-        rmse_inliers=_rms(d, dz, inl),
-        rmse_all=_rms(d, dz, finite),
+        rmse_inliers=_rms(d[inl] + dz),
+        rmse_all=_rms(d + dz),
         n_inliers=int(np.count_nonzero(inl)),
-        n_total=int(np.count_nonzero(finite)),
+        n_total=d.size,
         converged=converged,
     )

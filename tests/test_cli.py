@@ -822,10 +822,10 @@ class TestCurve:
 
 
     @staticmethod
-    def _scene(tmp_path, n_layers):
-        """40x40 truth, layers with spikes and holes, and an ortho half a cell
-        east of them; returns the layer paths."""
-        truth, ortho = gen_scene(SceneSpec(seed=9, width=40, height=40, buildings=(
+    def _scene(tmp_path, n_layers, size=40):
+        """size x size truth, layers with spikes and holes, and an ortho half a
+        cell east of them; returns the layer paths."""
+        truth, ortho = gen_scene(SceneSpec(seed=9, width=size, height=size, buildings=(
             Building(5, 6, 14, 10, 18.0, 190.0), Building(24, 20, 10, 14, 9.0, 120.0),
         )))
         write_asc(truth, tmp_path / "truth.asc")
@@ -864,6 +864,24 @@ class TestCurve:
                     for f in (adaptive_median_fuse(top, ortho, FusionConfig()), median_fuse(top)))
             want.append(f"{k},{a:.6f},{m:.6f}")
         assert (tmp_path / "curve.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_peak_memory_flat_in_layer_count(self, tmp_path):
+        # numpy reports its buffers to tracemalloc.  Every k's fused rows wait
+        # on disk, so one k's pair of grids is held while it is aligned; the
+        # (2, K) stack this replaced held 12 more grids at 8 layers than at 2
+        import tracemalloc
+
+        n = 400  # the kernel's fixed block budget stays under the aligns' grids
+        paths = self._scene(tmp_path, 8, size=n)
+        peaks = []
+        for n_layers in (2, 8):
+            tracemalloc.start()
+            try:
+                assert self._curve(tmp_path, paths[:n_layers]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * n * n * 8, peaks  # less than two grids
 
     def test_jobs_fuse_in_process_same_bytes(self, tmp_path, monkeypatch):
         paths = self._scene(tmp_path, 3)

@@ -1,14 +1,16 @@
 import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import register
-from dsmfuse.raster import GeometryMismatchError, GridGeometry, RasterGrid
+from dsmfuse.raster import GeometryMismatchError, GridGeometry, RasterGrid, resample
 from dsmfuse.register import (
     AlignConfig,
+    AlignmentResult,
     InsufficientOverlapError,
     align,
     rmse,
@@ -266,3 +268,335 @@ class TestAlignConfig:
         assert cfg.max_search == 10
         assert register._MAX_ITERATIONS == 50
         assert register._CONVERGENCE_TOL == 1e-4
+
+
+# The full-grid alignment that the windowed one replaced, kept verbatim as an
+# oracle: every shifted or sampled array is a NaN-filled copy of the whole
+# grid, the median is np.nanmedian and every mean is np.mean.
+
+
+def _oracle_int_shift(a, dr, dc):
+    n_rows, n_cols = a.shape
+    out = np.full_like(a, np.nan)
+    rd0, rd1 = max(0, -dr), min(n_rows, n_rows - dr)
+    cd0, cd1 = max(0, -dc), min(n_cols, n_cols - dc)
+    if rd0 < rd1 and cd0 < cd1:
+        out[rd0:rd1, cd0:cd1] = a[rd0 + dr : rd1 + dr, cd0 + dc : cd1 + dc]
+    return out
+
+
+def _oracle_sample_at_offset(a, dr, dc):
+    if abs(dr - round(dr)) < 1e-12:
+        dr = round(dr)
+    if abs(dc - round(dc)) < 1e-12:
+        dc = round(dc)
+    r0 = math.floor(dr)
+    c0 = math.floor(dc)
+    fr = dr - r0
+    fc = dc - c0
+    if fr == 0 and fc == 0:
+        return _oracle_int_shift(a, int(r0), int(c0))
+    v00 = _oracle_int_shift(a, r0, c0)
+    v01 = _oracle_int_shift(a, r0, c0 + 1)
+    v10 = _oracle_int_shift(a, r0 + 1, c0)
+    v11 = _oracle_int_shift(a, r0 + 1, c0 + 1)
+    return (
+        (1 - fr) * (1 - fc) * v00
+        + (1 - fr) * fc * v01
+        + fr * (1 - fc) * v10
+        + fr * fc * v11
+    )
+
+
+def _oracle_dz_and_inliers(d, threshold):
+    finite = np.isfinite(d)
+    if not finite.any():
+        return 0.0, finite
+    dz = -float(np.nanmedian(d))
+    inliers = finite
+    for _ in range(2):
+        inliers = finite & (np.abs(d + dz) <= threshold)
+        if not inliers.any():
+            return dz, inliers
+        dz = -float(np.mean(d[inliers]))
+    return dz, inliers
+
+
+def _oracle_rms(d, dz, cells):
+    if not cells.any():
+        return math.inf
+    r = d[cells] + dz
+    return float(np.sqrt(np.mean(r * r)))
+
+
+def _oracle_truncated_score(d, dz, threshold):
+    r = d[np.isfinite(d)] + dz
+    if r.size == 0:
+        return math.inf
+    return float(np.mean(np.minimum(r * r, threshold * threshold)))
+
+
+def _oracle_halve(a):
+    h, w = a.shape[0] // 2, a.shape[1] // 2
+    blocks = a[: 2 * h, : 2 * w].reshape(h, 2, w, 2)
+    finite = np.isfinite(blocks)
+    total = np.where(finite, blocks, 0.0).sum(axis=(1, 3))
+    count = finite.sum(axis=(1, 3))
+    return np.divide(total, count, out=np.full((h, w), np.nan), where=count > 0)
+
+
+def _oracle_integer_search(mov, ref, cfg):
+    def reach(level):
+        return -(-cfg.max_search // 2**level)
+
+    levels = [(mov, ref)]
+    while reach(len(levels)) >= 2 and min(levels[-1][0].shape) // 2 >= 32:
+        levels.append((_oracle_halve(levels[-1][0]), _oracle_halve(levels[-1][1])))
+    top = len(levels) - 1
+    u = v = 0
+    for level in range(top, -1, -1):
+        m, r = levels[level]
+        lim = reach(level)
+        rad = lim if level == top else 1
+        u, v = 2 * u, 2 * v
+        best = (math.inf, u, v)
+        for cv in range(max(v - rad, -lim), min(v + rad, lim) + 1):
+            for cu in range(max(u - rad, -lim), min(u + rad, lim) + 1):
+                d = m - _oracle_int_shift(r, -cv, cu)
+                dz, _ = _oracle_dz_and_inliers(d, cfg.blunder_threshold)
+                score = _oracle_truncated_score(d, dz, cfg.blunder_threshold)
+                if score < best[0]:
+                    best = (score, cu, cv)
+        _, u, v = best
+    return u, v
+
+
+def oracle_align(moving, reference, cfg):
+    """The full-grid ``align``: its result and the best integer shift."""
+    cell = reference.geometry.cell_size
+    mov = resample(moving, reference.geometry, "bilinear").nan_values()
+    ref = reference.nan_values()
+    if np.count_nonzero(np.isfinite(mov) & np.isfinite(ref)) < 100:
+        raise InsufficientOverlapError
+    iu, iv = _oracle_integer_search(mov, ref, cfg)
+    u, v = float(iu), float(iv)
+    grad_col = np.full_like(ref, np.nan)
+    grad_col[:, 1:-1] = (ref[:, 2:] - ref[:, :-2]) * 0.5
+    grad_row = np.full_like(ref, np.nan)
+    grad_row[1:-1, :] = (ref[2:, :] - ref[:-2, :]) * 0.5
+    converged = False
+    best_state = None
+    for _ in range(50):
+        d = mov - _oracle_sample_at_offset(ref, -v, u)
+        dz, inl = _oracle_dz_and_inliers(d, cfg.blunder_threshold)
+        score = _oracle_truncated_score(d, dz, cfg.blunder_threshold)
+        if best_state is None or score < best_state[0]:
+            best_state = (score, u, v, dz)
+        gc = _oracle_sample_at_offset(grad_col, -v, u)
+        gr = _oracle_sample_at_offset(grad_row, -v, u)
+        use = inl & np.isfinite(gc) & np.isfinite(gr)
+        if np.count_nonzero(use) < 3:
+            break
+        res = d[use] + dz
+        ju = -gc[use]
+        jv = gr[use]
+        ata = np.array([[np.dot(ju, ju), np.dot(ju, jv)], [np.dot(ju, jv), np.dot(jv, jv)]])
+        atb = -np.array([np.dot(ju, res), np.dot(jv, res)])
+        try:
+            step = np.linalg.solve(ata, atb)
+        except np.linalg.LinAlgError:
+            break
+        u += float(step[0])
+        v += float(step[1])
+        if max(abs(step[0]), abs(step[1])) < 1e-4:
+            converged = True
+            break
+    if converged:
+        d = mov - _oracle_sample_at_offset(ref, -v, u)
+        dz, inl = _oracle_dz_and_inliers(d, cfg.blunder_threshold)
+    else:
+        _, u, v, dz = best_state
+        d = mov - _oracle_sample_at_offset(ref, -v, u)
+        inl = np.isfinite(d) & (np.abs(d + dz) <= cfg.blunder_threshold)
+    finite = np.isfinite(d)
+    result = AlignmentResult(
+        shift=(u * cell, v * cell, dz),
+        rmse_inliers=_oracle_rms(d, dz, inl),
+        rmse_all=_oracle_rms(d, dz, finite),
+        n_inliers=int(np.count_nonzero(inl)),
+        n_total=int(np.count_nonzero(finite)),
+        converged=converged,
+    )
+    return result, (iu, iv)
+
+
+def _bits(res):
+    """Every field of an AlignmentResult, floats by bit pattern."""
+    f = lambda x: np.float64(x).tobytes()  # noqa: E731
+    return (tuple(map(f, res.shift)), f(res.rmse_inliers), f(res.rmse_all),
+            res.n_inliers, res.n_total, res.converged)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def oracle_case(rows, cols, east, north, holes, spikes, flat, max_search, seed):
+    """A hill and a box under a moving grid whose content is moved (east,
+    north) cells, with noise, +-10 m spikes, blunders near the 6 m gate and
+    holes; ``flat`` makes the reference constant, so Gauss-Newton has no
+    gradient to follow."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:rows, 0:cols].astype(float)
+
+    def surface(dx, dy):
+        X, Y = x - dx, y + dy
+        h = 20.0 * np.exp(-((X - cols / 2) ** 2 + (Y - rows / 2) ** 2) / (2 * (min(rows, cols) / 4) ** 2))
+        return h + np.where((X > cols / 4) & (X < cols / 2) & (Y > rows / 4) & (Y < rows / 2), 8.0, 0.0)
+
+    ref = np.full((rows, cols), 4.0) if flat else surface(0.0, 0.0)
+    mov = surface(east, north) + rng.normal(0.0, 0.2, (rows, cols))
+    hit = rng.random((rows, cols)) < spikes
+    mov[hit] += rng.choice([-10.0, 10.0], int(hit.sum()))
+    # as many again near the 6 m gate, where a small change of dz flips them
+    hit = rng.random((rows, cols)) < spikes
+    mov[hit] += rng.choice([-1.0, 1.0], int(hit.sum())) * rng.uniform(5.0, 7.0, int(hit.sum()))
+    mov[rng.random((rows, cols)) < holes] = -9999.0
+    ref[rng.random((rows, cols)) < holes / 2] = -9999.0
+    geom = GridGeometry(0.0, 0.0, 0.5, cols, rows)
+    return RasterGrid(geom, mov), RasterGrid(geom, ref), AlignConfig(max_search=max_search)
+
+
+def check_against_oracle(moving, ref, cfg):
+    """align equals the oracle field by field, bit for bit, and warns exactly
+    when the oracle's integer shift lies on the search boundary."""
+    try:
+        want, (iu, iv) = oracle_align(moving, ref, cfg)
+    except InsufficientOverlapError:
+        with pytest.raises(InsufficientOverlapError):
+            align(moving, ref, cfg)
+        return None
+    handler = _Warnings()
+    register.log.addHandler(handler)
+    try:
+        got = align(moving, ref, cfg)
+    finally:
+        register.log.removeHandler(handler)
+    assert _bits(got) == _bits(want), (got, want)
+    on_boundary = cfg.max_search > 0 and max(abs(iu), abs(iv)) == cfg.max_search
+    assert [("search boundary" in m) for m in handler.messages] == [True] * on_boundary
+    return got
+
+
+# a constant reference: singular normal equations stop Gauss-Newton at once
+FLAT_NOT_CONVERGED = dict(rows=30, cols=41, east=1.5, north=-0.5, holes=0.1, spikes=0.05,
+                          flat=True, max_search=3, seed=7)
+
+
+@st.composite
+def oracle_cases(draw):
+    side = st.integers(12, 32) | st.integers(12, 96)
+    rows, cols = draw(side), draw(side)
+    step = st.integers(-4, 4) | st.floats(-4.0, 4.0, allow_nan=False)
+    # up to past the short side, so some shifts leave no overlap at all (on
+    # small grids only: the search scores (2 max_search + 1)**2 shifts)
+    past = min(rows, cols) + draw(st.integers(0, 3))
+    search = st.integers(0, 6) | st.just(past) if max(rows, cols) <= 32 else st.integers(0, 6)
+    return dict(
+        rows=rows, cols=cols, east=draw(step), north=draw(step),
+        holes=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        spikes=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        flat=draw(st.booleans()),
+        max_search=draw(search),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestMatchesFullGridOracle:
+    """The windowed align does the full-grid one's float operations on the
+    same cells in the same order, so every result field has the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=oracle_cases())
+    @example(case=FLAT_NOT_CONVERGED)
+    def test_bit_identical_results(self, case):
+        res = check_against_oracle(*oracle_case(**case))
+        event(f"converged: {res and res.converged}")
+        event(f"searched past the grid: {case['max_search'] >= min(case['rows'], case['cols'])}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 9),
+           dr=st.integers(-10, 10) | st.floats(-10.0, 10.0), dc=st.integers(-10, 10) | st.floats(-10.0, 10.0))
+    def test_sample_is_the_full_grid_sample_on_its_window(self, rows, cols, dr, dc):
+        a = np.random.default_rng(rows * 10 + cols).normal(size=(rows, cols))
+        a[0, 0] = np.nan
+        want = _oracle_sample_at_offset(a, dr, dc)
+        win, got = register._sample(a, dr, dc)
+        assert got.tobytes() == want[win].tobytes()
+        outside = np.ones_like(a, dtype=bool)
+        outside[win] = False
+        assert np.isnan(want[outside]).all()
+
+    def test_flat_example_takes_the_non_converged_branch(self):
+        res = check_against_oracle(*oracle_case(**FLAT_NOT_CONVERGED))
+        assert not res.converged
+
+    def test_search_past_the_grid_scores_empty_windows(self):
+        # a 20-row grid searched 23 cells: shifts past 20 rows overlap nothing
+        moving, ref, _ = oracle_case(20, 60, 2.0, 1.0, 0.05, 0.05, False, 0, 3)
+        check_against_oracle(moving, ref, AlignConfig(max_search=23))
+        mov, r = moving.nan_values(), ref.nan_values()
+        assert register._fit(register._residuals(mov, r, -21, 0)[1], 6.0)[2] == math.inf
+        assert register._fit(register._residuals(mov, r, 0.5, -61.5)[1], 6.0)[2] == math.inf
+
+    def test_readme_patch_at_default_search(self):
+        truth = readme_scene(128, seed=402)
+        moving = move_content(readme_layer(truth, 402 * 1000 + 3, 0.5), -3, 4)
+        check_against_oracle(moving, truth, AlignConfig())
+
+
+class TestMedian:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.5, 2.0]),
+                      min_size=1, max_size=60))
+    def test_equals_nanmedian(self, x):
+        x = np.array(x)
+        # the same value; only the sign of a zero may follow the partition
+        assert register._median(x) == np.nanmedian(np.append(x, np.nan))
+
+    @pytest.mark.parametrize("x", [[3.0], [5.0, -1.0], [2.0, 2.0, 2.0, 1.0], [0.0, -0.0, 7.0],
+                                   [1.0, 1.0, 2.0, 2.0, 2.0, 9.0], list(range(101))])
+    def test_odd_even_one_and_duplicates(self, x):
+        x = np.array(x, dtype=float)
+        assert register._median(x) == np.nanmedian(x)
+
+    def test_leaves_its_input_in_order(self):
+        x = np.array([4.0, -2.0, 9.0, 0.5, 3.0, 3.0])
+        register._median(x)
+        assert x.tolist() == [4.0, -2.0, 9.0, 0.5, 3.0, 3.0]
+
+
+class TestAlignMemory:
+    def test_peak_flat_in_grid_units(self):
+        # numpy reports its buffers to tracemalloc.  The full-grid align
+        # peaked at 24.7 grids at 128^2 and 16.1 at 512^2 on these inputs;
+        # the windowed one at 8.9 and 8.3.
+        import tracemalloc
+
+        peaks = []
+        for n, parent in ((128, 24.7), (512, 16.1)):
+            truth = readme_scene(n, seed=5)
+            moving = move_content(readme_layer(truth, 5000, 0.5), -3, 4)
+            tracemalloc.start()
+            try:
+                assert align(moving, truth).converged
+                peaks.append(tracemalloc.get_traced_memory()[1] / (n * n * 8))
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] < parent - 2, peaks
+        assert abs(peaks[1] - peaks[0]) < 1.0, peaks
