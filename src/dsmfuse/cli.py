@@ -179,8 +179,8 @@ def _atomic(path: Path):
 
 
 def _write_manifest(
-    out_path: Path, command: str, inputs, outputs, opts: SimpleNamespace,
-    seed=None, started: float = 0.0,
+    command: str, opts: SimpleNamespace, started: float,
+    out_path: Path, inputs, outputs, seed=None,
 ) -> None:
     manifest = {
         "command": command,
@@ -255,25 +255,14 @@ def _out_path(opts: SimpleNamespace) -> Path:
 
 
 def _spilled_strips(f, n_cols: int):
-    """Row strips of the float64 rows in binary file ``f``, from its position on."""
+    """Row strips of the float64 rows spilled to binary file ``f``, from its start."""
+    f.seek(0)
     rows = strip_rows(n_cols, 8)  # the preview's temporaries share one strip budget
     while chunk := f.read(rows * n_cols * 8):
         yield np.frombuffer(chunk).reshape(-1, n_cols)
 
 
-def _spilled_grid(f, spans, i: int, geometry) -> np.ndarray:
-    """Grid ``i`` of the (grids, rows, cols) float64 strips at ``spans`` (rows, offset) of ``f``."""
-    grid = np.empty((geometry.n_rows, geometry.n_cols))
-    r = 0
-    for n, at in spans:
-        f.seek(at + i * grid[r : r + n].nbytes)
-        f.readinto(grid[r : r + n])
-        r += n
-    return grid
-
-
-def cmd_fuse(opts: SimpleNamespace) -> int:
-    started = time.perf_counter()
+def cmd_fuse(opts: SimpleNamespace):
     _require(opts, "layers", "out")
     fcfg = _fusion_config(opts)
     adaptive = opts.mode == "adaptive"
@@ -304,15 +293,12 @@ def cmd_fuse(opts: SimpleNamespace) -> int:
                 ok = valid(rows, nodata)
                 vmin, vmax = rows.min(initial=vmin, where=ok), rows.max(initial=vmax, where=ok)
                 spill.write(rows.tobytes())
-        spill.seek(0)
         with _atomic(preview) as tmp:
             write_pgm(_spilled_strips(spill, target.n_cols), tmp, target, nodata, vmin, vmax)
-    _write_manifest(out, "fuse", inputs, [out, preview], opts, started=started)
-    return EXIT_OK
+    return out, inputs, [out, preview]
 
 
-def cmd_rank(opts: SimpleNamespace) -> int:
-    started = time.perf_counter()
+def cmd_rank(opts: SimpleNamespace):
     _require(opts, "manifest", "truth", "out")
     acfg = _align_config(opts)
     out = _out_path(opts)
@@ -347,12 +333,10 @@ def cmd_rank(opts: SimpleNamespace) -> int:
             f"{'true' if r.selected else 'false'}"
         )
     _write_text_atomic("\n".join(lines) + "\n", out)
-    _write_manifest(out, "rank", [opts.manifest, opts.truth], [out], opts, started=started)
-    return EXIT_OK
+    return out, [opts.manifest, opts.truth], [out]
 
 
-def cmd_eval(opts: SimpleNamespace) -> int:
-    started = time.perf_counter()
+def cmd_eval(opts: SimpleNamespace):
     _require(opts, "computed", "truth", "out")
     acfg = _align_config(opts)
     out = _out_path(opts)
@@ -366,12 +350,10 @@ def cmd_eval(opts: SimpleNamespace) -> int:
         f"{res.n_inliers},{res.n_total},{'true' if res.converged else 'false'}",
     ]
     _write_text_atomic("\n".join(lines) + "\n", out)
-    _write_manifest(out, "eval", [opts.computed, opts.truth], [out], opts, started=started)
-    return EXIT_OK
+    return out, [opts.computed, opts.truth], [out]
 
 
-def cmd_curve(opts: SimpleNamespace) -> int:
-    started = time.perf_counter()
+def cmd_curve(opts: SimpleNamespace):
     _require(opts, "layers", "ortho", "truth", "out")
     fcfg, acfg = _fusion_config(opts), _align_config(opts)
     out = _out_path(opts)
@@ -379,35 +361,37 @@ def cmd_curve(opts: SimpleNamespace) -> int:
     with ExitStack() as exits:
         target, sources = _open_sources(inputs, len(ks), None, opts.resample_method, exits)
         truth = exits.enter_context(GridReader(opts.truth))  # its header checked before fusing
-        # every k's fused rows go to disk a strip at a time; one k's pair comes back to align
-        spill = exits.enter_context(tempfile.TemporaryFile(dir=out.parent))
-        spans = ([], [])  # (rows, file offset) of each adaptive and each median strip
+        # each k's fused grids go to disk a strip at a time, each to its own unlinked
+        # file in the --out directory; one k's pair comes back at a time to align
+        adaptive, median = (
+            [exits.enter_context(tempfile.TemporaryFile(dir=out.parent)) for _ in ks] for _ in range(2)
+        )
 
-        def keep(kind, rows):
-            spans[kind].append((rows.shape[1], spill.tell()))
-            spill.write(rows.tobytes())
+        def keep(spills, fused):
+            for f, rows in zip(spills, fused):
+                f.write(rows.tobytes())
 
         def medians_too(strips):  # ks stops short of the ortho: the median sorts copies
             for strip in strips:
-                keep(1, next(fuse_strips([strip], ks=ks)))
+                keep(median, next(fuse_strips([strip], ks=ks)))
                 yield strip
-        for rows in fuse_strips(medians_too(_ortho_checked(read_strips(sources))), fcfg, opts.jobs, ks):
-            keep(0, rows)
+        for fused in fuse_strips(medians_too(_ortho_checked(read_strips(sources))), fcfg, opts.jobs, ks):
+            keep(adaptive, fused)
         truth = RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata)
 
         lines = ["k,rmse_adaptive_m,rmse_median_m"]
-        for k in ks:
+        for k, pair in zip(ks, zip(adaptive, median)):
             res_a, res_m = (
-                align(RasterGrid.from_nan(target, _spilled_grid(spill, s, k - 1, target)), truth, acfg)
-                for s in spans
+                align(RasterGrid.from_nan(target, np.concatenate(list(_spilled_strips(f, target.n_cols)))),
+                      truth, acfg)
+                for f in pair
             )
             lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
     _write_text_atomic("\n".join(lines) + "\n", out)
-    _write_manifest(out, "curve", [*inputs, opts.truth], [out], opts, started=started)
-    return EXIT_OK
+    return out, [*inputs, opts.truth], [out]
 
 
-def cmd_rpc(opts: SimpleNamespace) -> int:
+def cmd_rpc(opts: SimpleNamespace) -> None:
     _require(opts, "action")
     if opts.action == "project":
         _require(opts, "rpc", "u", "v", "z")
@@ -428,7 +412,6 @@ def cmd_rpc(opts: SimpleNamespace) -> int:
             dz_probe=opts.dz_probe, meters_per_unit=opts.meters_per_unit,
         )
         print(f"angle_deg={angle:.10g}")
-    return EXIT_OK
 
 
 def _parse_scene_file(path: str) -> SceneSpec:
@@ -463,8 +446,7 @@ def _parse_scene_file(path: str) -> SceneSpec:
     return SceneSpec(buildings=tuple(buildings), **scalars)
 
 
-def cmd_synth(opts: SimpleNamespace) -> int:
-    started = time.perf_counter()
+def cmd_synth(opts: SimpleNamespace):
     _require(opts, "scene", "out_dir")
     spec = _parse_scene_file(opts.scene)
     lo, hi, n = opts.sigma_start, opts.sigma_end, opts.layers
@@ -491,11 +473,7 @@ def cmd_synth(opts: SimpleNamespace) -> int:
         _write_grid_atomic(degrade(truth, dspec), layer_path)
         outputs.append(layer_path)
 
-    _write_manifest(
-        truth_path, "synth", [opts.scene], outputs, opts,
-        seed=spec.seed, started=started,
-    )
-    return EXIT_OK
+    return truth_path, [opts.scene], outputs, spec.seed
 
 
 # flags shared by several commands: key -> (default, argparse keywords)
@@ -591,8 +569,12 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
     args = _build_parser().parse_args(argv)
     warnings.showwarning = _log_warning
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command][0](_resolve(args, args.command))
+        opts = _resolve(args, args.command)
+        wrote = _COMMANDS[args.command][0](opts)  # (anchor path, inputs, outputs[, seed])
+        if wrote:
+            _write_manifest(args.command, opts, started, *wrote)
     except (AsciiGridError, RpcFileError, ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -602,6 +584,7 @@ def main(argv=None) -> int:
     except (ConfigError, InversionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

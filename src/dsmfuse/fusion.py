@@ -77,27 +77,6 @@ class FusionConfig:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
 
-@dataclass
-class DepthStack:
-    """Ordered depth layers sharing a single grid geometry."""
-
-    layers: list[RasterGrid]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError("a depth stack needs at least one layer")
-        geom = self.layers[0].geometry
-        for i, layer in enumerate(self.layers[1:], start=1):
-            if layer.geometry != geom:
-                raise GeometryMismatchError(
-                    f"layer {i} geometry differs from layer 0"
-                )
-
-    @property
-    def geometry(self):
-        return self.layers[0].geometry
-
-
 def _nan_median(a: np.ndarray) -> np.ndarray:
     """Median over the last axis ignoring NaN; all-NaN rows give NaN.
 
@@ -111,15 +90,20 @@ def _nan_median(a: np.ndarray) -> np.ndarray:
     safe = np.maximum(n, 1)
     lo = np.take_along_axis(a, ((safe - 1) // 2)[..., None], axis=-1)[..., 0]
     hi = np.take_along_axis(a, (safe // 2)[..., None], axis=-1)[..., 0]
-    med = 0.5 * (lo + hi)
+    # -0.0 and 0.0 sort as equal, so which lands in the middle follows the
+    # layer order; + 0.0 makes every zero median +0.0 and changes nothing else
+    med = 0.5 * (lo + hi) + 0.0
     med[n == 0] = np.nan
     return med
 
 
 def read_strips(grids):
-    """(rows, cols, grids) NaN strips, top to bottom, of grids on one geometry
-    read in lockstep; each is a ``RasterGrid`` or a fresh ``GridReader``."""
+    """(rows, cols, grids) NaN strips, top to bottom, of grids read in lockstep;
+    each is a ``RasterGrid`` or a fresh ``GridReader``, all on the first one's geometry."""
     geom = grids[0].geometry
+    for k, grid in enumerate(grids):
+        if grid.geometry != geom:
+            raise GeometryMismatchError(f"grid {k} geometry differs from grid 0")
     rows = strip_rows(geom.n_cols, len(grids))
     for r0 in range(0, geom.n_rows, rows):
         strip = np.empty((min(rows, geom.n_rows - r0), geom.n_cols, len(grids)))
@@ -167,14 +151,16 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None)
                 yield np.concatenate(list(run(fuse, hpads, opads)), axis=1)
 
 
-def _fuse_grids(grids, cfg: FusionConfig | None, jobs: int) -> RasterGrid:
-    (fused,) = np.concatenate(list(fuse_strips(read_strips(grids), cfg, jobs)), axis=1)
-    return RasterGrid.from_nan(grids[0].geometry, fused, grids[0].nodata)
+def _fuse_grids(layers, cfg: FusionConfig | None, jobs: int, *ortho) -> RasterGrid:
+    if not layers:
+        raise ValueError("fusion needs at least one layer")
+    (fused,) = np.concatenate(list(fuse_strips(read_strips([*layers, *ortho]), cfg, jobs)), axis=1)
+    return RasterGrid.from_nan(layers[0].geometry, fused, layers[0].nodata)
 
 
-def median_fuse(stack: DepthStack) -> RasterGrid:
-    """Per-cell median across layers; cells with no valid height get nodata."""
-    return _fuse_grids(stack.layers, None, 1)
+def median_fuse(layers: list[RasterGrid]) -> RasterGrid:
+    """Per-cell median across layers on one geometry; cells with no valid height get nodata."""
+    return _fuse_grids(layers, None, 1)
 
 
 def _window_offsets(cfg: FusionConfig):
@@ -245,7 +231,7 @@ def _fuse_block(hpad, opad, offsets, cfg: FusionConfig, ks) -> np.ndarray:
 
 
 def adaptive_median_fuse(
-    stack: DepthStack,
+    layers: list[RasterGrid],
     ortho: RasterGrid,
     cfg: FusionConfig = FusionConfig(),
     jobs: int = 1,
@@ -254,12 +240,10 @@ def adaptive_median_fuse(
 
     Per output cell, the candidate multiset is every valid height of every
     layer at every member cell of the cell's adaptive window computed on
-    ``ortho``; the output is the candidates' median, or nodata when there
-    are none.  ``jobs`` > 1 fuses each strip's row blocks on that many
+    ``ortho``, whose geometry the layers share; the output is the
+    candidates' median, or nodata when there are none.  ``jobs`` > 1 fuses each strip's row blocks on that many
     threads, with bit-identical results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if ortho.geometry != stack.geometry:
-        raise GeometryMismatchError("orthophoto geometry differs from the stack")
-    return _fuse_grids(stack.layers + [ortho], cfg, jobs)
+    return _fuse_grids(layers, cfg, jobs, ortho)

@@ -134,8 +134,9 @@ class RasterGrid:
     @classmethod
     def from_nan(cls, geometry: GridGeometry, values, nodata: float = DEFAULT_NODATA) -> "RasterGrid":
         """Build a grid from an array that uses NaN to mark invalid cells."""
-        arr = np.array(values, dtype=np.float64, copy=True)
+        arr = np.array(values, dtype=np.float64, order="C", copy=True)
         arr[~np.isfinite(arr)] = nodata
+        arr.flags.writeable = False  # the constructor shares it: one copy, not two
         return cls(geometry, arr, nodata)
 
     def valid_mask(self) -> np.ndarray:
@@ -238,10 +239,11 @@ class GridReader(AbstractContextManager):
     lines are skipped.  Header values must be finite, and cellsize > 0.
 
     Opening checks the header (``geometry``, ``nodata``); ``read(n)`` parses
-    the next n rows with numpy's C text reader.  A strip it rejects, one of
-    the wrong shape, or lines after the last row send the reader back to the
-    data block for ``_read_rows``, which parses it all with ``float()`` (so
-    ``1_0`` too), names the bad token or row, and serves the rows left.
+    the next n rows with numpy's C text reader.  A strip it rejects, or one of
+    the wrong shape, is parsed again by ``_parse_rows`` with ``float()`` (so
+    ``1_0`` too), which names the bad token or row.  The row count is checked
+    as the strips go past: a short last strip, or a line after the last row,
+    is a ``RowLengthError``.  The file is read forward only, a strip at a time.
     """
 
     def __init__(self, path):
@@ -253,27 +255,27 @@ class GridReader(AbstractContextManager):
         except BaseException:
             self._f.close()
             raise
-        self._data_start = self._f.tell()
         self._lines = filter(None, map(str.strip, self._f))
-        self._next, self._block = 0, None  # rows served; the block if _read_rows parsed it
+        self._next = 0  # rows served
 
     def read(self, n: int) -> np.ndarray:
         g, r0 = self.geometry, self._next
         self._next = min(r0 + n, g.n_rows)
         n = self._next - r0
-        if self._block is None:
-            with decode_errors_as(AsciiGridError, self.path, "ascii"):
-                lines = list(islice(self._lines, n))
-                try:  # a short strip, an empty one included, goes to _read_rows unparsed
-                    strip = np.loadtxt(lines, comments=None, ndmin=2) if len(lines) == n else None
-                except ValueError:
-                    strip = None
-                trailing = self._next == g.n_rows and next(self._lines, None)
-                if strip is not None and strip.shape == (n, g.n_cols) and not trailing:
-                    return strip
-                self._f.seek(self._data_start)
-                self._block = _read_rows(self._f, self.path, g.n_rows, g.n_cols)
-        return self._block[r0 : self._next]
+        with decode_errors_as(AsciiGridError, self.path, "ascii"):
+            lines = list(islice(self._lines, n))
+            found = r0 + len(lines)
+            if found == g.n_rows:  # count any lines after the last row
+                found += sum(1 for _ in self._lines)
+        if found != self._next:
+            raise RowLengthError(f"{self.path}: expected {g.n_rows} data rows, found {found}")
+        try:
+            strip = np.loadtxt(lines, comments=None, ndmin=2)
+        except ValueError:
+            strip = None
+        if strip is None or strip.shape != (n, g.n_cols):
+            strip = _parse_rows(lines, self.path, r0, g.n_cols)
+        return strip
 
     def __exit__(self, *exc) -> None:
         self._f.close()
@@ -347,22 +349,17 @@ def _next_line(f) -> str:
     return ""
 
 
-def _read_rows(f, path, n_rows: int, n_cols: int) -> np.ndarray:
-    """Parse the data block from ``f``'s position one row at a time."""
-    data_lines = [ln for ln in (raw.strip() for raw in f) if ln]
-    if len(data_lines) != n_rows:
-        raise RowLengthError(
-            f"{path}: expected {n_rows} data rows, found {len(data_lines)}"
-        )
-    values = np.empty((n_rows, n_cols), dtype=np.float64)
-    for r, line in enumerate(data_lines):
+def _parse_rows(lines, path, r0: int, n_cols: int) -> np.ndarray:
+    """Parse data ``lines``, rows ``r0`` on, one row at a time."""
+    values = np.empty((len(lines), n_cols), dtype=np.float64)
+    for r, line in enumerate(lines, start=r0):
         tokens = line.split()
         if len(tokens) != n_cols:
             raise RowLengthError(
                 f"{path}: row {r} has {len(tokens)} values, expected {n_cols}"
             )
         try:
-            values[r, :] = np.array(tokens, dtype=np.float64)
+            values[r - r0, :] = np.array(tokens, dtype=np.float64)
         except ValueError:
             bad = next(t for t in tokens if not _is_number(t))
             raise UnparseableNumberError(

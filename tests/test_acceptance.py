@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from dsmfuse.cli import main
-from dsmfuse.fusion import DepthStack, FusionConfig, adaptive_median_fuse, median_fuse
+from dsmfuse.fusion import FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate, PairRecord, gate_pairs, rank_pairs
 from dsmfuse.raster import GridGeometry, RasterGrid, write_asc
 from dsmfuse.register import AlignConfig, align, rmse
@@ -60,7 +60,7 @@ def test_criterion_01_oracle_equivalence():
         )
         stack, ortho = random_stack(rng, n_rows, n_cols, n_layers)
         got = adaptive_median_fuse(stack, ortho, cfg).nan_values()
-        want = oracle_adaptive_fuse(stack.layers, ortho, cfg)
+        want = oracle_adaptive_fuse(stack, ortho, cfg)
         assert np.array_equal(got, want, equal_nan=True)
     assert time.perf_counter() - started < 10.0
 
@@ -114,9 +114,8 @@ def test_criterion_04_salt_and_pepper():
             degrade(truth, DegradeSpec(seed=seed * 100 + i, spike_prob=0.1, spike_amp=10.0))
             for i in range(3)
         ]
-        stack = DepthStack(layers=layers)
-        r_median = rmse(median_fuse(stack), truth)[0]
-        r_adaptive = rmse(adaptive_median_fuse(stack, ortho), truth)[0]
+        r_median = rmse(median_fuse(layers), truth)[0]
+        r_adaptive = rmse(adaptive_median_fuse(layers, ortho), truth)[0]
         wins += r_adaptive < r_median
         improvements.append(r_median - r_adaptive)
     assert wins >= 18
@@ -172,7 +171,7 @@ def test_criterion_05_edge_preservation():
         vals[:, edge : edge + band] = block
         layers.append(RasterGrid(geom, vals))
 
-    fused = adaptive_median_fuse(DepthStack(layers=layers), ortho)
+    fused = adaptive_median_fuse(layers, ortho)
     dev_adaptive = np.abs(_edge_columns(fused.nan_values(), n_rows) - edge)
     assert np.all(dev_adaptive <= 1), f"adaptive edge devs {dev_adaptive.max()}"
 
@@ -406,10 +405,10 @@ def test_criterion_10_determinism_and_performance(tmp_path, capsys):
     geom = GridGeometry(0, 0, 1.0, 1024, 1024)
     rng = np.random.default_rng(1)
     base = RasterGrid(geom, rng.normal(50, 10, (1024, 1024)))
-    stack = DepthStack(layers=[
+    stack = [
         degrade(base, DegradeSpec(seed=i, gaussian_sigma=0.5, hole_prob=0.05))
         for i in range(5)
-    ])
+    ]
     ortho = RasterGrid(geom, rng.uniform(0, 255, (1024, 1024)))
     started = time.perf_counter()
     fused = adaptive_median_fuse(stack, ortho, FusionConfig(radius=3), jobs=1)

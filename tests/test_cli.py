@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from dsmfuse import cli, fusion, raster
 from dsmfuse.cli import main
-from dsmfuse.fusion import DepthStack, FusionConfig, adaptive_median_fuse, median_fuse
+from dsmfuse.fusion import FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, resample, write_asc
 from dsmfuse.register import AlignConfig, align
@@ -121,6 +122,19 @@ class TestFuse:
                      "--out", str(tmp_path / "o.asc")])
         assert code == 3
         assert not (tmp_path / "o.asc").exists()
+
+    def test_zero_medians_print_alike_in_either_layer_order(self, tmp_path):
+        # 0.0 and -0.0 sort as equal, so either may be the middle candidate
+        for name, v in (("pos", 0.0), ("neg", -0.0), ("five", 5.0)):
+            write_asc(grid_of(np.full((3, 1), v)), tmp_path / f"{name}.asc")
+        fused = []
+        for order in (("pos", "neg", "five"), ("neg", "pos", "five")):
+            out = tmp_path / f"{'_'.join(order)}.asc"
+            layers = [str(tmp_path / f"{name}.asc") for name in order]
+            assert main(["fuse", "--mode", "median", "--layers", *layers, "--out", str(out)]) == 0
+            fused.append(out.read_bytes())
+        assert fused[0] == fused[1]
+        assert fused[0].endswith(b"0.000000\n" * 3) and b"-0.000000" not in fused[0]
 
     def test_rerun_byte_identical(self, tmp_path, rng):
         vals = rng.normal(10, 3, size=(25, 25))
@@ -367,7 +381,7 @@ class TestFusePreview:
             write_asc(grid_of(vals, nodata=nodata), paths[-1])
         out = tmp_path / "fused.asc"
         assert main(_fuse_args(paths[:-1], paths[-1], mode, out)) == 0
-        stack = DepthStack([read_asc(p) for p in paths[:-1]])
+        stack = [read_asc(p) for p in paths[:-1]]
         fused = median_fuse(stack) if mode == "median" else \
             adaptive_median_fuse(stack, read_asc(paths[-1]))
         return out.with_suffix(".pgm").read_text(), fused
@@ -859,7 +873,7 @@ class TestCurve:
         truth, acfg = read_asc(tmp_path / "truth.asc"), AlignConfig(max_search=2)
         want = ["k,rmse_adaptive_m,rmse_median_m"]
         for k in range(1, 5):
-            top = DepthStack(layers[:k])
+            top = layers[:k]
             a, m = (align(f, truth, acfg).rmse_all
                     for f in (adaptive_median_fuse(top, ortho, FusionConfig()), median_fuse(top)))
             want.append(f"{k},{a:.6f},{m:.6f}")
@@ -943,6 +957,49 @@ class TestCurve:
                           "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "WARNING dsmfuse.cli: ortho intensities outside [0, 255]" in proc.stderr
+
+
+class TestManifest:
+    """Each file-producing command writes one manifest, beside its first output,
+    listing what it read and wrote; ``rpc`` only prints and writes none."""
+
+    def _check(self, tmp_path, command, inputs, out):
+        (path,) = tmp_path.glob("*.manifest.json")
+        assert path.name == f"{out.name}.manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == command
+        assert manifest["inputs"] == [str(p) for p in inputs]
+        assert manifest["outputs"] == [str(out)]
+        assert manifest["config"]["out"] == str(out) and manifest["seed"] is None
+
+    def test_rank(self, tmp_path):
+        TestRank().build_inputs(tmp_path)
+        inputs, out = [tmp_path / "pairs.csv", tmp_path / "truth.asc"], tmp_path / "ranked.csv"
+        assert main(["rank", "--manifest", str(inputs[0]), "--truth", str(inputs[1]),
+                     "--at", "0", "0", "0", "--meters-per-unit", "1.0", "--max-search", "3",
+                     "--out", str(out)]) == 0
+        self._check(tmp_path, "rank", inputs, out)
+
+    def test_eval(self, tmp_path):
+        write_asc(hill_grid(), tmp_path / "truth.asc")
+        write_asc(hill_grid(offset=1.0), tmp_path / "comp.asc")
+        inputs, out = [tmp_path / "comp.asc", tmp_path / "truth.asc"], tmp_path / "m.csv"
+        assert main(["eval", "--computed", str(inputs[0]), "--truth", str(inputs[1]),
+                     "--out", str(out)]) == 0
+        self._check(tmp_path, "eval", inputs, out)
+
+    def test_curve(self, tmp_path):
+        layers = TestCurve._scene(tmp_path, 2)
+        assert TestCurve()._curve(tmp_path, layers) == 0
+        inputs = [*layers, tmp_path / "ortho.asc", tmp_path / "truth.asc"]
+        self._check(tmp_path, "curve", inputs, tmp_path / "curve.csv")
+
+    def test_rpc_writes_none(self, tmp_path, monkeypatch, capsys):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        monkeypatch.chdir(tmp_path)
+        assert main(["rpc", "project", "--rpc", "a.rpc", "--u", "0", "--v", "0", "--z", "0"]) == 0
+        assert capsys.readouterr().out == "s=0 l=0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.rpc"]
 
 
 class TestRpcCommand:

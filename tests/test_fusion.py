@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from dsmfuse import fusion, raster
 from dsmfuse.fusion import (
-    DepthStack,
     FusionConfig,
     adaptive_median_fuse,
     median_fuse,
@@ -61,7 +60,8 @@ def oracle_adaptive_fuse(layers, ortho, cfg):
             if cands:
                 cands.sort()
                 n = len(cands)
-                out[r, c] = 0.5 * (cands[(n - 1) // 2] + cands[n // 2])
+                # + 0.0: a zero median is +0.0 whichever zero sorts to the middle
+                out[r, c] = 0.5 * (cands[(n - 1) // 2] + cands[n // 2]) + 0.0
     return out
 
 
@@ -73,7 +73,7 @@ def random_stack(rng, n_rows, n_cols, n_layers, hole_frac=0.15):
         layers.append(grid_of(vals))
     ortho_vals = rng.uniform(0.0, 255.0, size=(n_rows, n_cols))
     ortho_vals[rng.random((n_rows, n_cols)) < 0.05] = -9999.0
-    return DepthStack(layers=layers), grid_of(ortho_vals)
+    return layers, grid_of(ortho_vals)
 
 
 # windows whose rows differ in length: a disk cut by radius 5, and a cross
@@ -216,30 +216,24 @@ class TestMedianFuse:
     def test_single_layer_identity(self, rng):
         vals = rng.normal(10, 3, size=(6, 5))
         vals[0, 0] = -9999.0
-        stack = DepthStack(layers=[grid_of(vals)])
+        stack = [grid_of(vals)]
         out = median_fuse(stack)
         assert np.array_equal(out.values, vals)
 
     def test_odd_count(self):
-        stack = DepthStack(
-            layers=[grid_of([[v]]) for v in (1.0, 2.0, 9.0)]
-        )
+        stack = [grid_of([[v]]) for v in (1.0, 2.0, 9.0)]
         assert median_fuse(stack).values[0, 0] == 2.0
 
     def test_nodata_excluded_then_median(self):
-        stack = DepthStack(
-            layers=[grid_of([[v]]) for v in (10.0, -9999.0, 25.0, 20.0)]
-        )
+        stack = [grid_of([[v]]) for v in (10.0, -9999.0, 25.0, 20.0)]
         assert median_fuse(stack).values[0, 0] == 20.0
 
     def test_even_count_averages_middles(self):
-        stack = DepthStack(layers=[grid_of([[v]]) for v in (1.0, 2.0, 4.0, 9.0)])
+        stack = [grid_of([[v]]) for v in (1.0, 2.0, 4.0, 9.0)]
         assert median_fuse(stack).values[0, 0] == 3.0
 
     def test_no_valid_heights_gives_nodata(self):
-        stack = DepthStack(
-            layers=[grid_of([[-9999.0]]), grid_of([[-9999.0]])]
-        )
+        stack = [grid_of([[-9999.0]]), grid_of([[-9999.0]])]
         assert median_fuse(stack).values[0, 0] == -9999.0
 
 
@@ -248,14 +242,14 @@ class TestAdaptiveMedianFuse:
         for _ in range(5):
             stack, ortho = random_stack(rng, 8, 8, 3)
             out = adaptive_median_fuse(stack, ortho, FusionConfig())
-            want = oracle_adaptive_fuse(stack.layers, ortho, FusionConfig())
+            want = oracle_adaptive_fuse(stack, ortho, FusionConfig())
             got = out.nan_values()
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_output_within_candidate_range(self, rng):
         stack, ortho = random_stack(rng, 10, 10, 3)
         out = adaptive_median_fuse(stack, ortho)
-        arr = np.stack([g.nan_values() for g in stack.layers])
+        arr = np.stack([g.nan_values() for g in stack])
         lo, hi = np.nanmin(arr), np.nanmax(arr)
         valid = out.valid_mask()
         assert np.all(out.values[valid] >= lo)
@@ -278,7 +272,7 @@ class TestAdaptiveMedianFuse:
     def test_layer_order_invariance(self, rng):
         stack, ortho = random_stack(rng, 8, 8, 4)
         out1 = adaptive_median_fuse(stack, ortho)
-        shuffled = DepthStack(layers=list(reversed(stack.layers)))
+        shuffled = list(reversed(stack))
         out2 = adaptive_median_fuse(shuffled, ortho)
         assert np.array_equal(out1.values, out2.values)
 
@@ -287,12 +281,12 @@ class TestAdaptiveMedianFuse:
         out1 = adaptive_median_fuse(stack, ortho)
         h = 37.25
         shifted_layers = []
-        for g in stack.layers:
+        for g in stack:
             vals = g.values.copy()
             m = g.valid_mask()
             vals[m] = vals[m] + h
             shifted_layers.append(grid_of(vals))
-        out2 = adaptive_median_fuse(DepthStack(layers=shifted_layers), ortho)
+        out2 = adaptive_median_fuse(shifted_layers, ortho)
         m = out1.valid_mask()
         assert np.array_equal(m, out2.valid_mask())
         assert out2.values[m] == pytest.approx(out1.values[m] + h, rel=1e-12)
@@ -301,7 +295,7 @@ class TestAdaptiveMedianFuse:
         base = np.full((7, 7), 10.0)
         spiked = base.copy()
         spiked[3, 3] = 25.0
-        stack = DepthStack(layers=[grid_of(base), grid_of(spiked)])
+        stack = [grid_of(base), grid_of(spiked)]
         ortho = grid_of(np.full((7, 7), 100.0))
 
         plain = median_fuse(stack)
@@ -355,7 +349,7 @@ class TestAdaptiveMedianFuse:
 
 def _budget_for_rows(stack, cfg, rows):
     """Candidate-byte budget that yields blocks of ``rows`` output rows."""
-    row_bytes = stack.geometry.n_cols * len(fusion._window_offsets(cfg)) * len(stack.layers) * 8
+    row_bytes = stack[0].geometry.n_cols * len(fusion._window_offsets(cfg)) * len(stack) * 8
     return rows * row_bytes + row_bytes - 1
 
 
@@ -409,10 +403,10 @@ class TestGather:
         assert len(lengths) > 1
         stack, ortho = random_stack(rng, 14, 11, 4)
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, cfg, 3))
-        strips = fusion.read_strips(stack.layers + [ortho])
+        strips = fusion.read_strips(stack + [ortho])
         fused = np.concatenate(list(fusion.fuse_strips(strips, cfg, jobs, ks=range(1, 5))), axis=1)
         for k in range(1, 5):
-            want = oracle_adaptive_fuse(stack.layers[:k], ortho, cfg)
+            want = oracle_adaptive_fuse(stack[:k], ortho, cfg)
             # bit patterns: array_equal would not tell -0.0 from 0.0
             assert fused[k - 1].view(np.int64).tolist() == want.view(np.int64).tolist(), k
 
@@ -514,9 +508,10 @@ def test_layer_permutation_property(data):
         gamma=data.draw(st.sampled_from([0.3, 0.5, 0.9, 0.999999]), label="gamma"),
     )
     order = data.draw(st.permutations(range(n_layers)), label="order")
-    out = adaptive_median_fuse(DepthStack(layers=layers), ortho, cfg)
-    permuted = adaptive_median_fuse(DepthStack(layers=[layers[i] for i in order]), ortho, cfg)
-    assert np.array_equal(out.values, permuted.values)
+    out = adaptive_median_fuse(layers, ortho, cfg)
+    permuted = adaptive_median_fuse([layers[i] for i in order], ortho, cfg)
+    # bit patterns: array_equal would not tell -0.0 from 0.0
+    assert out.values.tobytes() == permuted.values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,10 +609,18 @@ class TestConfigAndStack:
 
     def test_stack_needs_layers(self):
         with pytest.raises(ValueError):
-            DepthStack(layers=[])
+            median_fuse([])
 
     def test_stack_geometry_checked(self):
         a = grid_of(np.zeros((3, 3)))
         b = grid_of(np.zeros((3, 4)))
         with pytest.raises(GeometryMismatchError):
-            DepthStack(layers=[a, b])
+            median_fuse([a, b])
+
+    def test_same_shape_other_origin_rejected(self):
+        a = grid_of(np.full((3, 4), 1.0))
+        b = grid_of(np.full((3, 4), 3.0), origin=(100.0, 0.0))
+        with pytest.raises(GeometryMismatchError, match="grid 1 geometry differs from grid 0"):
+            next(fusion.read_strips([a, b]))
+        with pytest.raises(GeometryMismatchError):
+            median_fuse([a, b])

@@ -15,6 +15,7 @@ from dsmfuse import raster
 from dsmfuse.raster import (
     AsciiGridError,
     GridGeometry,
+    GridReader,
     MalformedHeaderError,
     RasterGrid,
     RowLengthError,
@@ -123,6 +124,22 @@ class TestGeometryValidation:
         grid = make_grid(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             grid.values[0, 0] = 1.0
+
+    def test_from_nan_copies_the_grid_once(self):
+        # numpy reports its buffers to tracemalloc
+        import tracemalloc
+
+        vals = np.random.default_rng(3).normal(size=(512, 512))
+        vals[::7, ::3] = np.nan
+        tracemalloc.start()
+        try:
+            grid = RasterGrid.from_nan(GridGeometry(0, 0, 1.0, 512, 512), vals, -9999.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * vals.nbytes, peak / vals.nbytes
+        assert np.isnan(vals[0, 0]) and not grid.values.flags.writeable
+        assert np.array_equal(grid.values, np.where(np.isnan(vals), -9999.0, vals))
 
 
 class TestResample:
@@ -607,19 +624,48 @@ class TestCodecByteParity:
             assert _same_bits(self._read_row(tmp_path, ["0", token]), [0.0, expected])
 
     @_fixture_ok
-    @given(case=_asc_texts())
-    def test_read_asc_matches_per_row_reference(self, tmp_path, case):
+    @given(case=_asc_texts(), rows=st.integers(1, 5))
+    def test_read_asc_matches_per_row_reference(self, tmp_path, case, rows):
         text, n_rows, n_cols, n_header = case
         p = _fresh(tmp_path, ".asc")
         p.write_bytes(text.encode("ascii"))
+
+        def in_strips():  # GridReader's strips of ``rows`` rows, joined
+            with GridReader(p) as reader:
+                return np.concatenate([reader.read(rows) for _ in range(0, n_rows, rows)])
+
         try:
             expected = _reference_values(p, n_rows, n_cols, n_header)
         except AsciiGridError as exc:
-            with pytest.raises(AsciiGridError) as got:
-                read_asc(p)
-            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            for read in (lambda: read_asc(p).values, in_strips):
+                with pytest.raises(AsciiGridError) as got:
+                    read()
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         else:
             assert _same_bits(read_asc(p).values, expected)
+            assert _same_bits(in_strips(), expected)
+
+    def test_strips_read_forward_in_bounded_memory(self, tmp_path):
+        # the last row's ``1_0`` is parsed again with float(), that strip alone
+        import tracemalloc
+
+        n = 1024
+        vals = np.zeros((n, n))
+        vals[-1, 0] = 10.0
+        p = tmp_path / "g.asc"
+        write_asc(make_grid(vals), p)
+        p.write_bytes(p.read_bytes().replace(b"10.000000", b"1_0.000000"))
+        rows = raster.strip_rows(n, 1)
+        with GridReader(p) as reader:
+            tracemalloc.start()
+            try:
+                for _ in range(0, n, rows):
+                    strip = reader.read(rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert strip[-1, 0] == 10.0 and not strip[:, 1:].any()
+        assert peak < 5 * strip.nbytes, peak / strip.nbytes
 
 
 class TestPgm:
