@@ -448,8 +448,10 @@ def _parse_scene_file(path: str) -> SceneSpec:
 
 def cmd_synth(opts: SimpleNamespace):
     _require(opts, "scene", "out_dir")
-    spec = _parse_scene_file(opts.scene)
     lo, hi, n = opts.sigma_start, opts.sigma_end, opts.layers
+    if n < 0:
+        raise ConfigError(f"--layers must be >= 0, got {n}")
+    spec = _parse_scene_file(opts.scene)
     dspecs = [  # every layer's spec is checked before anything is written
         DegradeSpec(
             seed=spec.seed * 1000 + i, gaussian_sigma=lo + (hi - lo) * (i / max(n - 1, 1)),

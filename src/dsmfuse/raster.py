@@ -16,7 +16,7 @@ Grids are immutable after construction (the value array is a read-only
 copy), so any number of concurrent readers is safe.  ``GridReader`` parses
 an ASCII grid a strip of rows at a time, ``write_rows`` writes rows, so a
 caller can stream a grid through either without holding it whole.  Cells
-print as ``%.6f`` from digit tables in numpy, exactly (see ``write_rows``).
+print as ``%.6f`` from a table of 4-byte words in numpy, exactly (see ``write_rows``).
 """
 
 from __future__ import annotations
@@ -391,21 +391,21 @@ def asc_header(geometry: GridGeometry, nodata: float) -> str:
     )
 
 
-# 3-digit groups: k zero-padded, 1000 + k with leading zeros NUL, 2000 + k the
-# same but 0 as 0.  A slot: sign, 9 digits, [dot, 6 digits,] separator.
-_DIGITS = np.array([b"%03d" % k for k in range(1000)]
-                   + [(b"%3d" % k).replace(b" ", b"\0") if k else b"" for k in range(1000)]
-                   + [(b"%3d" % k).replace(b" ", b"\0") for k in range(1000)], "S3")
-_INT_SLOT = np.dtype([("sign", "u1"), ("g0", "S3"), ("g1", "S3"), ("g2", "S3"), ("sep", "u1")])
-_FLOAT_SLOT = np.dtype(_INT_SLOT.descr[:-1] + [("dot", "u1"), ("g3", "S3"), ("g4", "S3"), ("sep", "u1")])
+# Little-endian words: NUL and k's 3 digits at k, with leading zeros NUL at 1000 + k, the same
+# but 0 as 0 at 2000 + k; ['.'|k] at 3000 + k, [k|' '] at 4000 + k, [' '|NUL NUL NUL] at 5000.
+_GROUPS = [b"%03d" % k for k in range(1000)]
+_WORDS = np.frombuffer(b"".join(
+    [b"\0" + g for g in _GROUPS] + [b"\0" + g.lstrip(b"0").rjust(3, b"\0") for g in _GROUPS]
+    + [b"\0" + (g[:2].lstrip(b"0") + g[2:]).rjust(3, b"\0") for g in _GROUPS]
+    + [b"." + g for g in _GROUPS] + [g + b" " for g in _GROUPS] + [b" \0\0\0"]), "<u4")
 
 
-def _tokens(rows: np.ndarray) -> np.ndarray:
-    """The bytes ``write_rows`` prints for ``rows``, as uint8."""
+def _tokens(rows: np.ndarray) -> bytes:
+    """The bytes ``write_rows`` prints for ``rows``."""
     if np.issubdtype(rows.dtype, np.integer):
         v = rows.reshape(-1)
         fits = (v > -(10**9)) & (v < 10**9)
-        m, neg, slot, token, scale = np.where(fits, np.abs(v), 0), v < 0, _INT_SLOT, b"%d", 1
+        ints, neg, token, sep_at, tail = np.where(fits, np.abs(v), 0), v < 0, b"%d", 4, [5000]
     else:
         v = rows.reshape(-1).astype(np.float64, copy=False)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -419,36 +419,38 @@ def _tokens(rows: np.ndarray) -> np.ndarray:
         err = (hi * 1e6 - xh) + (vh - hi) * 1e6  # v * 1e6 - x, exactly (Dekker)
         n[half] = np.where(err == 0, n[half], xh + np.copysign(0.5, err))
         m = np.where(fits, np.abs(n), 0).astype(np.int64)
-        neg, slot, token, scale = np.signbit(v), _FLOAT_SLOT, b"%.6f", 10**6
+        q = m // 1000
+        ints, neg, token, sep_at = q // 1000, np.signbit(v), b"%.6f", 1
+        tail = [q - ints * 1000 + 3000, m - q * 1000 + 4000]
+    g0, g1 = ints // 10**6, ints // 1000
+    slot = [g0 + 1000, g1 - g0 * 1000 + (ints < 10**6) * 1000,
+            ints - g1 * 1000 + (ints < 1000) * 2000, *tail]  # table indices of a slot's words
     slow = np.flatnonzero(~fits)
     fallback = [token % t for t in v[slow].tolist()]
-    width = max([slot.itemsize, *(len(t) + 1 for t in fallback)])
-    u8 = np.zeros((v.size, width), np.uint8)
-    rec = u8[:, width - slot.itemsize :].view(slot)[:, 0]
-    rec["sign"], rec["sep"] = np.where(neg, ord("-"), 0), ord(" ")
-    ints = m // scale
-    offsets = [(ints < 1000) * 2000, (ints < 10**6) * 1000, 1000]  # least significant group first
-    if scale > 1:
-        rec["dot"], offsets = ord("."), [0, 0, *offsets]
-    for k, offset in enumerate(offsets):
-        q = m // 1000
-        rec[f"g{len(offsets) - 1 - k}"] = _DIGITS.take(m - q * 1000 + offset)
-        m = q
-    u8.reshape(*rows.shape, width)[:, -1, -1] = ord("\n")
-    padded = b"".join(t.rjust(width - 1, b"\0") for t in fallback)
-    u8[slow, :-1] = np.frombuffer(padded, np.uint8).reshape(len(slow), width - 1)
-    return u8[u8 != 0]
+    width = max([len(slot), *(-(-(len(t) + sep_at) // 4) for t in fallback)])
+    lead = width - len(slot)  # a slot widened for a fallback token starts with NUL words
+    idx = np.empty((v.size, width), np.intp)
+    idx[:, :lead] = 1000
+    for k, w in enumerate(slot, start=lead):
+        idx[:, k] = w
+    u8 = _WORDS.take(idx).view(np.uint8)
+    u8[:, 4 * lead] += neg * np.uint8(ord("-"))  # the first word's low byte is NUL
+    u8.reshape(*rows.shape, 4 * width)[:, -1, -sep_at] = ord("\n")
+    padded = b"".join(t.rjust(4 * width - sep_at, b"\0") for t in fallback)
+    u8[slow, :-sep_at] = np.frombuffer(padded, np.uint8).reshape(-1, 4 * width - sep_at)
+    return u8.tobytes().translate(None, b"\0")
 
 
 def write_rows(f, rows: np.ndarray) -> None:
-    """Write 2-D ``rows`` to binary file ``f`` as ASCII-grid lines, integers as
-    ``%d`` and others as ``%.6f``, with the bytes ``%`` gives, a chunk of rows at
-    a time: in numpy, ``x = v * 1e6`` is rounded to an integer ``n`` cut into
-    3-digit groups printed from ``_DIGITS``.  ``x`` is the double nearest the
-    exact product and every half below 2**52 is a double, so ``rint(x)`` is right
-    unless ``x`` is itself a half; there the sign of the product's rounding
-    error, exact by Dekker's product, picks the side, and half-even stands when
-    it is 0.  Non-finite values and ``|n| >= 1e15`` are printed by ``%``."""
+    """Write 2-D ``rows`` to binary file ``f`` as ASCII-grid lines, integers as ``%d``
+    and others as ``%.6f``, with the bytes ``%`` gives, a chunk of rows at a time: in
+    numpy, ``x = v * 1e6`` is rounded to an integer ``n``.  ``x`` is the double nearest
+    the exact product and every half below 2**52 is a double, so ``rint(x)`` is right
+    unless ``x`` is a half; there the sign of the product's error, exact by Dekker,
+    picks the side (half-even if 0).  One ``take`` from ``_WORDS`` fills each slot of
+    words, ``[sign|g0] [NUL|g1] [NUL|g2] ['.'|f_hi] [f_lo|sep]`` for ``n``'s 3-digit
+    groups (an integer ends ``[sep|NUL NUL NUL]``); ``bytes.translate`` drops NULs.
+    ``%`` prints non-finite values and ``|n| >= 1e15``, widening their chunk's slots."""
     step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
     for r in range(0, len(rows), step):
         f.write(_tokens(rows[r : r + step]))

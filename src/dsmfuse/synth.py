@@ -55,6 +55,8 @@ class SceneSpec:
     buildings: tuple[Building, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if self.seed < 0:  # SeedSequence's rule, checked before anything is written
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.width < 1 or self.height < 1:
             raise ValueError("scene must be at least 1x1 cells")
         _require_finite(self, "cell_size", "ground_height", "ground_intensity")
@@ -79,6 +81,8 @@ class DegradeSpec:
     hole_prob: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:  # SeedSequence's rule, checked before anything is written
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _require_finite(self, "gaussian_sigma", "spike_amp")
         if self.gaussian_sigma < 0:
             raise ValueError("gaussian_sigma must be >= 0")
@@ -118,17 +122,15 @@ def degrade(truth: RasterGrid, spec: DegradeSpec) -> RasterGrid:
 
     if spec.gaussian_sigma > 0:
         noise = noise_rng.normal(0.0, spec.gaussian_sigma, size=shape)
-        out[valid] += noise[valid]
+        np.add(out, noise, out=out, where=valid)
 
     if spec.spike_prob > 0:
         hit = spike_rng.random(size=shape) < spec.spike_prob
         sign = np.where(spike_rng.random(size=shape) < 0.5, -1.0, 1.0)
-        sel = hit & valid
-        out[sel] += sign[sel] * spec.spike_amp
+        np.add(out, sign * spec.spike_amp, out=out, where=hit & valid)
 
     if spec.hole_prob > 0:
-        holes = hole_rng.random(size=shape) < spec.hole_prob
-        out[holes & valid] = truth.nodata
+        out[hole_rng.random(size=shape) < spec.hole_prob] = truth.nodata
 
     out[~valid] = truth.nodata
     return RasterGrid(truth.geometry, out, truth.nodata)

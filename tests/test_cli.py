@@ -1138,6 +1138,20 @@ class TestSynthCommand:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags, scene_line, message", [
+        (["--layers", "-3"], None, "--layers must be >= 0, got -3"),
+        ([], "seed=-5", "seed must be >= 0, got -5"),
+    ])
+    def test_out_of_range_count_or_seed_exit_4_writes_nothing(
+        self, tmp_path, capsys, scene_dir, flags, scene_line, message
+    ):
+        if scene_line:
+            scene_dir.write_text(scene_dir.read_text() + scene_line + "\n")
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--scene", str(scene_dir), *flags, "--out-dir", str(out_dir)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_unknown_scene_key_exit_4(self, tmp_path):
         bad = tmp_path / "scene.txt"
         bad.write_text("seed=1\nwidth=10\nheight=10\nwibble=3\n")

@@ -552,6 +552,17 @@ class TestCodecByteParity:
         raster.write_rows(f, vals)
         assert f.getvalue().decode() == "".join(" ".join(map(str, row)) + "\n" for row in vals.tolist())
 
+    @settings(max_examples=200, deadline=None)
+    @given(vals=arrays(np.int64, _grids, elements=st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+        [0, -1, 1, 999, -999, 1000, 999_999, 10**6, 10**9 - 1, 10**9, 10**9 + 1, -(10**9) + 1,
+         -(10**9), -(10**9) - 1, 2**63 - 1, -(2**63), -(2**63) + 1]
+    ) | st.integers(-(10**9) - 3, 10**9 + 3)))
+    def test_integer_rows_match_str_property(self, vals):
+        # around the 10**9 fallback edge and out to +-2**63
+        f = io.BytesIO()
+        raster.write_rows(f, vals)
+        assert f.getvalue().decode() == "".join(" ".join(map(str, row)) + "\n" for row in vals.tolist())
+
     def test_chunk_boundaries_do_not_show(self, tmp_path, monkeypatch):
         # fallback tokens of different widths in different rows: a chunk's
         # slots widen to fit its own tokens only
@@ -573,6 +584,22 @@ class TestCodecByteParity:
         tracemalloc.start()
         try:
             write_asc(grid, tmp_path / "big.asc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+    def test_write_pgm_peak_memory_is_a_chunk(self, tmp_path):
+        import tracemalloc
+
+        # strips as ``fuse`` passes them: the preview's share of the strip budget
+        vals = np.random.default_rng(5).normal(50.0, 20.0, (2048, 2048))
+        rows = raster.strip_rows(2048, 8)
+        strips = (vals[r : r + rows] for r in range(0, 2048, rows))
+        geom = GridGeometry(0.0, 0.0, 1.0, 2048, 2048)
+        tracemalloc.start()
+        try:
+            write_pgm(strips, tmp_path / "big.pgm", geom, -9999.0, vals.min(), vals.max())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

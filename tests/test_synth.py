@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dsmfuse.raster import RasterGrid
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import grid_of
@@ -68,6 +72,29 @@ class TestGenScene:
             )
 
 
+def _degrade_oracle(truth: RasterGrid, spec: DegradeSpec) -> RasterGrid:
+    """``degrade`` written with boolean-mask indexing, the reference it must match."""
+    noise_rng, spike_rng, hole_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
+    )
+    shape = truth.values.shape
+    valid = truth.valid_mask()
+    out = truth.values.copy()
+    if spec.gaussian_sigma > 0:
+        noise = noise_rng.normal(0.0, spec.gaussian_sigma, size=shape)
+        out[valid] += noise[valid]
+    if spec.spike_prob > 0:
+        hit = spike_rng.random(size=shape) < spec.spike_prob
+        sign = np.where(spike_rng.random(size=shape) < 0.5, -1.0, 1.0)
+        sel = hit & valid
+        out[sel] += sign[sel] * spec.spike_amp
+    if spec.hole_prob > 0:
+        holes = hole_rng.random(size=shape) < spec.hole_prob
+        out[holes & valid] = truth.nodata
+    out[~valid] = truth.nodata
+    return RasterGrid(truth.geometry, out, truth.nodata)
+
+
 class TestDegrade:
     def test_all_rates_zero_identity(self):
         truth = grid_of(np.full((10, 10), 7.0))
@@ -114,6 +141,31 @@ class TestDegrade:
         truth = grid_of(vals)
         out = degrade(truth, DegradeSpec(seed=7, gaussian_sigma=2.0, spike_prob=0.3, spike_amp=5.0))
         assert np.all(out.values[0, :] == -9999.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vals=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)), elements=(
+            st.floats(-1e4, 1e4) | st.sampled_from([-9999.0, np.nan, np.inf, -np.inf])
+        )),
+        seed=st.integers(0, 2**32),
+        sigma=st.sampled_from([0.0, 0.3]) | st.floats(0.0, 5.0),
+        spike_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        spike_amp=st.floats(0.0, 50.0),
+        hole_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_matches_boolean_mask_oracle_bit_for_bit(
+        self, vals, seed, sigma, spike_prob, spike_amp, hole_prob
+    ):
+        truth = grid_of(vals)
+        spec = DegradeSpec(seed=seed, gaussian_sigma=sigma, spike_prob=spike_prob,
+                           spike_amp=spike_amp, hole_prob=hole_prob)
+        got, want = degrade(truth, spec).values, _degrade_oracle(truth, spec).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_negative_seed_rejected(self):
+        for cls in (SceneSpec, DegradeSpec):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                cls(**{**_VALID[cls], "seed": -5})
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
