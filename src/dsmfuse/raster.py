@@ -425,6 +425,8 @@ def _tokens(rows: np.ndarray) -> bytes:
     g0, g1 = ints // 10**6, ints // 1000
     slot = [g0 + 1000, g1 - g0 * 1000 + (ints < 10**6) * 1000,
             ints - g1 * 1000 + (ints < 1000) * 2000, *tail]  # table indices of a slot's words
+    top = ints.max(initial=0)
+    del slot[: int(top < 10**6) + int(top < 1000)]  # leading words NUL in every slot
     slow = np.flatnonzero(~fits)
     fallback = [token % t for t in v[slow].tolist()]
     width = max([len(slot), *(-(-(len(t) + sep_at) // 4) for t in fallback)])
@@ -449,7 +451,8 @@ def write_rows(f, rows: np.ndarray) -> None:
     unless ``x`` is a half; there the sign of the product's error, exact by Dekker,
     picks the side (half-even if 0).  One ``take`` from ``_WORDS`` fills each slot of
     words, ``[sign|g0] [NUL|g1] [NUL|g2] ['.'|f_hi] [f_lo|sep]`` for ``n``'s 3-digit
-    groups (an integer ends ``[sep|NUL NUL NUL]``); ``bytes.translate`` drops NULs.
+    groups (an integer ends ``[sep|NUL NUL NUL]``), less the leading words NUL in every
+    slot of a chunk (integer parts all below 10**6 or 1000); ``bytes.translate`` drops NULs.
     ``%`` prints non-finite values and ``|n| >= 1e15``, widening their chunk's slots."""
     step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
     for r in range(0, len(rows), step):

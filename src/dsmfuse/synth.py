@@ -125,9 +125,10 @@ def degrade(truth: RasterGrid, spec: DegradeSpec) -> RasterGrid:
         np.add(out, noise, out=out, where=valid)
 
     if spec.spike_prob > 0:
-        hit = spike_rng.random(size=shape) < spec.spike_prob
-        sign = np.where(spike_rng.random(size=shape) < 0.5, -1.0, 1.0)
-        np.add(out, sign * spec.spike_amp, out=out, where=hit & valid)
+        hit = (spike_rng.random(size=shape) < spec.spike_prob) & valid
+        down = spike_rng.random(size=shape) < 0.5  # x - amp is x + (-amp), bit for bit
+        np.subtract(out, spec.spike_amp, out=out, where=hit & down)
+        np.add(out, spec.spike_amp, out=out, where=hit & ~down)
 
     if spec.hole_prob > 0:
         out[hole_rng.random(size=shape) < spec.hole_prob] = truth.nodata

@@ -911,11 +911,11 @@ class TestCurve:
         paths = self._scene(tmp_path, 3)
         calls = []
 
-        def counted(*args, _real=fusion.window_weights):
+        def counted(*args, _real=fusion.window_members):
             calls.append(args[0].shape)
             return _real(*args)
 
-        monkeypatch.setattr(fusion, "window_weights", counted)
+        monkeypatch.setattr(fusion, "window_members", counted)
         n_offsets = len(fusion._window_offsets(FusionConfig()))
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", 7 * 40 * n_offsets * 3 * 8)
         assert main(["fuse", "--layers", *paths, "--mode", "adaptive",

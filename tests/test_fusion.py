@@ -212,6 +212,99 @@ class TestAdaptiveWindow:
         assert len(win) == 9
 
 
+def _ulps_from(x, n):
+    """The float ``n`` ulps above ``x`` >= 0 (below for n < 0), never below 0."""
+    return np.maximum(np.asarray(x, np.float64).view(np.int64) + n, 0).view(np.float64)
+
+
+class TestBoundGate:
+    """``window_members`` decides ``window_weights(...) > gamma`` as |I - I0| <= D_k."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_weights_within_ulps_of_each_bound(self, data):
+        cfg = data.draw(st.one_of(st.sampled_from([FusionConfig(), *NON_SQUARE]), st.builds(
+            FusionConfig, delta_s=st.floats(0.3, 8.0), delta_i=st.floats(0.1, 80.0),
+            gamma=st.floats(1e-6, 0.999999), radius=st.integers(0, 4))), label="cfg")
+        offsets, bounds = fusion._window_offsets(cfg), fusion._intensity_bounds(cfg)
+        side = 2 * cfg.radius + 1
+        i0 = data.draw(st.one_of(st.just(np.nan), st.floats(0.0, 255.0)), label="i0")
+        n = (4, len(offsets))  # four windows side by side
+        ulps = data.draw(arrays(np.int64, n, elements=st.integers(-40, 40)), label="ulps")
+        kind = data.draw(arrays(np.int64, n, elements=st.integers(0, 9)), label="kind")
+        # D_k +- ulps from the center, or nodata (kind 0); -inf bounds step from 0, and
+        # the center offset's, the largest float, is overwritten by the center
+        steps = _ulps_from(np.clip(bounds, 0.0, 1e6), ulps)
+        values = np.where(kind == 0, np.nan, np.where(kind % 2, i0 + steps, i0 - steps))
+        opad = np.full((side, 4 * side), np.nan)  # a cell off every kept offset stays nodata
+        for w in range(4):
+            for k, (di, dj, _) in enumerate(offsets):
+                opad[cfg.radius + di, w * side + cfg.radius + dj] = values[w, k]
+            opad[cfg.radius, w * side + cfg.radius] = i0
+        member = fusion.window_members(opad, offsets, cfg)
+        assert np.array_equal(member, window_weights(opad, offsets, cfg) > cfg.gamma)
+
+    @pytest.mark.parametrize(
+        "cfg", [FusionConfig(), *NON_SQUARE, FusionConfig(delta_i=0.5, gamma=0.999)])
+    def test_bound_is_the_last_step_that_passes(self, cfg):
+        offsets, bounds = fusion._window_offsets(cfg), fusion._intensity_bounds(cfg)
+        assert len(bounds) == len(offsets) and np.isfinite(bounds).all()
+        for k, (di, dj, _) in enumerate(offsets):
+            if di or dj:
+                for step, passes in ((bounds[k], True), (_ulps_from(bounds[k], 1), False)):
+                    opad = np.zeros((2 * cfg.radius + 1, 2 * cfg.radius + 1))
+                    opad[cfg.radius + di, cfg.radius + dj] = step
+                    w = window_weights(opad, offsets, cfg)[0, 0, k]
+                    assert (w > cfg.gamma) == passes, (di, dj, step)
+
+    def test_exp_that_steps_twice_raises(self, monkeypatch):
+        cfg = FusionConfig(delta_s=3.1)  # not cached by another test
+        t_max = fusion._last_passing(lambda t: np.exp(-t) > cfg.gamma, 1)
+        real = np.exp
+
+        def exp(x, *args, **kwargs):  # passes again 5 ulps past the last exponent that passes
+            out = real(x, *args, **kwargs)
+            return np.where(x == -_ulps_from(t_max, 5), 1.0, out) if np.ndim(x) else out
+
+        monkeypatch.setattr(np, "exp", exp)
+        with pytest.raises(ArithmeticError, match="np.exp does not step once"):
+            fusion._intensity_bounds.__wrapped__(cfg)
+
+
+class TestNanMedian:
+    """``_nan_median`` against a sorted list, bit for bit."""
+
+    @staticmethod
+    def oracle(row):
+        vals = sorted(v for v in row.tolist() if not math.isnan(v))
+        n = len(vals)
+        return 0.5 * (vals[(n - 1) // 2] + vals[n // 2]) + 0.0 if vals else math.nan
+
+    @pytest.mark.parametrize("size", [1, 2, 125, 255, 256, 275, 600])
+    def test_rows_of_any_length_and_nan_count(self, rng, size):
+        # NaN counts from none to all, past 255 where a row allows it
+        rows = rng.choice([-0.0, 0.0, 1.5, -2.25, 7.0], size=(60, size))  # ties and signed zeros
+        rows[::2] += rng.normal(0.0, 1.0, (30, size))
+        for i, n_nan in enumerate(np.linspace(0, size, 60).astype(int)):
+            rows[i, rng.permutation(size)[:n_nan]] = np.nan
+        got = fusion._nan_median(rows.copy())
+        want = np.array([self.oracle(row) for row in rows])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_adaptive_over_256_candidates_per_cell_matches_oracle(self, rng):
+        cfg = FusionConfig(radius=2)  # 25 offsets and 11 layers: 275 candidates per cell
+        assert len(fusion._window_offsets(cfg)) == 25
+        stack, ortho = random_stack(rng, 9, 8, 11, hole_frac=0.95)
+        # nodata centers on every other row pass every offset
+        ortho = grid_of(np.where(np.arange(9)[:, None] % 2, ortho.values, -9999.0))
+        strips = fusion.read_strips(stack + [ortho])
+        fused = np.concatenate(list(fusion.fuse_strips(strips, cfg, ks=[6, 11])), axis=1)
+        for i, k in enumerate([6, 11]):
+            want = oracle_adaptive_fuse(stack[:k], ortho, cfg)
+            assert np.isnan(want).any() and not np.isnan(want).all()
+            assert fused[i].view(np.int64).tolist() == want.view(np.int64).tolist(), k
+
+
 class TestMedianFuse:
     def test_single_layer_identity(self, rng):
         vals = rng.normal(10, 3, size=(6, 5))
