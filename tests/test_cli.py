@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +30,27 @@ def hill_grid(n=40, amplitude=20.0, offset=0.0, dx=0.0):
     return RasterGrid(geom, h + offset)
 
 
-def run_python(code, *args):
-    """Run ``code`` with ``args`` in a fresh interpreter that imports this dsmfuse."""
+def run_interpreter(*args, cwd=None):
+    """``python ARGS`` in a fresh interpreter that imports this dsmfuse, its
+    stdout and stderr through pipes, buffered as by default, so an output
+    the process fails to flush is lost."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, "-c", f"import sys; {code}", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter."""
+    return run_interpreter("-c", f"import sys; {code}", *args)
+
+
+def run_cli(*args, cwd=None):
+    """``python -m dsmfuse.cli ARGS``: the process entry point, ``cli.run``."""
+    return run_interpreter("-m", "dsmfuse.cli", *args, cwd=cwd)
 
 
 @pytest.fixture
@@ -565,6 +578,45 @@ class TestFlagTable:
         assert main([*argv, *flag, "--out", "o.csv"]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv",
+          "--top-k", "-1"], "top_k must be >= 0"),
+        (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv",
+          "--min-angle", "40"], "need 0 <= min_angle < max_angle, got 40.0, 30.0"),
+        (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv",
+          "--dz-probe", "0"], "dz_probe must be finite and > 0, got 0.0"),
+        (["rpc", "angle", "--rpc", "a.rpc", "--rpc-b", "b.rpc", "--u", "0", "--v", "0",
+          "--z", "0", "--dz-probe", "0"], "dz_probe must be finite and > 0, got 0.0"),
+        (["rpc", "angle", "--rpc", "a.rpc", "--rpc-b", "b.rpc", "--u", "0", "--v", "0",
+          "--z", "0", "--meters-per-unit", "0"], "meters_per_unit must be finite and > 0, got 0.0"),
+    ], ids=["rank-top_k", "rank-min_angle", "rank-dz_probe", "angle-dz_probe", "angle-mpu"])
+    def test_bad_gate_or_probe_flag_exit_4_before_reading(self, capsys, monkeypatch, argv, message):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking the gate and probe flags")
+
+        for name in ("read_asc", "read_rpc", "read_pair_manifest"):
+            monkeypatch.setattr(cli, name, no_read)
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fuse", "--radius", "2.5"], "argument --radius: invalid int value: '2.5'"),
+        (["fuse", "--layers", "l.asc", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["bad-value", "unknown-flag"])
+    def test_usage_error_exit_4(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "GridReader", lambda path: pytest.fail(f"read {path}"))
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dsmfuse ")
+        assert err.endswith(f"\nerror: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["fuse", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_defaults_come_from_the_library(self):
         fcfg, acfg, gate = FusionConfig(), AlignConfig(), PairGate()
         defaults = {c: {k: d for k, (d, _) in flags.items()}
@@ -677,10 +729,9 @@ class TestEval:
     def test_boundary_warning_logged_with_level_and_name(self, tmp_path):
         write_asc(hill_grid(n=100), tmp_path / "truth.asc")
         write_asc(hill_grid(n=100, dx=6.0), tmp_path / "comp.asc")
-        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
-                          "eval", "--computed", str(tmp_path / "comp.asc"),
-                          "--truth", str(tmp_path / "truth.asc"), "--max-search", "3",
-                          "--out", str(tmp_path / "m.csv"))
+        proc = run_cli("eval", "--computed", str(tmp_path / "comp.asc"),
+                       "--truth", str(tmp_path / "truth.asc"), "--max-search", "3",
+                       "--out", str(tmp_path / "m.csv"))
         assert proc.returncode == 0, proc.stderr
         assert "WARNING dsmfuse.register: best integer shift " in proc.stderr
 
@@ -690,6 +741,62 @@ class TestStartup:
         proc = run_python("import dsmfuse.cli; print('multiprocessing' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestExitPath:
+    """``python -m dsmfuse.cli`` ends through ``cli.run``, which skips the
+    interpreter's teardown once ``main`` has returned."""
+
+    def test_printed_line_arrives_through_a_pipe(self, tmp_path):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        proc = run_cli("rpc", "project", "--rpc", str(tmp_path / "a.rpc"),
+                       "--u", "0.3", "--v", "-0.2", "--z", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "s=0.3 l=-0.2\n", "")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["rpc", "project", "--rpc", "a.rpc", "--u", "0", "--v", "0", "--z", "0"], 0),
+        (["rpc", "project", "--rpc", "missing.rpc", "--u", "0", "--v", "0", "--z", "0"], 2),
+        (["fuse", "--layers", "l.asc", "--target-geometry", "far.asc", "--out", "o.asc"], 3),
+        (["fuse", "--layers", "l.asc", "--radius", "2.5", "--out", "o.asc"], 4),
+    ], ids=["ok", "io", "geometry", "usage"])
+    def test_exit_code_and_streams_match_main(self, tmp_path, capsys, monkeypatch, argv, code):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        write_asc(RasterGrid(GridGeometry(5000.0, 5000.0, 1.0, 10, 10), np.zeros((10, 10))),
+                  tmp_path / "far.asc")
+        proc = run_cli(*argv, cwd=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_fuse_bytes_match_main_and_no_temp_left(self, tmp_path, rng, mode):
+        layers, ortho = _write_stack(tmp_path, rng, 23, 9, 3)
+        by_proc, by_main = tmp_path / "proc", tmp_path / "main"
+        by_proc.mkdir()
+        by_main.mkdir()
+        proc = run_cli(*_fuse_args(layers, ortho, mode, by_proc / "f.asc", "--jobs", "2"))
+        assert proc.returncode == 0, proc.stderr
+        assert main(_fuse_args(layers, ortho, mode, by_main / "f.asc", "--jobs", "2")) == 0
+        for name in ("f.asc", "f.pgm"):
+            assert (by_proc / name).read_bytes() == (by_main / name).read_bytes()
+        assert sorted(os.listdir(by_proc)) == ["f.asc", "f.asc.manifest.json", "f.pgm"]
+
+    def test_profiler_still_writes_its_output(self, tmp_path):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        proc = run_interpreter("-m", "cProfile", "-o", str(tmp_path / "prof"), "-m", "dsmfuse.cli",
+                               "rpc", "project", "--rpc", str(tmp_path / "a.rpc"),
+                               "--u", "0.3", "--v", "-0.2", "--z", "0")
+        assert (proc.returncode, proc.stdout) == (0, "s=0.3 l=-0.2\n"), proc.stderr
+        assert (tmp_path / "prof").stat().st_size > 0
+
+    def test_main_returns_with_no_thread_left(self, tmp_path, rng, monkeypatch):
+        layers, ortho = _write_stack(tmp_path, rng, 23, 9, 3)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1)  # one-row blocks, so both threads start
+        before = threading.active_count()
+        assert main(_fuse_args(layers, ortho, "adaptive", tmp_path / "f.asc", "--jobs", "2")) == 0
+        assert threading.active_count() == before
 
 
 class TestRank:
@@ -731,13 +838,12 @@ class TestRank:
     def test_all_pairs_gated_out_warns_exit_0(self, tmp_path):
         self.build_inputs(tmp_path)
         out = tmp_path / "ranked.csv"
-        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
-                          "rank", "--manifest", str(tmp_path / "pairs.csv"),
-                          "--truth", str(tmp_path / "truth.asc"),
-                          "--at", "0", "0", "0",
-                          "--meters-per-unit", "1.0",
-                          "--min-angle", "40", "--max-angle", "50",
-                          "--out", str(out))
+        proc = run_cli("rank", "--manifest", str(tmp_path / "pairs.csv"),
+                       "--truth", str(tmp_path / "truth.asc"),
+                       "--at", "0", "0", "0",
+                       "--meters-per-unit", "1.0",
+                       "--min-angle", "40", "--max-angle", "50",
+                       "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "WARNING dsmfuse.cli: no pairs inside the intersection-angle gate" in proc.stderr
         assert out.read_text().strip().splitlines() == [
@@ -951,10 +1057,9 @@ class TestCurve:
         write_asc(degrade(truth, DegradeSpec(seed=60)), tmp_path / "l.asc")
         extra = ["--truth", str(tmp_path / "truth.asc"), "--max-search", "2"] \
             if command == "curve" else ["--mode", "adaptive"]
-        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
-                          command, "--layers", str(tmp_path / "l.asc"),
-                          "--ortho", str(tmp_path / "ortho.asc"), *extra,
-                          "--out", str(tmp_path / "out"))
+        proc = run_cli(command, "--layers", str(tmp_path / "l.asc"),
+                       "--ortho", str(tmp_path / "ortho.asc"), *extra,
+                       "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "WARNING dsmfuse.cli: ortho intensities outside [0, 255]" in proc.stderr
 
@@ -1030,9 +1135,8 @@ class TestRpcCommand:
 
     def test_domain_warning_logged_once(self, tmp_path):
         write_rpc(linear_ray_model(0.0), tmp_path / "img0.rpc")
-        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
-                          "rpc", "project", "--rpc", str(tmp_path / "img0.rpc"),
-                          "--u", "1e6", "--v", "0", "--z", "0")
+        proc = run_cli("rpc", "project", "--rpc", str(tmp_path / "img0.rpc"),
+                       "--u", "1e6", "--v", "0", "--z", "0")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
@@ -1066,8 +1170,7 @@ class TestRpcCommand:
         (tmp_path / "b.rpc").write_text("\n".join(lines) + "\n")
         rpcs = {"project": ["--rpc", str(tmp_path / "b.rpc")],
                 "angle": ["--rpc", str(tmp_path / "a.rpc"), "--rpc-b", str(tmp_path / "b.rpc")]}
-        proc = run_python("from dsmfuse.cli import main; sys.exit(main())",
-                          "rpc", action, *rpcs[action], "--u", "0", "--v", "0", "--z", "0")
+        proc = run_cli("rpc", action, *rpcs[action], "--u", "0", "--v", "0", "--z", "0")
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: {tmp_path / 'b.rpc'}:{lineno}: {key} is not finite: {token!r}\n"
