@@ -7,14 +7,14 @@ version, wall time) sufficient to reproduce it.
 
 Each command's flags are stated once, in the ``_COMMANDS`` table, with
 defaults read from the library's config classes.  The table builds the
-argparse parsers and converts ``--config FILE`` values: a ``key=value``
-line (keys are the flag names with underscores) is checked exactly like
-the flag (type, choices, number of values; list values split on commas
-and whitespace), before any input is read.  Explicit flags override the
-file.  Exit codes: 0 success, 2 I/O error (including an undecodable input
-file), 3 geometry mismatch / insufficient overlap, 4 bad configuration
-(including an invalid or unknown flag and an undecodable config or scene
-file).  ``run`` is the process entry point; tests and embedders call ``main``.
+argparse parsers and parses ``--config FILE`` values: argparse reads a
+``key=value`` line (keys are the flag names with underscores) as that
+flag alone, before any input is read; a list value's tokens split on
+commas and whitespace.  Explicit flags override the file.  Exit codes: 0
+success, 2 I/O error (including an undecodable input file), 3 geometry
+mismatch / insufficient overlap, 4 bad configuration (including an
+invalid or unknown flag and an undecodable config or scene file).
+``run`` is the process entry point; tests and embedders call ``main``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .raster import (
     GridReader,
     RasterGrid,
     asc_header,
-    decode_errors_as,
+    key_value_lines,
     read_asc,
     resample,
     strip_rows,
@@ -116,38 +116,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _key_value_lines(path: str) -> list[tuple[int, str, str]]:
-    """``(lineno, key, value)`` per ``key=value`` line; blank and # lines skipped."""
-    with decode_errors_as(ConfigError, path, "utf-8"):
-        text = Path(path).read_text(encoding="utf-8")
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out.append((lineno, key.strip(), value.strip()))
-    return out
-
-
-def _convert(key: str, raw: str, kwargs: dict):
-    """A config-file value, checked as argparse checks the flag: type,
-    choices and nargs (list values split on commas and whitespace)."""
-    nargs = kwargs.get("nargs")
-    single = nargs in (None, "?")
-    tokens = [raw] if single else raw.replace(",", " ").split()
+def _config_value(command: str, key: str, raw: str):
+    """A config value, parsed by a parser of its flag alone (no ``-h``, no other flag),
+    so a list token that argparse reads as a flag is refused, as on the command line."""
+    kwargs = _COMMANDS[command][2][key][1]
+    parser = _Parser(prog=f"dsmfuse {command}", add_help=False, allow_abbrev=False)
+    parser.add_argument(flag := _flag(key), **kwargs)
+    if key == "action":  # the one positional
+        argv = [raw]
+    elif "nargs" in kwargs:  # a list: tokens split on commas and whitespace
+        argv = [flag, *raw.replace(",", " ").split()]
+    else:  # one token, so that a value may begin with "-"
+        argv = [f"{flag}={raw}"]
     try:
-        vals = [kwargs.get("type", str)(tok) for tok in tokens]
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-    choices = kwargs.get("choices")
-    if choices and any(v not in choices for v in vals):
-        raise ConfigError(f"config key {key!r}: {raw!r} is not one of {', '.join(choices)}")
-    if not vals or isinstance(nargs, int) and len(vals) != nargs:
-        raise ConfigError(f"config key {key!r}: wrong number of values in {raw!r}")
-    return vals[0] if single else vals
+        return getattr(parser.parse_args(argv), key)
+    except ConfigError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
 def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
@@ -156,15 +140,13 @@ def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
     opts = {key: default for key, (default, _) in flags.items()}
     if args.config:
         try:
-            lines = _key_value_lines(args.config)
+            lines = key_value_lines(args.config, "=", ConfigError, "utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         for _, key, raw in lines:
             if key not in flags:
-                raise ConfigError(
-                    f"config key {key!r} is not a flag of 'dsmfuse {command}'"
-                )
-            opts[key] = _convert(key, raw, flags[key][1])
+                raise ConfigError(f"config key {key!r} is not a flag of 'dsmfuse {command}'")
+            opts[key] = _config_value(command, key, raw)
     for key in flags:
         val = getattr(args, key)
         if val is not None:
@@ -323,16 +305,13 @@ def cmd_rank(opts: SimpleNamespace):
 
     # one RPC file per id: read_pair_manifest refuses a second
     rpc_paths = {i: p for e in entries for i, p in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path))}
-    gated = gate_pairs(
-        [(ident, read_rpc(path)) for ident, path in rpc_paths.items()], at, gate,
-        dz_probe=opts.dz_probe, meters_per_unit=opts.meters_per_unit,
-    )
-    # only pairs listed in the manifest are candidates
-    dsm_paths = {e.pair: e.dsm_path for e in entries}
+    models = {ident: read_rpc(path) for ident, path in rpc_paths.items()}
+    # only pairs listed in the manifest are candidates: each is gated on its own
     candidates = [
-        replace(rec, dsm_path=dsm_paths[rec.id_a, rec.id_b])
-        for rec in gated
-        if (rec.id_a, rec.id_b) in dsm_paths
+        replace(rec, dsm_path=e.dsm_path)
+        for e in entries
+        for rec in gate_pairs([(i, models[i]) for i in e.pair], at, gate,
+                              dz_probe=opts.dz_probe, meters_per_unit=opts.meters_per_unit)
     ]
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
@@ -435,7 +414,7 @@ def _parse_scene_file(path: str) -> SceneSpec:
         "seed": int, "width": int, "height": int,
         "cell_size": float, "ground_height": float, "ground_intensity": float,
     }
-    for lineno, key, value in _key_value_lines(path):
+    for lineno, key, value in key_value_lines(path, "=", ConfigError, "utf-8"):
         try:
             if key == "building":
                 parts = value.split(",")

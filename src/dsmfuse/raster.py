@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -83,6 +83,23 @@ def decode_errors_as(error: type[Exception], path, encoding: str):
                 f"{path}: byte {data[exc.start]:#04x} at offset {exc.start} is not {encoding}"
             ) from None
         raise
+
+
+def key_value_lines(path, sep: str, error: type[Exception], encoding: str) -> list[tuple[int, str, str]]:
+    """``(lineno, key, value)``, both stripped, per ``key<sep>value`` line of a text
+    file.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; blank and ``#`` lines are
+    skipped but counted.  A line without ``sep``, or an undecodable byte, raises ``error``."""
+    out = []
+    with open(path, encoding=encoding) as f, decode_errors_as(error, path, encoding):
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if sep not in line:
+                raise error(f"{path}:{lineno}: expected key{sep}value, got {line!r}")
+            key, _, value = line.partition(sep)
+            out.append((lineno, key.strip(), value.strip()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -249,13 +266,13 @@ class GridReader(AbstractContextManager):
     def __init__(self, path):
         self.path = path
         self._f = open(path, "r", encoding="ascii")
+        lines = filter(None, map(str.strip, self._f))
         try:
             with decode_errors_as(AsciiGridError, path, "ascii"):
-                self.geometry, self.nodata = _read_header(self._f, path)
+                self.geometry, self.nodata, self._lines = _read_header(lines, path)
         except BaseException:
             self._f.close()
             raise
-        self._lines = filter(None, map(str.strip, self._f))
         self._next = 0  # rows served
 
     def read(self, n: int) -> np.ndarray:
@@ -287,11 +304,11 @@ def read_asc(path) -> RasterGrid:
         return RasterGrid(grid.geometry, grid.read(grid.geometry.n_rows), grid.nodata)
 
 
-def _read_header(f, path) -> tuple[GridGeometry, float]:
-    """Parse the header from ``f``'s start, leaving ``f`` at the data block."""
+def _read_header(lines, path):
+    """Geometry, nodata and the data rows of a grid file's stripped non-blank ``lines``."""
     header: dict[str, float] = {}
     for key in _HEADER_KEYS:
-        line = _next_line(f)
+        line = next(lines, "")
         if not line:
             raise MalformedHeaderError(f"{path}: missing header line {key!r}")
         parts = line.split()
@@ -311,8 +328,8 @@ def _read_header(f, path) -> tuple[GridGeometry, float]:
             )
 
     nodata = DEFAULT_NODATA
-    data_start = f.tell()
-    parts = _next_line(f).split()
+    line = next(lines, "")  # NODATA_value, else the first data row, handed back
+    parts = line.split()
     if len(parts) == 2 and parts[0].lower() == "nodata_value":
         try:
             nodata = float(parts[1])
@@ -320,8 +337,8 @@ def _read_header(f, path) -> tuple[GridGeometry, float]:
             raise MalformedHeaderError(
                 f"{path}: NODATA_value not numeric: {parts[1]!r}"
             ) from None
-    else:
-        f.seek(data_start)
+    elif line:
+        lines = chain([line], lines)
 
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
@@ -337,16 +354,7 @@ def _read_header(f, path) -> tuple[GridGeometry, float]:
         n_cols=n_cols,
         n_rows=n_rows,
     )
-    return geom, nodata
-
-
-def _next_line(f) -> str:
-    """The next non-blank line of ``f``, stripped; ``""`` at end of file."""
-    for raw in iter(f.readline, ""):
-        line = raw.strip()
-        if line:
-            return line
-    return ""
+    return geom, nodata, lines
 
 
 def _parse_rows(lines, path, r0: int, n_cols: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .raster import decode_errors_as
+from .raster import key_value_lines
 
 #: soft validity bound on normalized coordinates; beyond it the model is
 #: extrapolating and results degrade, but evaluation still proceeds
@@ -323,23 +323,14 @@ def _file_keys(key: str) -> list[str]:
 def read_rpc(path) -> RpcModel:
     """Read a `KEY: value` RPC text file.  All 90 keys are mandatory and finite."""
     entries: dict[str, float] = {}
-    with open(path, "r", encoding="ascii") as f, decode_errors_as(RpcFileError, path, "ascii"):
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise RpcFileError(f"{path}:{lineno}: expected 'KEY: value'")
-            key, _, value = line.partition(":")
-            key = key.strip().upper()
-            try:
-                entries[key] = float(value.split()[0])
-            except (ValueError, IndexError):
-                raise RpcFileError(
-                    f"{path}:{lineno}: unparseable value for {key}: {value.strip()!r}"
-                ) from None
-            if not np.isfinite(entries[key]):
-                raise RpcFileError(f"{path}:{lineno}: {key} is not finite: {value.strip()!r}")
+    for lineno, key, value in key_value_lines(path, ":", RpcFileError, "ascii"):
+        key = key.upper()
+        try:
+            entries[key] = float(value.split()[0])
+        except (ValueError, IndexError):
+            raise RpcFileError(f"{path}:{lineno}: unparseable value for {key}: {value!r}") from None
+        if not np.isfinite(entries[key]):
+            raise RpcFileError(f"{path}:{lineno}: {key} is not finite: {value!r}")
 
     def lookup(key):
         if key not in entries:

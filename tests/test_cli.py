@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsmfuse import cli, fusion, raster
+from dsmfuse import cli, fusion, pairsel, raster
 from dsmfuse.cli import main
 from dsmfuse.fusion import FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, resample, write_asc
 from dsmfuse.register import AlignConfig, align
-from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, write_rpc
+from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, intersection_angle, write_rpc
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import grid_of, linear_ray_model
@@ -472,6 +472,51 @@ class TestConfigFile:
     def test_missing_required_exit_4(self, tmp_path):
         assert main(["fuse", "--out", str(tmp_path / "o.asc")]) == 4
 
+    def test_crlf_comments_and_blank_lines(self, tmp_path):
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(f"# fusion settings\r\nlayers={tmp_path / 'l.asc'}\r\n\r\n"
+                        f"  # indented comment\r\nmode=median\r\nout={tmp_path / 'c.asc'}\r\n".encode())
+        assert main(["fuse", "--config", str(cfg)]) == 0
+        assert main(["fuse", "--layers", str(tmp_path / "l.asc"), "--out", str(tmp_path / "f.asc")]) == 0
+        assert (tmp_path / "c.asc").read_bytes() == (tmp_path / "f.asc").read_bytes()
+
+    def test_value_may_begin_with_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        (tmp_path / "cfg.txt").write_text("layers=l.asc\nout=-x.asc\n")
+        assert main(["fuse", "--config", "cfg.txt"]) == 0
+        assert read_asc(tmp_path / "-x.asc").geometry == hill_grid().geometry
+
+    @pytest.mark.parametrize("value", ["a.asc, b.asc", "a.asc,b.asc", " a.asc  b.asc ", "a.asc ,,b.asc"])
+    def test_list_value_splits_on_commas_and_whitespace(self, tmp_path, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"layers={value}\n")
+        opts = cli._resolve(cli._build_parser().parse_args(["fuse", "--config", str(cfg)]), "fuse")
+        assert opts.layers == ["a.asc", "b.asc"]
+
+    def test_bad_value_names_key_and_argparse_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# radius must be an int\nradius=2.5\n")
+        assert main(["fuse", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dsmfuse fuse ")
+        assert err.endswith("\nerror: config key 'radius': argument --radius: invalid int value: '2.5'\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("a.asc, -h", "unrecognized arguments: -h"),
+        ("a.asc --mode adaptive", "unrecognized arguments: --mode adaptive"),
+        ("-a.asc", "argument --layers: expected at least one argument"),
+    ], ids=["help", "other-flag", "first"])
+    def test_list_token_beginning_with_dash_refused(self, tmp_path, capsys, monkeypatch, value, message):
+        monkeypatch.setattr(cli, "GridReader", lambda path: pytest.fail(f"read {path}"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"layers={value}\nout={tmp_path / 'o.asc'}\n")
+        assert main(["fuse", "--config", str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"\nerror: config key 'layers': {message}\n")
+
 
 def _table_entries():
     return [(cmd, key) for cmd, (_, _, flags) in cli._COMMANDS.items() for key in flags]
@@ -834,6 +879,33 @@ class TestRank:
         first = lines[1].split(",")
         assert (first[0], first[1]) == ("imgA", "imgB")
         assert first[4] == "true"
+
+    def test_gates_only_the_listed_pairs(self, tmp_path, monkeypatch):
+        # four ids, two listed pairs: the four unlisted pairs get no angle
+        truth = hill_grid(30)
+        write_asc(truth, tmp_path / "truth.asc")
+        rows = ["id_a,id_b,rpc_a_path,rpc_b_path,dsm_path"]
+        for k, (a, b) in enumerate([("A", "B"), ("C", "D")]):
+            for ident, theta in ((a, 0.0), (b, 20.0)):
+                write_rpc(linear_ray_model(np.tan(np.radians(theta))), tmp_path / f"{ident}.rpc")
+            write_asc(degrade(truth, DegradeSpec(seed=k, gaussian_sigma=0.2)), tmp_path / f"{a}{b}.asc")
+            rows.append(f"{a},{b},{tmp_path / (a + '.rpc')},{tmp_path / (b + '.rpc')},"
+                        f"{tmp_path / (a + b + '.asc')}")
+        (tmp_path / "pairs.csv").write_text("\n".join(rows) + "\n")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return intersection_angle(*args, **kwargs)
+
+        monkeypatch.setattr(pairsel, "intersection_angle", counted)
+        out = tmp_path / "ranked.csv"
+        assert main(["rank", "--manifest", str(tmp_path / "pairs.csv"),
+                     "--truth", str(tmp_path / "truth.asc"), "--at", "0", "0", "0",
+                     "--meters-per-unit", "1.0", "--max-search", "2", "--out", str(out)]) == 0
+        assert len(calls) == 2
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] \
+            in ([["A", "B"], ["C", "D"]], [["C", "D"], ["A", "B"]])
 
     def test_all_pairs_gated_out_warns_exit_0(self, tmp_path):
         self.build_inputs(tmp_path)

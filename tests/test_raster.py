@@ -262,6 +262,28 @@ class TestResample:
             resample(src, src.geometry, "cubic")
 
 
+class TestKeyValueLines:
+    def test_line_ends_and_numbering(self, tmp_path):
+        # lines end at \n, \r\n and \r only; \f, \v and \x1c stay inside a line
+        p = tmp_path / "kv.txt"
+        p.write_bytes(b"# c\r\n\na = 1\rb=2\x0cc=3\n \x0b\x1c\n d =4=5 \r\n")
+        assert raster.key_value_lines(p, "=", ValueError, "ascii") == [
+            (3, "a", "1"), (4, "b", "2\x0cc=3"), (6, "d", "4=5"),
+        ]
+
+    def test_line_without_separator_raises_the_given_error(self, tmp_path):
+        p = tmp_path / "kv.txt"
+        p.write_text("# c\n\nKEY: 1\nKEY 2\n")
+        with pytest.raises(KeyError, match=re.escape(f"{p}:4: expected key:value, got 'KEY 2'")):
+            raster.key_value_lines(p, ":", KeyError, "ascii")
+
+    def test_undecodable_byte_raises_the_given_error(self, tmp_path):
+        p = tmp_path / "kv.txt"
+        p.write_bytes(b"a=1\nb=\xe9\n")
+        with pytest.raises(LookupError, match="byte 0xe9 at offset 6 is not ascii"):
+            raster.key_value_lines(p, "=", LookupError, "ascii")
+
+
 class TestAsciiGrid:
     def test_round_trip_with_nodata(self, tmp_path):
         vals = np.array([[1.5, -9999.0], [2.25, 3.125]])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,35 @@ class TestRpcFile:
         p = tmp_path / "bad.rpc"
         p.write_text("SAMP_OFF: abc\n")
         with pytest.raises(RpcFileError):
+            read_rpc(p)
+
+    def test_comments_lower_case_keys_units_and_crlf(self, rng, tmp_path):
+        model = random_rpc_model(rng)
+        p = tmp_path / "model.rpc"
+        write_rpc(model, p)
+        lines = p.read_text().splitlines()
+        lines[0] += " pixels"  # SAMP_OFF: <value> pixels
+        lines[5] = lines[5].lower()  # u_scale: <value>
+        text = "\r\n".join(["# a comment", "", *lines[:3], "  # indented", *lines[3:]]) + "\r\n"
+        p.write_bytes(text.encode("ascii"))
+        back = read_rpc(p)
+        assert back.s_off == model.s_off and back.u_scale == model.u_scale
+        assert np.array_equal(back.num_s, model.num_s)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_error_line_counts_comments_and_blank_lines(self, tmp_path, eol):
+        p = tmp_path / "model.rpc"
+        write_rpc(identity_model(), p)
+        lines = p.read_text().splitlines()
+        lines[5] = "U_SCALE: inf"
+        p.write_bytes(eol.join(["# header", "", "   ", *lines]).encode("ascii") + eol.encode())
+        with pytest.raises(RpcFileError, match=":9: U_SCALE is not finite: 'inf'$"):
+            read_rpc(p)
+
+    def test_line_without_colon_named(self, tmp_path):
+        p = tmp_path / "model.rpc"
+        p.write_text("# header\n\nSAMP_OFF: 1\nSAMP_SCALE 2\n")
+        with pytest.raises(RpcFileError, match=f"^{re.escape(str(p))}:4: "):
             read_rpc(p)
 
 
