@@ -414,7 +414,7 @@ def _parse_scene_file(path: str) -> SceneSpec:
         "seed": int, "width": int, "height": int,
         "cell_size": float, "ground_height": float, "ground_intensity": float,
     }
-    for lineno, key, value in key_value_lines(path, "=", ConfigError, "utf-8"):
+    for lineno, key, value in key_value_lines(path, "=", ConfigError, "utf-8", {"building"}):
         try:
             if key == "building":
                 parts = value.split(",")
@@ -562,23 +562,24 @@ def _log_warning(message, category, *where, _show=warnings.showwarning):
 def main(argv=None) -> int:
     # one stderr handler for library warnings; a no-op if logging is configured
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
-    warnings.showwarning = _log_warning
     started = time.perf_counter()
-    try:
-        args = _build_parser().parse_args(argv)
-        opts = _resolve(args, args.command)
-        wrote = _COMMANDS[args.command][0](opts)  # (anchor path, inputs, outputs[, seed])
-        if wrote:
-            _write_manifest(args.command, opts, started, *wrote)
-    except (AsciiGridError, RpcFileError, ManifestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (GeometryMismatchError, InsufficientOverlapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (ConfigError, InversionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():  # the caller's warning hook and filters come back on return
+        warnings.showwarning = _log_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            opts = _resolve(args, args.command)
+            wrote = _COMMANDS[args.command][0](opts)  # (anchor path, inputs, outputs[, seed])
+            if wrote:
+                _write_manifest(args.command, opts, started, *wrote)
+        except (AsciiGridError, RpcFileError, ManifestError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (GeometryMismatchError, InsufficientOverlapError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_GEOMETRY
+        except (ConfigError, InversionError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -11,14 +11,14 @@ Two fusion operators:
       W(x) = exp(-(|x - x0|^2 / (2 delta_s^2) + (I(x) - I(x0))^2 / (2 delta_i^2)))
 
   and the window is the set of cells with W(x) > gamma (strictly).
-  ``window_weights`` states W once, at every window offset of every cell of
-  a block.  The kernel's gate, ``window_members``, takes the same decisions
-  without ``exp``: at each offset W falls as |I(x) - I(x0)| grows, so
-  W > gamma is |I(x) - I(x0)| <= D_k for one bound per offset, bisected
-  through ``window_weights`` once per config.  The median is then taken over
-  every valid height of every layer at every window cell, which multiplies
-  the candidate count without pulling values across intensity edges, so
-  depth boundaries stay sharp while flat areas smooth out.
+  ``_weight`` states W's arithmetic once, on intensity steps.  The kernel's
+  gate, ``window_members``, takes ``window_weights``' decisions without
+  ``exp``: at each offset W falls as |I(x) - I(x0)| grows, so W > gamma is
+  |I(x) - I(x0)| <= D_k for one bound per offset, bisected through
+  ``_weight`` once per fuse and handed to each block.  The median is then
+  taken over every valid height of every layer at every window cell, which
+  multiplies the candidate count without pulling values across intensity
+  edges, so depth boundaries stay sharp while flat areas smooth out.
 
 W(x0) = 1 is the maximum of W, so weights need no further normalization.
 The median of an even candidate count is the average of the two middle
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 
@@ -125,14 +125,14 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None)
         yield from (np.stack([_nan_median(s[..., :k]) for k in ks or [s.shape[2]]]) for s in strips)
         return
     offsets = _window_offsets(cfg)  # the center always passes a gamma below 1
-    _intensity_bounds(cfg)  # bisected once per config, before the first read
+    bounds = _intensity_bounds(cfg)  # bisected once per fuse, before the first read
     rad = cfg.radius
     strips = iter(strips)
     ahead = next(strips)  # read one strip ahead: the last one takes the bottom padding
     n_cols, n_layers = ahead.shape[1], ahead.shape[2] - 1
     width = n_cols + 2 * rad
     rows = max(1, _BLOCK_BYTES // (n_cols * len(offsets) * n_layers * 8))
-    fuse = partial(_fuse_block, offsets=offsets, cfg=cfg, ks=ks or [n_layers])
+    fuse = partial(_fuse_block, offsets=offsets, bounds=bounds, rad=rad, ks=ks or [n_layers])
     # padded heights and ortho not yet fused, under the halo above them
     held = np.full((rad, width, n_layers), np.nan), np.full((rad, width), np.nan)
     with ThreadPoolExecutor(jobs) as pool:  # a thread starts only when a block is queued
@@ -184,8 +184,24 @@ def _window_offsets(cfg: FusionConfig):
     return out
 
 
+def _weight(d, offsets, cfg: FusionConfig) -> np.ndarray:
+    """W of intensity steps d, shape (..., offsets), in place: its arithmetic, stated once."""
+    d *= d
+    d /= 2.0 * cfg.delta_i * cfg.delta_i
+    d += [spatial for _, _, spatial in offsets]
+    return np.exp(np.negative(d, out=d), out=d)
+
+
+def _steps(opad, offsets, rad):
+    """Steps I(x) - I(x0), (rows, cols, offsets), of a block padded by ``rad``, and its nodata centers."""
+    i0 = opad[rad : opad.shape[0] - rad, rad : opad.shape[1] - rad, None]
+    d = _gather(opad, offsets, rad)
+    d -= i0
+    return d, np.isnan(i0[..., 0])
+
+
 def window_weights(opad, offsets, cfg: FusionConfig) -> np.ndarray:
-    """Bilateral weight W of every window offset of every cell, the one statement of W.
+    """Bilateral weight W of every window offset of every cell.
 
     ``opad`` is an orthophoto block NaN-padded by ``cfg.radius`` cells on
     each side and ``offsets`` are ``_window_offsets(cfg)``; the result is
@@ -195,33 +211,23 @@ def window_weights(opad, offsets, cfg: FusionConfig) -> np.ndarray:
     spatial-only weight, which passes at every kept offset, padding included;
     heights there are NaN, so no candidate comes from outside the grid.
     """
-    rad = cfg.radius
-    i0 = opad[rad : opad.shape[0] - rad, rad : opad.shape[1] - rad, None]
-    w = _gather(opad, offsets, rad)
-    w -= i0  # W = exp(-(spatial + d * d / (2 delta_i^2))), d the intensity step
-    w *= w
-    w /= 2.0 * cfg.delta_i * cfg.delta_i
-    w += [spatial for _, _, spatial in offsets]
-    np.exp(np.negative(w, out=w), out=w)
+    d, nodata = _steps(opad, offsets, cfg.radius)
+    w = _weight(d, offsets, cfg)
     # math.exp, as in _window_offsets: np.exp may differ by an ulp and
     # flip a kept offset out of the gate
-    w[np.isnan(i0[..., 0])] = [math.exp(-spatial) for _, _, spatial in offsets]
+    w[nodata] = [math.exp(-spatial) for _, _, spatial in offsets]
     return w
 
 
-def window_members(opad, offsets, cfg: FusionConfig) -> np.ndarray:
-    """The gate, ``window_weights(opad, offsets, cfg) > cfg.gamma``, decided as
-    |I(x) - I(x0)| <= D_k with ``_intensity_bounds``; a nodata center passes every offset."""
-    rad = cfg.radius
-    i0 = opad[rad : opad.shape[0] - rad, rad : opad.shape[1] - rad, None]
-    d = _gather(opad, offsets, rad)
-    d -= i0
-    member = np.abs(d, out=d) <= _intensity_bounds(cfg)  # NaN, a nodata neighbour, fails
-    member[np.isnan(i0[..., 0])] = True
+def window_members(opad, offsets, bounds, rad) -> np.ndarray:
+    """The gate, ``window_weights(...) > gamma``, decided as |I(x) - I(x0)| <= D_k with
+    ``bounds``, ``_intensity_bounds(cfg)``; a nodata center passes every offset."""
+    d, nodata = _steps(opad, offsets, rad)
+    member = np.abs(d, out=d) <= bounds  # NaN, a nodata neighbour, fails
+    member[nodata] = True
     return member
 
 
-@lru_cache(maxsize=16)
 def _intensity_bounds(cfg: FusionConfig) -> np.ndarray:
     """D_k per ``_window_offsets`` offset: the largest |I(x) - I(x0)| that passes
     the gate at a valid center (-inf: none does).
@@ -229,26 +235,16 @@ def _intensity_bounds(cfg: FusionConfig) -> np.ndarray:
     W's exponent rises with |d| through every rounding of ``d * d``, ``/`` and
     ``+``, so the gate is one step in |d| if ``np.exp`` steps once at gamma; that
     is checked over 4096 ulps of the exponent either side.  Each D_k is then
-    bisected through ``window_weights``, the center 0 and each neighbour a trial step.
+    bisected through ``_weight``, on one trial step per offset.
     """
     t_max = _last_passing(lambda t: np.exp(-t) > cfg.gamma, 1)
     ulps = np.arange(-4096, 4097)
     t = (t_max.view(np.int64) + ulps).view(np.float64)
     if not np.array_equal(np.exp(-t) > cfg.gamma, ulps <= 0):
         raise ArithmeticError(f"np.exp does not step once at the gate of {cfg}")
-    offsets, rad = _window_offsets(cfg), cfg.radius
-    side = 2 * rad + 1
-    opad, at = np.zeros((side, side)), [(rad + di) * side + rad + dj for di, dj, _ in offsets]
-
-    def passes(d):
-        opad.flat[at] = d
-        opad[rad, rad] = 0.0  # the center offset's own step is 0: it always passes
-        return window_weights(opad, offsets, cfg)[0, 0] > cfg.gamma
-
+    offsets = _window_offsets(cfg)
     with np.errstate(over="ignore"):  # trial steps reach 1e308
-        bounds = _last_passing(passes, len(offsets))
-    bounds.flags.writeable = False  # shared by every caller of the cache
-    return bounds
+        return _last_passing(lambda d: _weight(d.copy(), offsets, cfg) > cfg.gamma, len(offsets))
 
 
 def _last_passing(passes, n) -> np.ndarray:
@@ -278,12 +274,12 @@ def _gather(a, offsets, rad) -> np.ndarray:
     return out
 
 
-def _fuse_block(hpad, opad, offsets, cfg: FusionConfig, ks) -> np.ndarray:
+def _fuse_block(hpad, opad, offsets, bounds, rad, ks) -> np.ndarray:
     """Fuse one padded row block, hpad (rows+2r, cols+2r, layers), for each layer
     count in ``ks``, ascending: a count of all layers sorts the candidates in place."""
-    member = window_members(opad, offsets, cfg)
+    member = window_members(opad, offsets, bounds, rad)
     n_rows, n_cols = member.shape[:2]
-    cands = _gather(hpad, offsets, cfg.radius)
+    cands = _gather(hpad, offsets, rad)
     cands.reshape(-1, hpad.shape[2])[np.flatnonzero(~member)] = np.nan  # every layer at a non-member offset
     return np.stack([_nan_median(cands[..., :k].reshape(n_rows, n_cols, -1)) for k in ks])
 

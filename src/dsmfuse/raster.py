@@ -85,11 +85,13 @@ def decode_errors_as(error: type[Exception], path, encoding: str):
         raise
 
 
-def key_value_lines(path, sep: str, error: type[Exception], encoding: str) -> list[tuple[int, str, str]]:
+def key_value_lines(path, sep: str, error: type[Exception], encoding: str,
+                    repeatable=()) -> list[tuple[int, str, str]]:
     """``(lineno, key, value)``, both stripped, per ``key<sep>value`` line of a text
     file.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; blank and ``#`` lines are
-    skipped but counted.  A line without ``sep``, or an undecodable byte, raises ``error``."""
-    out = []
+    skipped but counted.  A line without ``sep``, a key given twice in any letter case
+    (unless ``repeatable`` names it) or an undecodable byte raises ``error``."""
+    out, seen = [], {}
     with open(path, encoding=encoding) as f, decode_errors_as(error, path, encoding):
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -97,8 +99,10 @@ def key_value_lines(path, sep: str, error: type[Exception], encoding: str) -> li
                 continue
             if sep not in line:
                 raise error(f"{path}:{lineno}: expected key{sep}value, got {line!r}")
-            key, _, value = line.partition(sep)
-            out.append((lineno, key.strip(), value.strip()))
+            key, _, value = (part.strip() for part in line.partition(sep))
+            if key not in repeatable and seen.setdefault(key.upper(), lineno) != lineno:
+                raise error(f"{path}:{lineno}: key {key!r} was given on line {seen[key.upper()]} too")
+            out.append((lineno, key, value))
     return out
 
 
@@ -137,7 +141,7 @@ class RasterGrid:
 
     def __init__(self, geometry: GridGeometry, values, nodata: float = DEFAULT_NODATA):
         shared = isinstance(values, np.ndarray) and not values.flags.writeable
-        arr = np.array(values, dtype=np.float64, order="C", copy=None if shared else True)
+        arr = (np.asarray if shared else np.array)(values, dtype=np.float64, order="C")
         if arr.shape != (geometry.n_rows, geometry.n_cols):
             raise ValueError(
                 f"values shape {arr.shape} does not match geometry "

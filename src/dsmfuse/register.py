@@ -96,11 +96,10 @@ def rmse(a: RasterGrid, b: RasterGrid) -> tuple[float, int]:
     included, and the number of those cells."""
     if a.geometry != b.geometry:
         raise GeometryMismatchError("rmse needs a common geometry")
-    d = a.nan_values() - b.nan_values()
-    d = d[np.isfinite(d)]
+    d = _residuals(a.nan_values(), b.nan_values(), 0, 0)[1]
     if d.size == 0:
         raise InsufficientOverlapError("no mutually valid cells")
-    return float(np.sqrt(np.mean(d * d))), int(d.size)
+    return _rms(d), d.size
 
 
 def _sample(a: np.ndarray, dr: float, dc: float):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,13 @@ def run_python(code, *args):
 def run_cli(*args, cwd=None):
     """``python -m dsmfuse.cli ARGS``: the process entry point, ``cli.run``."""
     return run_interpreter("-m", "dsmfuse.cli", *args, cwd=cwd)
+
+
+def set_scene_line(scene, line):
+    """Put ``key=value`` in the scene file in place of its key's line; a building is added."""
+    key = line.partition("=")[0]
+    kept = [ln for ln in scene.read_text().splitlines() if key == "building" or ln.partition("=")[0] != key]
+    scene.write_text("\n".join([*kept, line]) + "\n")
 
 
 @pytest.fixture
@@ -714,6 +722,39 @@ class TestUndecodableInput:
         assert f"byte 0xe9 at offset {offset}" in err
 
 
+class TestRepeatedKey:
+    """A key given twice in a key-value file is refused, naming both lines, before
+    any grid is read or anything written: RPC files exit 2, config and scene files 4."""
+
+    @pytest.mark.parametrize("kind,code", [("rpc", 2), ("rpc-case", 2), ("config", 4), ("scene", 4)])
+    def test_exit_code_names_both_lines(self, tmp_path, capsys, monkeypatch, scene_dir, kind, code):
+        write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
+        bad = tmp_path / f"bad.{kind}"
+        if kind.startswith("rpc"):  # the file's own SAMP_OFF is line 2
+            first = "SAMP_OFF: 500" if kind == "rpc" else "samp_off: 500"
+            bad.write_text(f"{first}\n" + (tmp_path / "a.rpc").read_text())
+            argv = ["rpc", "project", "--rpc", str(bad), "--u", "0", "--v", "0", "--z", "0"]
+            key, lines = "SAMP_OFF", (1, 2)
+        elif kind == "config":
+            bad.write_text("radius=1\nlayers=l.asc\nmode=median\nradius=5\nout=o.asc\n")
+            argv, key, lines = ["fuse", "--config", str(bad)], "radius", (1, 4)
+        else:
+            bad.write_text(scene_dir.read_text() + "seed=12\n")
+            argv = ["synth", "--scene", str(bad), "--out-dir", str(tmp_path / "o")]
+            key, lines = "seed", (1, 9)
+
+        def no_read(*args):
+            raise AssertionError("read an input before refusing the repeated key")
+
+        for name in ("read_asc", "GridReader", "read_pair_manifest"):
+            monkeypatch.setattr(cli, name, no_read)
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}:{lines[1]}: key {key!r} was given on line {lines[0]} too\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestMissingOutDir:
     @pytest.mark.parametrize("argv", [
         ["fuse", "--layers", "l.asc", "--mode", "median"],
@@ -1215,6 +1256,16 @@ class TestRpcCommand:
         assert lines[0].startswith("WARNING dsmfuse.rpc: ground point (1000000.0, 0.0, 0.0)")
         assert ".py:" not in proc.stderr
 
+    def test_main_restores_the_callers_warning_hook(self, tmp_path, caplog):
+        write_rpc(linear_ray_model(0.0), tmp_path / "img0.rpc")
+        hook = warnings.showwarning
+        assert main(["rpc", "project", "--rpc", str(tmp_path / "img0.rpc"),
+                     "--u", "1e6", "--v", "0", "--z", "0"]) == 0
+        assert warnings.showwarning is hook
+        # inside main the warning still went to the log
+        assert [r.name for r in caplog.records] == ["dsmfuse.rpc"]
+        assert caplog.records[0].getMessage().startswith("ground point (1000000.0, 0.0, 0.0)")
+
     def test_missing_action_exit_4(self):
         assert main(["rpc"]) == 4
 
@@ -1306,7 +1357,7 @@ class TestSynthCommand:
         self, tmp_path, capsys, scene_dir, flags, scene_line, name
     ):
         if scene_line:
-            scene_dir.write_text(scene_dir.read_text() + scene_line + "\n")
+            set_scene_line(scene_dir, scene_line)
         out_dir = tmp_path / "out"
         assert main(["synth", "--scene", str(scene_dir), "--layers", "3", *flags,
                      "--out-dir", str(out_dir)]) == 4
@@ -1321,7 +1372,7 @@ class TestSynthCommand:
         self, tmp_path, capsys, scene_dir, flags, scene_line, message
     ):
         if scene_line:
-            scene_dir.write_text(scene_dir.read_text() + scene_line + "\n")
+            set_scene_line(scene_dir, scene_line)
         out_dir = tmp_path / "out"
         assert main(["synth", "--scene", str(scene_dir), *flags, "--out-dir", str(out_dir)]) == 4
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -233,7 +233,7 @@ class TestBoundGate:
         ulps = data.draw(arrays(np.int64, n, elements=st.integers(-40, 40)), label="ulps")
         kind = data.draw(arrays(np.int64, n, elements=st.integers(0, 9)), label="kind")
         # D_k +- ulps from the center, or nodata (kind 0); -inf bounds step from 0, and
-        # the center offset's, the largest float, is overwritten by the center
+        # the center offset's is overwritten by the center
         steps = _ulps_from(np.clip(bounds, 0.0, 1e6), ulps)
         values = np.where(kind == 0, np.nan, np.where(kind % 2, i0 + steps, i0 - steps))
         opad = np.full((side, 4 * side), np.nan)  # a cell off every kept offset stays nodata
@@ -241,7 +241,7 @@ class TestBoundGate:
             for k, (di, dj, _) in enumerate(offsets):
                 opad[cfg.radius + di, w * side + cfg.radius + dj] = values[w, k]
             opad[cfg.radius, w * side + cfg.radius] = i0
-        member = fusion.window_members(opad, offsets, cfg)
+        member = fusion.window_members(opad, offsets, bounds, cfg.radius)
         assert np.array_equal(member, window_weights(opad, offsets, cfg) > cfg.gamma)
 
     @pytest.mark.parametrize(
@@ -258,7 +258,7 @@ class TestBoundGate:
                     assert (w > cfg.gamma) == passes, (di, dj, step)
 
     def test_exp_that_steps_twice_raises(self, monkeypatch):
-        cfg = FusionConfig(delta_s=3.1)  # not cached by another test
+        cfg = FusionConfig(delta_s=3.1)
         t_max = fusion._last_passing(lambda t: np.exp(-t) > cfg.gamma, 1)
         real = np.exp
 
@@ -268,7 +268,7 @@ class TestBoundGate:
 
         monkeypatch.setattr(np, "exp", exp)
         with pytest.raises(ArithmeticError, match="np.exp does not step once"):
-            fusion._intensity_bounds.__wrapped__(cfg)
+            fusion._intensity_bounds(cfg)
 
 
 class TestNanMedian:
@@ -467,14 +467,30 @@ class TestBlockPartition:
         heights = []
         real = fusion._fuse_block
 
-        def spy(hpad, opad, offsets, cfg, ks):
-            heights.append(opad.shape[0] - 2 * cfg.radius)
-            return real(hpad, opad, offsets, cfg, ks)
+        def spy(hpad, opad, offsets, bounds, rad, ks):
+            heights.append(opad.shape[0] - 2 * rad)
+            return real(hpad, opad, offsets, bounds, rad, ks)
 
         monkeypatch.setattr(fusion, "_fuse_block", spy)
         monkeypatch.setattr(fusion, "_BLOCK_BYTES", _budget_for_rows(stack, FusionConfig(), 7))
         adaptive_median_fuse(stack, ortho)
         assert heights == [7, 7, 7, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_bounds_bisected_once_per_fuse(self, rng, monkeypatch, jobs):
+        # many strips of many blocks share the one set of bounds
+        stack, ortho = random_stack(rng, 23, 9, 3)
+        calls = []
+
+        def spy(cfg, _real=fusion._intensity_bounds):
+            calls.append(cfg)
+            return _real(cfg)
+
+        monkeypatch.setattr(fusion, "_intensity_bounds", spy)
+        monkeypatch.setattr(fusion, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 5 * 9 * 4 * 8)
+        adaptive_median_fuse(stack, ortho, jobs=jobs)
+        assert calls == [FusionConfig()]
 
 
 class TestGather:
@@ -638,6 +654,36 @@ def test_layer_prefixes_match_fusing_them_alone_property(data):
     for k in range(1, n_layers + 1):
         (alone,) = fused(layers[:k] + ortho, [])
         assert every[k - 1].tobytes() == alone.tobytes(), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_degenerate_configs_give_the_median_property(data):
+    """Radius 0, or gamma within 1e-6 of 1, leaves each window its center alone,
+    so the adaptive fuse has ``median_fuse``'s bytes, for any strip and block size."""
+    n_rows = data.draw(st.integers(1, 9), label="rows")
+    n_cols = data.draw(st.integers(1, 9), label="cols")
+    n_layers = data.draw(st.integers(1, 5), label="layers")
+    heights = st.one_of(st.sampled_from([-9999.0, np.nan, 0.0, -0.0, 2.5]),
+                        st.floats(-50.0, 50.0, allow_nan=False))
+    layers = [
+        grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=heights)))
+        for _ in range(n_layers)
+    ]
+    ortho = grid_of(data.draw(arrays(np.float64, (n_rows, n_cols), elements=_intensities)))
+    scales = {"delta_s": st.floats(0.3, 8.0), "delta_i": st.floats(0.1, 80.0)}
+    cfg = data.draw(st.one_of(
+        st.builds(FusionConfig, radius=st.just(0), gamma=st.floats(1e-6, 0.999999), **scales),
+        st.builds(FusionConfig, radius=st.integers(1, 4),
+                  gamma=st.floats(1 - 1e-6, 1.0, exclude_max=True), **scales),
+    ), label="cfg")
+    want = median_fuse(layers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "_STRIP_BYTES", data.draw(st.integers(1, 2000), label="strip bytes"))
+        mp.setattr(fusion, "_BLOCK_BYTES", data.draw(st.integers(1, 5000), label="block bytes"))
+        got = adaptive_median_fuse(layers, ortho, cfg)
+    # bit patterns: array_equal would not tell -0.0 from 0.0
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -277,6 +277,21 @@ class TestKeyValueLines:
         with pytest.raises(KeyError, match=re.escape(f"{p}:4: expected key:value, got 'KEY 2'")):
             raster.key_value_lines(p, ":", KeyError, "ascii")
 
+    def test_key_given_twice_in_any_case_raises_naming_both_lines(self, tmp_path):
+        p = tmp_path / "kv.txt"
+        p.write_text("# c\nKEY: 1\nother: 2\n\nkey: 3\n")
+        with pytest.raises(KeyError, match=re.escape(f"{p}:5: key 'key' was given on line 2 too")):
+            raster.key_value_lines(p, ":", KeyError, "ascii")
+
+    def test_repeatable_keys_repeat(self, tmp_path):
+        p = tmp_path / "kv.txt"
+        p.write_text("b=1\na=2\nb=3\n")
+        assert raster.key_value_lines(p, "=", ValueError, "ascii", {"b"}) == [
+            (1, "b", "1"), (2, "a", "2"), (3, "b", "3"),
+        ]
+        with pytest.raises(ValueError, match="kv.txt:3: key 'b' was given on line 1 too"):
+            raster.key_value_lines(p, "=", ValueError, "ascii", {"a"})
+
     def test_undecodable_byte_raises_the_given_error(self, tmp_path):
         p = tmp_path / "kv.txt"
         p.write_bytes(b"a=1\nb=\xe9\n")

@@ -282,6 +282,14 @@ class TestRpcFile:
         with pytest.raises(RpcFileError, match=f":6: U_SCALE is not finite: '{token}'$"):
             read_rpc(p)
 
+    def test_key_given_twice_raises(self, tmp_path):
+        # the file's own SAMP_OFF is line 2
+        p = tmp_path / "model.rpc"
+        write_rpc(identity_model(), p)
+        p.write_text("SAMP_OFF: 500\n" + p.read_text())
+        with pytest.raises(RpcFileError, match=":2: key 'SAMP_OFF' was given on line 1 too$"):
+            read_rpc(p)
+
     def test_unparseable_value(self, tmp_path):
         p = tmp_path / "bad.rpc"
         p.write_text("SAMP_OFF: abc\n")
