@@ -59,7 +59,7 @@ from .raster import (
     write_pgm,
     write_rows,
 )
-from .register import AlignConfig, InsufficientOverlapError, align
+from .register import AlignConfig, InsufficientOverlapError, Reference, align
 from .rpc import (
     DEFAULT_DZ_PROBE,
     DEFAULT_METERS_PER_UNIT,
@@ -305,13 +305,13 @@ def cmd_rank(opts: SimpleNamespace):
 
     # one RPC file per id: read_pair_manifest refuses a second
     rpc_paths = {i: p for e in entries for i, p in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path))}
-    models = {ident: read_rpc(path) for ident, path in rpc_paths.items()}
-    # only pairs listed in the manifest are candidates: each is gated on its own
+    models = [(ident, read_rpc(path)) for ident, path in rpc_paths.items()]
+    # only pairs listed in the manifest are candidates
+    dsm_paths = {e.pair: e.dsm_path for e in entries}
     candidates = [
-        replace(rec, dsm_path=e.dsm_path)
-        for e in entries
-        for rec in gate_pairs([(i, models[i]) for i in e.pair], at, gate,
-                              dz_probe=opts.dz_probe, meters_per_unit=opts.meters_per_unit)
+        replace(rec, dsm_path=dsm_paths[rec.id_a, rec.id_b])
+        for rec in gate_pairs(models, at, gate, dz_probe=opts.dz_probe,
+                              meters_per_unit=opts.meters_per_unit, pairs=dsm_paths)
     ]
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
@@ -369,7 +369,7 @@ def cmd_curve(opts: SimpleNamespace):
                 yield strip
         for fused in fuse_strips(medians_too(_ortho_checked(read_strips(sources))), fcfg, opts.jobs, ks):
             keep(adaptive, fused)
-        truth = RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata)
+        truth = Reference(RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata))
 
         lines = ["k,rmse_adaptive_m,rmse_median_m"]
         for k, pair in zip(ks, zip(adaptive, median)):
@@ -559,11 +559,29 @@ def _log_warning(message, category, *where, _show=warnings.showwarning):
     logging.getLogger(category.__module__).warning("%s", message)
 
 
+@contextmanager
+def _stderr_logging():
+    """A root stderr handler at level WARNING for the call, as ``logging.basicConfig``
+    would add, unless logging is configured; the root logger is left as found."""
+    root = logging.getLogger()
+    if root.handlers:
+        yield
+        return
+    handler, level = logging.StreamHandler(), root.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.addHandler(handler)
+    root.setLevel(logging.WARNING)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+
+
 def main(argv=None) -> int:
-    # one stderr handler for library warnings; a no-op if logging is configured
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
     started = time.perf_counter()
-    with warnings.catch_warnings():  # the caller's warning hook and filters come back on return
+    # the caller's logging, warning hook and warning filters come back on return
+    with _stderr_logging(), warnings.catch_warnings():
         warnings.showwarning = _log_warning
         try:
             args = _build_parser().parse_args(argv)

@@ -12,13 +12,14 @@ truth patch and scoring the inlier RMSE; the best top_k go into fusion.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .raster import RasterGrid, decode_errors_as, read_asc
-from .register import AlignConfig, InsufficientOverlapError, align
+from .register import AlignConfig, InsufficientOverlapError, Reference, align
 from .rpc import (
     DEFAULT_DZ_PROBE,
     DEFAULT_METERS_PER_UNIT,
@@ -26,7 +27,8 @@ from .rpc import (
     InversionError,
     RpcModel,
     check_probe,
-    intersection_angle,
+    ray_angle,
+    viewing_ray,
 )
 
 log = logging.getLogger(__name__)
@@ -96,29 +98,36 @@ def gate_pairs(
     gate: PairGate = PairGate(),
     dz_probe: float = DEFAULT_DZ_PROBE,
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
+    pairs: Iterable[tuple[str, str]] | None = None,
 ) -> list[PairRecord]:
-    """All unordered pairs whose intersection angle falls inside the gate.
+    """The pairs whose intersection angle falls inside the gate: those listed
+    in ``pairs``, by id, else every unordered pair of the models.
 
-    Pairs are canonicalized (id_a < id_b) and sorted by ascending angle, so
-    the output is invariant to the input ordering.  A pair whose angle cannot
-    be computed is dropped with a logged reason; bad probe settings raise.
+    Each model's viewing ray is computed once, whatever the number of pairs
+    it is in.  Pairs are canonicalized (id_a < id_b) and sorted by ascending
+    angle, so the output is invariant to the input ordering.  A pair whose
+    angle cannot be computed is dropped with a logged reason; bad probe
+    settings raise.
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 models to form pairs, got {len(models)}")
     check_probe(dz_probe, meters_per_unit)
+    by_id = dict(models)
+    pairs = [tuple(sorted(p)) for p in (itertools.combinations(by_id, 2) if pairs is None else pairs)]
+    rays = {}  # id -> its viewing ray, or the error that left it without one
+    for ident in sorted({i for p in pairs for i in p}):
+        try:
+            rays[ident] = viewing_ray(by_id[ident], at, dz_probe, meters_per_unit)
+        except (InversionError, ValueError) as exc:
+            rays[ident] = exc
     records = []
-    for i in range(len(models)):
-        for j in range(i + 1, len(models)):
-            (ida, ma), (idb, mb) = models[i], models[j]
-            if idb < ida:
-                ida, ma, idb, mb = idb, mb, ida, ma
-            try:
-                angle = intersection_angle(ma, mb, at, dz_probe, meters_per_unit)
-            except (InversionError, ValueError) as exc:
-                log.warning("dropping pair (%s, %s): %s", ida, idb, exc)
-                continue
-            if gate.admits(angle):
-                records.append(PairRecord(id_a=ida, id_b=idb, angle_deg=angle))
+    for ida, idb in pairs:
+        if errors := [r for r in (rays[ida], rays[idb]) if isinstance(r, Exception)]:
+            log.warning("dropping pair (%s, %s): %s", ida, idb, errors[0])
+            continue
+        angle = ray_angle(rays[ida], rays[idb])
+        if gate.admits(angle):
+            records.append(PairRecord(id_a=ida, id_b=idb, angle_deg=angle))
     records.sort(key=lambda r: (r.angle_deg, r.id_a, r.id_b))
     return records
 
@@ -137,13 +146,14 @@ def rank_pairs(
     alignment fails (e.g. insufficient overlap) sink to the end with
     rank_rmse None, never selected.  Ties break on (id_a, id_b).
     """
+    reference = Reference(truth_patch)  # one pyramid and gradients for every align
     ranked = []
     for rec in candidates:
         if rec.dsm_path is None:
             raise ValueError(f"pair ({rec.id_a}, {rec.id_b}) has no dsm_path")
         patch = read_asc(rec.dsm_path)
         try:
-            rank_rmse = align(patch, truth_patch, cfg).rmse_inliers
+            rank_rmse = align(patch, reference, cfg).rmse_inliers
         except InsufficientOverlapError as exc:
             log.warning("pair (%s, %s) not rankable: %s", rec.id_a, rec.id_b, exc)
             rank_rmse = None

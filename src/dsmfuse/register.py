@@ -26,7 +26,9 @@ reference side: each moving cell keeps its raw height and is compared to
 the reference sampled at the inversely shifted position.  Blunders in the
 moving grid (the noisy one, in this protocol) therefore stay unblended
 and the threshold gate removes them cleanly instead of letting diluted
-fractions of them leak into the fit.  The vertical offset has a closed
+fractions of them leak into the fit.  What depends on the reference alone
+(its NaN grid, pyramid and gradients) is a ``Reference``, built once when
+many grids align to one truth.  The vertical offset has a closed
 form (the mean inlier height difference) and is recomputed every
 iteration, as is the inlier set: cells whose dz-corrected difference
 exceeds the blunder threshold (vegetation growth, seasonal change) drop
@@ -121,13 +123,15 @@ def _sample(a: np.ndarray, dr: float, dc: float):
     (r1, r2), (c1, c2) = (
         (max(0, -o), max(0, -o, min(n, n - o - ext))) for n, o in zip(a.shape, (r0, c0))
     )
-    views = [a[r1 + r0 + i : r2 + r0 + i, c1 + c0 + j : c2 + c0 + j] for i in (0, 1) for j in (0, 1)]
+    def view(i, j):
+        return a[r1 + r0 + i : r2 + r0 + i, c1 + c0 + j : c2 + c0 + j]
+
     win = (slice(r1, r2), slice(c1, c2))
     if not ext:
-        return win, views[0]
-    out = (1 - fr) * (1 - fc) * views[0]
-    for w, view in zip(((1 - fr) * fc, fr * (1 - fc), fr * fc), views[1:]):
-        out += w * view
+        return win, view(0, 0)
+    out = (1 - fr) * (1 - fc) * view(0, 0)
+    for w, i, j in (((1 - fr) * fc, 0, 1), (fr * (1 - fc), 1, 0), (fr * fc, 1, 1)):
+        out += w * view(i, j)
     return win, out
 
 
@@ -141,17 +145,19 @@ def _residuals(mov: np.ndarray, ref: np.ndarray, dr: float, dc: float):
     return finite, d[finite]
 
 
-def _median(x: np.ndarray) -> float:
-    """np.nanmedian of the non-empty finite vector x, from one partition: the
-    same order statistics and the same average of the middle two.
+def _median(x: np.ndarray, out: np.ndarray) -> float:
+    """np.nanmedian of the non-empty finite vector x, from one partition of
+    its copy in the scratch ``out``: the same order statistics and the same
+    average of the middle two.
 
     Which of +-0 lands in the middle follows the partition, but no output
     sees it: a zero median gates the cells equal to it in, so the reported
     dz is always a mean of the gate.
     """
     k = x.size
-    y = np.partition(x, k // 2)
-    return float(y[k // 2] if k % 2 else 0.5 * (y[: k // 2].max() + y[k // 2]))
+    np.copyto(out, x)
+    out.partition(k // 2)
+    return float(out[k // 2] if k % 2 else 0.5 * (out[: k // 2].max() + out[k // 2]))
 
 
 def _fit(x: np.ndarray, threshold: float):
@@ -161,18 +167,21 @@ def _fit(x: np.ndarray, threshold: float):
     dz is seeded with the median for robustness, then a couple of fixed-point
     rounds of (gate, mean); the gate returned is the last round's.  The score
     is mean(min((x + dz)**2, threshold**2)), inf when x is empty.  Means are
-    sum / size: np.mean's pairwise sum and division without its wrapper.
+    sum / size: np.mean's pairwise sum and division without its wrapper.  The
+    median's partition, each gate's |x + dz| and the score's terms share one
+    scratch array.
     """
     if x.size == 0:
         return 0.0, np.zeros(0, bool), math.inf
-    dz = -_median(x)
+    buf = np.empty_like(x)
+    dz = -_median(x, buf)
     for _ in range(_DZ_FIXED_POINT_ROUNDS):
-        gate = np.abs(x + dz) <= threshold
+        gate = np.abs(np.add(x, dz, out=buf), out=buf) <= threshold
         if not gate.any():
             break
         inl = x[gate]
         dz = -float(inl.sum() / inl.size)
-    r = x + dz
+    r = np.add(x, dz, out=buf)
     r *= r
     return dz, gate, float(np.minimum(r, threshold * threshold, out=r).sum() / r.size)
 
@@ -191,7 +200,8 @@ def _halve(a: np.ndarray) -> np.ndarray:
     blocks = a[: 2 * h, : 2 * w].reshape(h, 2, w, 2)
     finite = np.isfinite(blocks)
     total = np.where(finite, blocks, 0.0).sum(axis=(1, 3))
-    count = finite.sum(axis=(1, 3))
+    f = finite.view(np.uint8)  # exact counts of 0..4 from four byte adds
+    count = f[:, 0, :, 0] + f[:, 0, :, 1] + f[:, 1, :, 0] + f[:, 1, :, 1]
     return np.divide(total, count, out=np.full((h, w), np.nan), where=count > 0)
 
 
@@ -200,19 +210,41 @@ def _reach(max_search: int, level: int) -> int:
     return -(-max_search // 2**level)
 
 
-def _integer_search(mov: np.ndarray, ref: np.ndarray, cfg: AlignConfig) -> tuple[int, int]:
+class Reference:
+    """A reference grid prepared once for any number of ``align`` calls: its
+    NaN grid, its central-difference height gradients (NaN on the border)
+    and its pyramid of 2x2 block means, each level halved when a search
+    first reaches it, so no ``AlignConfig`` is built in."""
+
+    def __init__(self, grid: RasterGrid):
+        self.geometry = grid.geometry
+        ref = grid.nan_values()
+        self._levels = [ref]
+        self.grad_col = np.full_like(ref, np.nan)
+        self.grad_col[:, 1:-1] = (ref[:, 2:] - ref[:, :-2]) * 0.5
+        self.grad_row = np.full_like(ref, np.nan)
+        self.grad_row[1:-1, :] = (ref[2:, :] - ref[:-2, :]) * 0.5
+
+    def level(self, i: int) -> np.ndarray:
+        """Pyramid level i; level 0 is the NaN grid."""
+        while len(self._levels) <= i:
+            self._levels.append(_halve(self._levels[-1]))
+        return self._levels[i]
+
+
+def _integer_search(mov: np.ndarray, reference: Reference, cfg: AlignConfig) -> tuple[int, int]:
     """Best integer shift (u east, v north) within +-max_search cells."""
-    levels = [(mov, ref)]
+    levels = [mov]
     while (
         _reach(cfg.max_search, len(levels)) >= _PYRAMID_MIN_REACH
-        and min(levels[-1][0].shape) // 2 >= _PYRAMID_MIN_SIDE
+        and min(levels[-1].shape) // 2 >= _PYRAMID_MIN_SIDE
     ):
-        levels.append((_halve(levels[-1][0]), _halve(levels[-1][1])))
+        levels.append(_halve(levels[-1]))
 
     top = len(levels) - 1
     u = v = 0
     for level in range(top, -1, -1):
-        m, r = levels[level]
+        m, r = levels[level], reference.level(level)
         lim = _reach(cfg.max_search, level)
         rad = lim if level == top else 1
         u, v = 2 * u, 2 * v
@@ -227,15 +259,15 @@ def _integer_search(mov: np.ndarray, ref: np.ndarray, cfg: AlignConfig) -> tuple
     return u, v
 
 
-def _gauss_newton(mov, ref, grad_col, grad_row, u: float, v: float, threshold: float):
+def _gauss_newton(mov, reference: Reference, u: float, v: float, threshold: float):
     """Score and dz at the shift (u, v), and the Gauss-Newton step from it:
     None when under 3 cells constrain it or the normal equations are singular.
     Its arrays die on return, so the caller holds none of them."""
-    finite, d = _residuals(mov, ref, -v, u)
+    finite, d = _residuals(mov, reference.level(0), -v, u)
     dz, inl, score = _fit(d, threshold)
     # the gradients on the residuals' window, at their finite cells
-    gc = _sample(grad_col, -v, u)[1][finite]
-    gr = _sample(grad_row, -v, u)[1][finite]
+    gc = _sample(reference.grad_col, -v, u)[1][finite]
+    gr = _sample(reference.grad_row, -v, u)[1][finite]
     use = inl & np.isfinite(gc) & np.isfinite(gr)
     if np.count_nonzero(use) < 3:
         return score, dz, None
@@ -253,12 +285,18 @@ def _gauss_newton(mov, ref, grad_col, grad_row, u: float, v: float, threshold: f
 
 
 def align(
-    moving: RasterGrid, reference: RasterGrid, cfg: AlignConfig = AlignConfig()
+    moving: RasterGrid, reference: RasterGrid | Reference, cfg: AlignConfig = AlignConfig()
 ) -> AlignmentResult:
-    """Estimate the translation aligning a moving DSM to a reference."""
+    """Estimate the translation aligning a moving DSM to a reference.
+
+    Many grids aligned to one reference share its work: pass the
+    ``Reference(grid)`` prepared once in place of the grid, same results.
+    """
+    if isinstance(reference, RasterGrid):
+        reference = Reference(reference)
     cell = reference.geometry.cell_size
     mov = resample(moving, reference.geometry, "bilinear").nan_values()
-    ref = reference.nan_values()
+    ref = reference.level(0)
 
     n_overlap = np.count_nonzero(np.isfinite(mov) & np.isfinite(ref))
     if n_overlap < _MIN_OVERLAP_CELLS:
@@ -269,7 +307,7 @@ def align(
     # Residuals compare each moving cell to the reference sampled at the
     # inversely shifted position: d = mov - ref(r - v, c + u), where u
     # counts cells east and v cells north.
-    iu, iv = _integer_search(mov, ref, cfg)
+    iu, iv = _integer_search(mov, reference, cfg)
     if cfg.max_search > 0 and max(abs(iu), abs(iv)) == cfg.max_search:
         log.warning(
             "best integer shift (%d, %d) cells lies on the +-%d search boundary; "
@@ -279,17 +317,11 @@ def align(
     u = float(iu)
     v = float(iv)
 
-    # sub-cell Gauss-Newton on (u, v), dz closed-form per iteration;
-    # gradients are central differences of the reference, per cell
-    grad_col = np.full_like(ref, np.nan)
-    grad_col[:, 1:-1] = (ref[:, 2:] - ref[:, :-2]) * 0.5
-    grad_row = np.full_like(ref, np.nan)
-    grad_row[1:-1, :] = (ref[2:, :] - ref[:-2, :]) * 0.5
-
+    # sub-cell Gauss-Newton on (u, v), dz closed-form per iteration
     converged = False
     best_state = None
     for _ in range(_MAX_ITERATIONS):
-        score, dz, step = _gauss_newton(mov, ref, grad_col, grad_row, u, v, cfg.blunder_threshold)
+        score, dz, step = _gauss_newton(mov, reference, u, v, cfg.blunder_threshold)
         if best_state is None or score < best_state[0]:
             best_state = (score, u, v, dz)
         if step is None:

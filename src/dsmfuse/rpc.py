@@ -296,8 +296,13 @@ def intersection_angle(
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
 ) -> float:
     """Angle in degrees between the two models' viewing rays at a point."""
-    ra = viewing_ray(a, at, dz_probe, meters_per_unit)
-    rb = viewing_ray(b, at, dz_probe, meters_per_unit)
+    return ray_angle(
+        viewing_ray(a, at, dz_probe, meters_per_unit), viewing_ray(b, at, dz_probe, meters_per_unit)
+    )
+
+
+def ray_angle(ra: np.ndarray, rb: np.ndarray) -> float:
+    """Angle in degrees between two viewing rays."""
     cosang = np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb))
     return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
 

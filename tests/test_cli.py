@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from dsmfuse.fusion import FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, resample, write_asc
 from dsmfuse.register import AlignConfig, align
-from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, intersection_angle, write_rpc
+from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, ray_angle, viewing_ray, write_rpc
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import grid_of, linear_ray_model
@@ -933,18 +934,24 @@ class TestRank:
             rows.append(f"{a},{b},{tmp_path / (a + '.rpc')},{tmp_path / (b + '.rpc')},"
                         f"{tmp_path / (a + b + '.asc')}")
         (tmp_path / "pairs.csv").write_text("\n".join(rows) + "\n")
-        calls = []
+        calls, rays = [], []
 
         def counted(*args, **kwargs):
             calls.append(args[:2])
-            return intersection_angle(*args, **kwargs)
+            return ray_angle(*args, **kwargs)
 
-        monkeypatch.setattr(pairsel, "intersection_angle", counted)
+        def counted_ray(*args, **kwargs):
+            rays.append(args[0])
+            return viewing_ray(*args, **kwargs)
+
+        monkeypatch.setattr(pairsel, "ray_angle", counted)
+        monkeypatch.setattr(pairsel, "viewing_ray", counted_ray)
         out = tmp_path / "ranked.csv"
         assert main(["rank", "--manifest", str(tmp_path / "pairs.csv"),
                      "--truth", str(tmp_path / "truth.asc"), "--at", "0", "0", "0",
                      "--meters-per-unit", "1.0", "--max-search", "2", "--out", str(out)]) == 0
         assert len(calls) == 2
+        assert len(rays) == 4  # one per image
         assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] \
             in ([["A", "B"], ["C", "D"]], [["C", "D"], ["A", "B"]])
 
@@ -1265,6 +1272,26 @@ class TestRpcCommand:
         # inside main the warning still went to the log
         assert [r.name for r in caplog.records] == ["dsmfuse.rpc"]
         assert caplog.records[0].getMessage().startswith("ground point (1000000.0, 0.0, 0.0)")
+
+    @pytest.mark.parametrize("ok", [True, False], ids=["success", "failure"])
+    def test_main_leaves_the_root_logger_as_found(self, tmp_path, capsys, ok):
+        # as in a program with no logging set up: main's stderr handler lives
+        # for the call only, and the root level comes back
+        write_rpc(linear_ray_model(0.0), tmp_path / "img0.rpc")
+        argv = ["rpc", "project", "--rpc", str(tmp_path / "img0.rpc"), "--u", "1e6", "--v", "0", "--z", "0"]
+        root = logging.getLogger()
+        saved = root.handlers[:], root.level
+        root.handlers.clear()  # pytest's capture handlers, put back below
+        root.setLevel(logging.ERROR)
+        try:
+            code = main(argv if ok else ["rpc"])
+            found = root.handlers[:], root.level
+        finally:
+            root.handlers[:] = saved[0]
+            root.setLevel(saved[1])
+        assert (code, found) == ((0 if ok else 4), ([], logging.ERROR))
+        if ok:  # inside the call the warning reached stderr through that handler
+            assert capsys.readouterr().err.startswith("WARNING dsmfuse.rpc: ground point (1000000.0")
 
     def test_missing_action_exit_4(self):
         assert main(["rpc"]) == 4

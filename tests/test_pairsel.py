@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dsmfuse import pairsel
 from dsmfuse.pairsel import (
     ManifestError,
     PairGate,
@@ -11,7 +16,7 @@ from dsmfuse.pairsel import (
 )
 from dsmfuse.raster import GridGeometry, RasterGrid, write_asc
 from dsmfuse.register import AlignConfig
-from dsmfuse.rpc import GroundPoint
+from dsmfuse.rpc import DEFAULT_METERS_PER_UNIT, GroundPoint, intersection_angle, viewing_ray
 from dsmfuse.synth import DegradeSpec, degrade
 
 from conftest import linear_ray_model
@@ -102,6 +107,43 @@ class TestGatePairs:
     def test_needs_two_models(self):
         with pytest.raises(ValueError):
             gate_at([("only", ray_model(0.0))])
+
+    def test_one_ray_per_model_and_listed_pairs_only(self, monkeypatch):
+        rays = []
+
+        def counted(model, *args, **kwargs):
+            rays.append(model)
+            return viewing_ray(model, *args, **kwargs)
+
+        monkeypatch.setattr(pairsel, "viewing_ray", counted)
+        models = [(f"m{i}", ray_model(10.0 * i)) for i in range(4)]
+        assert len(gate_at(models, PairGate(0.0, 180.0))) == 6
+        assert len(rays) == 4  # not one per model and pair
+        rays.clear()
+        # a listed pair in either order; m3 is in no pair, so it gets no ray
+        records = gate_pairs(models, ORIGIN, PairGate(0.0, 180.0), meters_per_unit=1.0,
+                             pairs=[("m1", "m0"), ("m1", "m2")])
+        assert [(r.id_a, r.id_b) for r in records] == [("m0", "m1"), ("m1", "m2")]
+        assert sorted(id(m) for m in rays) == sorted(id(dict(models)[i]) for i in ("m0", "m1", "m2"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tans=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=2, max_size=6),
+        at=st.tuples(*[st.floats(-1.5, 1.5)] * 3),  # inside the validity cube: no warning
+        meters_per_unit=st.sampled_from([1.0, 0.3, DEFAULT_METERS_PER_UNIT]),
+        listed=st.data(),
+    )
+    def test_angles_are_intersection_angle_bit_for_bit(self, tans, at, meters_per_unit, listed):
+        models = [(f"m{i}", linear_ray_model(tu, tv)) for i, (tu, tv) in enumerate(tans)]
+        by_id, at = dict(models), GroundPoint(*at)
+        every = list(itertools.combinations(by_id, 2))
+        pairs = listed.draw(st.none() | st.lists(st.sampled_from(every), unique=True))
+        records = gate_pairs(models, at, PairGate(0.0, 180.0), meters_per_unit=meters_per_unit,
+                             pairs=pairs)
+        assert sorted((r.id_a, r.id_b) for r in records) == sorted(every if pairs is None else pairs)
+        for r in records:
+            want = intersection_angle(by_id[r.id_a], by_id[r.id_b], at, meters_per_unit=meters_per_unit)
+            assert r.angle_deg.hex() == want.hex()
 
 
 class TestRankPairs:

@@ -560,6 +560,68 @@ class TestMatchesFullGridOracle:
         check_against_oracle(moving, truth, AlignConfig())
 
 
+@st.composite
+def shared_reference_cases(draw):
+    """An ``oracle_cases`` draw for the reference, then 2-4 moving grids on its
+    grid, each with its own shift, holes, spikes, seed and max_search, drawn
+    as ``oracle_cases`` draws them (past the short side on small grids)."""
+    first = draw(oracle_cases())
+    rows, cols = first["rows"], first["cols"]
+    step = st.integers(-4, 4) | st.floats(-4.0, 4.0, allow_nan=False)
+    search = st.integers(0, 6)
+    if max(rows, cols) <= 32:
+        search |= st.integers(min(rows, cols), min(rows, cols) + 3)
+    movers = st.fixed_dictionaries(dict(
+        east=step, north=step,
+        holes=st.sampled_from([0.0, 0.05, 0.3]),
+        spikes=st.sampled_from([0.0, 0.05, 0.2]),
+        max_search=search,
+        seed=st.integers(0, 2**16),
+    ))
+    return first, draw(st.lists(movers, min_size=2, max_size=4))
+
+
+class TestPreparedReference:
+    """One ``Reference`` serves any number of aligns, in any order of their
+    searches: every result field has the bits of the oracle and of ``align``
+    on the plain grid."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(cases=shared_reference_cases())
+    # a two-level pyramid, reached first to level 1, then not at all, then
+    # extended to level 2, then reused
+    @example(cases=(
+        dict(rows=130, cols=130, east=0, north=0, holes=0.05, spikes=0.05, flat=False,
+             max_search=0, seed=11),
+        [dict(east=e, north=n, holes=0.05, spikes=0.05, max_search=m, seed=12 + i)
+         for i, (e, n, m) in enumerate([(2.5, -1.0, 3), (0.0, 0.0, 0), (7, 3, 10), (-4.5, 2.0, 6)])],
+    ))
+    def test_aligns_against_one_reference_match_the_oracle(self, cases):
+        first, movers = cases
+        ref = oracle_case(**first)[1]
+        reference = register.Reference(ref)
+        for mover in movers:
+            moving, _, cfg = oracle_case(**{**first, **mover})
+            try:
+                want = oracle_align(moving, ref, cfg)[0]
+            except InsufficientOverlapError:
+                for r in (reference, ref):
+                    with pytest.raises(InsufficientOverlapError):
+                        align(moving, r, cfg)
+                continue
+            assert _bits(align(moving, reference, cfg)) == _bits(want) == _bits(align(moving, ref, cfg))
+        event(f"pyramid levels built: {len(reference._levels)}")
+
+    def test_levels_are_built_on_demand(self):
+        truth = readme_scene(128, seed=402)
+        reference = register.Reference(truth)
+        moving = move_content(readme_layer(truth, 402 * 1000 + 3, 0.5), -3, 4)
+        align(moving, reference, AlignConfig(max_search=1))
+        assert len(reference._levels) == 1
+        align(moving, reference, AlignConfig(max_search=10))
+        assert [a.shape for a in reference._levels] == [(128, 128), (64, 64), (32, 32)]
+
+
 class TestMedian:
     @settings(max_examples=200, deadline=None)
     @given(x=st.lists(st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.5, 2.0]),
@@ -567,17 +629,17 @@ class TestMedian:
     def test_equals_nanmedian(self, x):
         x = np.array(x)
         # the same value; only the sign of a zero may follow the partition
-        assert register._median(x) == np.nanmedian(np.append(x, np.nan))
+        assert register._median(x, np.empty_like(x)) == np.nanmedian(np.append(x, np.nan))
 
     @pytest.mark.parametrize("x", [[3.0], [5.0, -1.0], [2.0, 2.0, 2.0, 1.0], [0.0, -0.0, 7.0],
                                    [1.0, 1.0, 2.0, 2.0, 2.0, 9.0], list(range(101))])
     def test_odd_even_one_and_duplicates(self, x):
         x = np.array(x, dtype=float)
-        assert register._median(x) == np.nanmedian(x)
+        assert register._median(x, np.empty_like(x)) == np.nanmedian(x)
 
     def test_leaves_its_input_in_order(self):
         x = np.array([4.0, -2.0, 9.0, 0.5, 3.0, 3.0])
-        register._median(x)
+        register._median(x, np.empty_like(x))
         assert x.tolist() == [4.0, -2.0, 9.0, 0.5, 3.0, 3.0]
 
 
