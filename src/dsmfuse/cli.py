@@ -28,7 +28,6 @@ import tempfile
 import time
 import warnings
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
@@ -61,7 +60,6 @@ from .raster import (
 )
 from .register import AlignConfig, InsufficientOverlapError, Reference, align
 from .rpc import (
-    DEFAULT_DZ_PROBE,
     DEFAULT_METERS_PER_UNIT,
     GroundPoint,
     ImagePoint,
@@ -140,7 +138,7 @@ def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
     opts = {key: default for key, (default, _) in flags.items()}
     if args.config:
         try:
-            lines = key_value_lines(args.config, "=", ConfigError, "utf-8")
+            lines = key_value_lines(args.config, "=", ConfigError, "utf-8-sig")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         for _, key, raw in lines:
@@ -198,17 +196,6 @@ def _write_grid_atomic(grid: RasterGrid, path: Path) -> None:
 def _write_text_atomic(text: str, path: Path) -> None:
     with _atomic(path) as tmp:
         tmp.write_text(text, encoding="ascii")
-
-
-def _ortho_checked(strips):
-    """``strips`` as they come; warns once if the ortho, their last grid, leaves [0, 255]."""
-    warn = True
-    for strip in strips:
-        if warn and ((strip[..., -1] < 0.0) | (strip[..., -1] > 255.0)).any():
-            warn = False
-            log.warning("ortho intensities outside [0, 255]; "
-                        "delta-i is calibrated for a 0-255 gray scale")
-        yield strip
 
 
 def _align_config(opts: SimpleNamespace) -> AlignConfig:
@@ -273,8 +260,7 @@ def cmd_fuse(opts: SimpleNamespace):
         )
         nodata = sources[0].nodata
         header = asc_header(target, nodata).encode("ascii")
-        strips = _ortho_checked(read_strips(sources)) if adaptive else read_strips(sources)
-        fused_rows = fuse_strips(strips, fcfg if adaptive else None, opts.jobs)
+        fused_rows = fuse_strips(read_strips(sources), fcfg if adaptive else None, opts.jobs)
         exits.enter_context(closing(fused_rows))
         # the fused rows again, for the preview's min-max stretch once all are seen
         spill = exits.enter_context(tempfile.TemporaryFile(dir=out.parent))
@@ -296,7 +282,7 @@ def cmd_rank(opts: SimpleNamespace):
     _require(opts, "manifest", "truth", "out")
     acfg = _align_config(opts)
     gate = PairGate(min_angle=opts.min_angle, max_angle=opts.max_angle, top_k=opts.top_k)
-    check_probe(opts.dz_probe, opts.meters_per_unit)
+    check_probe(opts.meters_per_unit)
     out = _out_path(opts)
     entries = read_pair_manifest(opts.manifest)
     truth = read_asc(opts.truth)
@@ -307,12 +293,8 @@ def cmd_rank(opts: SimpleNamespace):
     rpc_paths = {i: p for e in entries for i, p in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path))}
     models = [(ident, read_rpc(path)) for ident, path in rpc_paths.items()]
     # only pairs listed in the manifest are candidates
-    dsm_paths = {e.pair: e.dsm_path for e in entries}
-    candidates = [
-        replace(rec, dsm_path=dsm_paths[rec.id_a, rec.id_b])
-        for rec in gate_pairs(models, at, gate, dz_probe=opts.dz_probe,
-                              meters_per_unit=opts.meters_per_unit, pairs=dsm_paths)
-    ]
+    pairs = {e.pair: e.dsm_path for e in entries}
+    candidates = gate_pairs(models, at, pairs, gate, opts.meters_per_unit)
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
     ranked = rank_pairs(candidates, truth, acfg, gate)
@@ -367,7 +349,7 @@ def cmd_curve(opts: SimpleNamespace):
             for strip in strips:
                 keep(median, next(fuse_strips([strip], ks=ks)))
                 yield strip
-        for fused in fuse_strips(medians_too(_ortho_checked(read_strips(sources))), fcfg, opts.jobs, ks):
+        for fused in fuse_strips(medians_too(read_strips(sources)), fcfg, opts.jobs, ks):
             keep(adaptive, fused)
         truth = Reference(RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata))
 
@@ -397,13 +379,10 @@ def cmd_rpc(opts: SimpleNamespace) -> None:
         print(f"u={gp.u:.10g} v={gp.v:.10g} z={gp.z:.10g}")
     else:
         _require(opts, "rpc", "rpc_b", "u", "v", "z")
-        check_probe(opts.dz_probe, opts.meters_per_unit)
+        check_probe(opts.meters_per_unit)
         a = read_rpc(opts.rpc)
         b = read_rpc(opts.rpc_b)
-        angle = intersection_angle(
-            a, b, GroundPoint(opts.u, opts.v, opts.z),
-            dz_probe=opts.dz_probe, meters_per_unit=opts.meters_per_unit,
-        )
+        angle = intersection_angle(a, b, GroundPoint(opts.u, opts.v, opts.z), opts.meters_per_unit)
         print(f"angle_deg={angle:.10g}")
 
 
@@ -414,7 +393,7 @@ def _parse_scene_file(path: str) -> SceneSpec:
         "seed": int, "width": int, "height": int,
         "cell_size": float, "ground_height": float, "ground_intensity": float,
     }
-    for lineno, key, value in key_value_lines(path, "=", ConfigError, "utf-8", {"building"}):
+    for lineno, key, value in key_value_lines(path, "=", ConfigError, "utf-8-sig", {"building"}):
         try:
             if key == "building":
                 parts = value.split(",")
@@ -488,10 +467,7 @@ _ALIGN_FLAGS = {
         "type": int, "help": "bound, in cells, of the coarse-to-fine integer shift search",
     }),
 }
-_RAY_FLAGS = {
-    "dz_probe": (DEFAULT_DZ_PROBE, {"type": float}),
-    "meters_per_unit": (DEFAULT_METERS_PER_UNIT, {"type": float}),
-}
+_RAY_FLAGS = {"meters_per_unit": (DEFAULT_METERS_PER_UNIT, {"type": float})}
 
 # every flag of every command, stated once: command -> (handler, help,
 # {key: (default, argparse keywords)}).  A None default means "not set".

@@ -41,6 +41,7 @@ cells (medians of 11 alternating runs), and 4.2 s (one-row blocks) against
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +55,8 @@ from numpy.lib.stride_tricks import as_strided
 from .raster import GeometryMismatchError, RasterGrid, strip_rows, valid
 
 _BLOCK_BYTES = 2 << 20  # candidate bytes per row block of the adaptive kernel; see above
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,8 @@ def read_strips(grids):
 def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None):
     """Fused NaN rows of ``read_strips`` strips, (len(ks), rows, cols) at a time: for each
     ascending k in ``ks`` (default: all layers), the median of the first k grids or, with
-    ``cfg``, their adaptive median (the ortho is the last grid; radius rows wait a strip)."""
+    ``cfg``, their adaptive median (the ortho is the last grid; radius rows wait a strip).
+    An ortho outside [0, 255], the gray scale ``delta_i`` is calibrated on, warns once."""
     if cfg is None:
         yield from (np.stack([_nan_median(s[..., :k]) for k in ks or [s.shape[2]]]) for s in strips)
         return
@@ -135,10 +139,15 @@ def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None)
     fuse = partial(_fuse_block, offsets=offsets, bounds=bounds, rad=rad, ks=ks or [n_layers])
     # padded heights and ortho not yet fused, under the halo above them
     held = np.full((rad, width, n_layers), np.nan), np.full((rad, width), np.nan)
+    in_scale = True
     with ThreadPoolExecutor(jobs) as pool:  # a thread starts only when a block is queued
         run = pool.map if jobs > 1 else map  # a one-thread pool is slower than map
         while ahead is not None:
             strip, ahead = ahead, next(strips, None)
+            if in_scale and ((strip[..., -1] < 0.0) | (strip[..., -1] > 255.0)).any():
+                in_scale = False
+                log.warning("ortho intensities outside [0, 255]; "
+                            "delta-i is calibrated for a 0-255 gray scale")
             k, n = len(held[0]), len(strip)
             n_pad = k + n + (rad if ahead is None else 0)
             # one padded window per strip, heights and ortho apart: C-ordered, faster

@@ -1,7 +1,7 @@
 """Stereo-pair gating by intersection angle and ranking against truth.
 
 Pair quality is a multi-factor problem; the scheme here is deliberately
-simple.  First gate all candidate pairs to a closed intersection-angle
+simple.  First gate the listed candidate pairs to a closed intersection-angle
 interval (outside roughly 8-40 degrees dense matching degrades badly, and
 10-30 is the productive band), evaluating the angle at a single ground
 point since it varies slowly across a scene-sized patch.  Then rank the
@@ -12,16 +12,14 @@ truth patch and scoring the inlier RMSE; the best top_k go into fusion.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .raster import RasterGrid, decode_errors_as, read_asc
 from .register import AlignConfig, InsufficientOverlapError, Reference, align
 from .rpc import (
-    DEFAULT_DZ_PROBE,
     DEFAULT_METERS_PER_UNIT,
     GroundPoint,
     InversionError,
@@ -36,12 +34,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class PairRecord:
-    """A candidate image pair; ranking fields stay unset until ranked."""
+    """A candidate image pair and its DSM patch; ranking fields stay unset until ranked."""
 
     id_a: str
     id_b: str
     angle_deg: float
-    dsm_path: str | None = None
+    dsm_path: str
     rank_rmse: float | None = None
     selected: bool = False
 
@@ -95,39 +93,38 @@ MANIFEST_COLUMNS = ("id_a", "id_b", "rpc_a_path", "rpc_b_path", "dsm_path")
 def gate_pairs(
     models: Sequence[tuple[str, RpcModel]],
     at: GroundPoint,
+    pairs: Mapping[tuple[str, str], str],
     gate: PairGate = PairGate(),
-    dz_probe: float = DEFAULT_DZ_PROBE,
     meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
-    pairs: Iterable[tuple[str, str]] | None = None,
 ) -> list[PairRecord]:
-    """The pairs whose intersection angle falls inside the gate: those listed
-    in ``pairs``, by id, else every unordered pair of the models.
+    """The listed ``pairs``, ``{(id, id): dsm_path}``, whose intersection angle
+    falls inside the gate, each record with its pair's DSM path.
 
     Each model's viewing ray is computed once, whatever the number of pairs
     it is in.  Pairs are canonicalized (id_a < id_b) and sorted by ascending
     angle, so the output is invariant to the input ordering.  A pair whose
-    angle cannot be computed is dropped with a logged reason; bad probe
-    settings raise.
+    angle cannot be computed is dropped with a logged reason; a bad
+    ``meters_per_unit`` raises.
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 models to form pairs, got {len(models)}")
-    check_probe(dz_probe, meters_per_unit)
+    check_probe(meters_per_unit)
     by_id = dict(models)
-    pairs = [tuple(sorted(p)) for p in (itertools.combinations(by_id, 2) if pairs is None else pairs)]
+    pairs = {tuple(sorted(p)): dsm_path for p, dsm_path in pairs.items()}
     rays = {}  # id -> its viewing ray, or the error that left it without one
     for ident in sorted({i for p in pairs for i in p}):
         try:
-            rays[ident] = viewing_ray(by_id[ident], at, dz_probe, meters_per_unit)
+            rays[ident] = viewing_ray(by_id[ident], at, meters_per_unit)
         except (InversionError, ValueError) as exc:
             rays[ident] = exc
     records = []
-    for ida, idb in pairs:
+    for (ida, idb), dsm_path in pairs.items():
         if errors := [r for r in (rays[ida], rays[idb]) if isinstance(r, Exception)]:
             log.warning("dropping pair (%s, %s): %s", ida, idb, errors[0])
             continue
         angle = ray_angle(rays[ida], rays[idb])
         if gate.admits(angle):
-            records.append(PairRecord(id_a=ida, id_b=idb, angle_deg=angle))
+            records.append(PairRecord(ida, idb, angle, dsm_path))
     records.sort(key=lambda r: (r.angle_deg, r.id_a, r.id_b))
     return records
 
@@ -149,8 +146,6 @@ def rank_pairs(
     reference = Reference(truth_patch)  # one pyramid and gradients for every align
     ranked = []
     for rec in candidates:
-        if rec.dsm_path is None:
-            raise ValueError(f"pair ({rec.id_a}, {rec.id_b}) has no dsm_path")
         patch = read_asc(rec.dsm_path)
         try:
             rank_rmse = align(patch, reference, cfg).rmse_inliers
@@ -177,8 +172,8 @@ def read_pair_manifest(path) -> list[ManifestEntry]:
     rpc_b_path, dsm_path).  A pair of one id twice, a pair listed again in
     either order, and an id given a second RPC file are errors."""
     with (
-        open(path, "r", encoding="utf-8", newline="") as f,
-        decode_errors_as(ManifestError, path, "utf-8"),
+        open(path, "r", encoding="utf-8-sig", newline="") as f,
+        decode_errors_as(ManifestError, path, "utf-8-sig"),
     ):
         reader = csv.DictReader(f)
         if reader.fieldnames is None:

@@ -70,7 +70,9 @@ class GeometryMismatchError(ValueError):
 @contextmanager
 def decode_errors_as(error: type[Exception], path, encoding: str):
     """Raise ``error`` naming ``path`` and the first undecodable byte's offset
-    in place of a ``UnicodeDecodeError`` (whose offset is per decoded chunk)."""
+    in place of a ``UnicodeDecodeError`` (whose offset is per decoded chunk, and
+    after the byte-order mark a ``-sig`` encoding skips: this one counts it)."""
+    encoding = encoding.removesuffix("-sig")
     try:
         yield
     except UnicodeDecodeError:
@@ -389,17 +391,20 @@ def _is_number(token: str) -> bool:
 
 
 def asc_header(geometry: GridGeometry, nodata: float) -> str:
-    """The header lines of an ASCII grid.  NODATA_value is written ``:g`` when
-    that reads back exactly, else as ``repr``; a nodata whose ``%.6f`` cell
-    token reads back as another value (``-1e-7``) raises ``ValueError``."""
+    """The header lines of an ASCII grid.  Each value is written ``%.6f``
+    (NODATA_value ``%g``) when that reads back exactly, else as ``repr``; a
+    nodata whose ``%.6f`` cell token reads back as another value (``-1e-7``)
+    raises ``ValueError``."""
     if float("%.6f" % nodata) != nodata and not math.isnan(nodata):
         raise ValueError(f"nodata {nodata!r} would be written as {'%.6f' % nodata}")
-    g_token = f"{nodata:g}"
-    nodata_token = g_token if float(g_token) == nodata else repr(nodata)
+
+    def exact(value: float, fmt: str = "%.6f") -> str:
+        return fmt % value if float(fmt % value) == value else repr(value)
     g = geometry
     return (
-        f"ncols {g.n_cols}\nnrows {g.n_rows}\nxllcorner {g.origin_x:.6f}\n"
-        f"yllcorner {g.origin_y:.6f}\ncellsize {g.cell_size:.6f}\nNODATA_value {nodata_token}\n"
+        f"ncols {g.n_cols}\nnrows {g.n_rows}\nxllcorner {exact(g.origin_x)}\n"
+        f"yllcorner {exact(g.origin_y)}\ncellsize {exact(g.cell_size)}\n"
+        f"NODATA_value {exact(nodata, '%g')}\n"
     )
 
 

@@ -45,8 +45,7 @@ _NEWTON_MAX_ITER = 50
 #: meters per ground unit when ground coordinates are geographic degrees
 DEFAULT_METERS_PER_UNIT = 111320.0
 
-#: height step between the two inversions that give a local viewing ray
-DEFAULT_DZ_PROBE = 100.0
+_DZ_PROBE = 100.0  # height step, m, between the two inversions that give a viewing ray
 
 
 class DegenerateModelError(ValueError):
@@ -256,29 +255,25 @@ def apply_bias(model: RpcModel, shift: tuple[float, float, float]) -> RpcModel:
     )
 
 
-def check_probe(dz_probe: float, meters_per_unit: float) -> None:
-    """Raise ``ValueError`` unless both ray-probe settings are finite and > 0."""
-    for name, value in (("dz_probe", dz_probe), ("meters_per_unit", meters_per_unit)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+def check_probe(meters_per_unit: float) -> None:
+    """Raise ``ValueError`` unless the ray probe's ``meters_per_unit`` is finite and > 0."""
+    if not 0 < meters_per_unit < np.inf:
+        raise ValueError(f"meters_per_unit must be finite and > 0, got {meters_per_unit}")
 
 
 def viewing_ray(
-    model: RpcModel,
-    at: GroundPoint,
-    dz_probe: float = DEFAULT_DZ_PROBE,
-    meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
+    model: RpcModel, at: GroundPoint, meters_per_unit: float = DEFAULT_METERS_PER_UNIT
 ) -> np.ndarray:
     """Local viewing-ray direction at a ground point, in meters (unnormalized).
 
-    The ray is the displacement between the inversions of the point's image
-    coordinates at heights z and z + dz_probe, with the horizontal ground
+    The ray is the secant between the inversions of the point's image
+    coordinates at heights z and z + 100 m, with the horizontal ground
     axes converted to meters by ``meters_per_unit``.
     """
-    check_probe(dz_probe, meters_per_unit)
+    check_probe(meters_per_unit)
     ip = project(model, at)
     g0 = invert(model, ip, at.z)
-    g1 = invert(model, ip, at.z + dz_probe)
+    g1 = invert(model, ip, at.z + _DZ_PROBE)
     return np.array(
         [
             (g1.u - g0.u) * meters_per_unit,
@@ -289,16 +284,10 @@ def viewing_ray(
 
 
 def intersection_angle(
-    a: RpcModel,
-    b: RpcModel,
-    at: GroundPoint,
-    dz_probe: float = DEFAULT_DZ_PROBE,
-    meters_per_unit: float = DEFAULT_METERS_PER_UNIT,
+    a: RpcModel, b: RpcModel, at: GroundPoint, meters_per_unit: float = DEFAULT_METERS_PER_UNIT
 ) -> float:
     """Angle in degrees between the two models' viewing rays at a point."""
-    return ray_angle(
-        viewing_ray(a, at, dz_probe, meters_per_unit), viewing_ray(b, at, dz_probe, meters_per_unit)
-    )
+    return ray_angle(viewing_ray(a, at, meters_per_unit), viewing_ray(b, at, meters_per_unit))
 
 
 def ray_angle(ra: np.ndarray, rb: np.ndarray) -> float:

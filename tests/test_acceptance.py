@@ -318,7 +318,8 @@ def test_criterion_09_pair_ranking(tmp_path):
     for theta, expect in ((8.0, False), (10.5, True), (20.0, True), (29.5, True), (31.0, False)):
         models = [("nadir", linear_ray_model(0.0)),
                   ("off", linear_ray_model(math.tan(math.radians(theta))))]
-        kept = gate_pairs(models, GroundPoint(0, 0, 0), gate, meters_per_unit=1.0)
+        kept = gate_pairs(models, GroundPoint(0, 0, 0), {("nadir", "off"): "off.asc"}, gate,
+                          meters_per_unit=1.0)
         assert bool(kept) is expect, f"theta={theta}"
 
     # top-k truncation is exact: 12 candidates, 10 selected

@@ -17,10 +17,12 @@ from dsmfuse.fusion import FusionConfig, adaptive_median_fuse, median_fuse
 from dsmfuse.pairsel import PairGate
 from dsmfuse.raster import GridGeometry, RasterGrid, read_asc, resample, write_asc
 from dsmfuse.register import AlignConfig, align
-from dsmfuse.rpc import DEFAULT_DZ_PROBE, DEFAULT_METERS_PER_UNIT, ray_angle, viewing_ray, write_rpc
+from dsmfuse.rpc import DEFAULT_METERS_PER_UNIT, ray_angle, viewing_ray, write_rpc
 from dsmfuse.synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
 
 from conftest import grid_of, linear_ray_model
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 
 
 def hill_grid(n=40, amplitude=20.0, offset=0.0, dx=0.0):
@@ -481,6 +483,25 @@ class TestConfigFile:
     def test_missing_required_exit_4(self, tmp_path):
         assert main(["fuse", "--out", str(tmp_path / "o.asc")]) == 4
 
+    @pytest.mark.parametrize("command", ["rank", "rpc"])
+    def test_dz_probe_is_not_a_key_exit_4(self, tmp_path, capsys, command):
+        # the ray probe is a fixed 100 m of height, not a setting
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dz_probe=100\n")
+        assert main([command, "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err \
+            == f"error: config key 'dz_probe' is not a flag of 'dsmfuse {command}'\n"
+        assert main([command, "--dz-probe=100"]) == 4
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --dz-probe=100\n")
+
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path):
+        write_asc(hill_grid(), tmp_path / "l.asc")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(BOM + f"layers={tmp_path / 'l.asc'}\nout={tmp_path / 'c.asc'}\n".encode())
+        assert main(["fuse", "--config", str(cfg)]) == 0
+        assert main(["fuse", "--layers", str(tmp_path / "l.asc"), "--out", str(tmp_path / "f.asc")]) == 0
+        assert (tmp_path / "c.asc").read_bytes() == (tmp_path / "f.asc").read_bytes()
+
     def test_crlf_comments_and_blank_lines(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "l.asc")
         cfg = tmp_path / "cfg.txt"
@@ -637,13 +658,9 @@ class TestFlagTable:
           "--top-k", "-1"], "top_k must be >= 0"),
         (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv",
           "--min-angle", "40"], "need 0 <= min_angle < max_angle, got 40.0, 30.0"),
-        (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv",
-          "--dz-probe", "0"], "dz_probe must be finite and > 0, got 0.0"),
-        (["rpc", "angle", "--rpc", "a.rpc", "--rpc-b", "b.rpc", "--u", "0", "--v", "0",
-          "--z", "0", "--dz-probe", "0"], "dz_probe must be finite and > 0, got 0.0"),
         (["rpc", "angle", "--rpc", "a.rpc", "--rpc-b", "b.rpc", "--u", "0", "--v", "0",
           "--z", "0", "--meters-per-unit", "0"], "meters_per_unit must be finite and > 0, got 0.0"),
-    ], ids=["rank-top_k", "rank-min_angle", "rank-dz_probe", "angle-dz_probe", "angle-mpu"])
+    ], ids=["rank-top_k", "rank-min_angle", "angle-mpu"])
     def test_bad_gate_or_probe_flag_exit_4_before_reading(self, capsys, monkeypatch, argv, message):
         def no_read(path):
             raise AssertionError(f"read {path} before checking the gate and probe flags")
@@ -684,7 +701,6 @@ class TestFlagTable:
         assert [defaults["rank"][k] for k in ("min_angle", "max_angle", "top_k")] \
             == [gate.min_angle, gate.max_angle, gate.top_k]
         for command in ("rank", "rpc"):
-            assert defaults[command]["dz_probe"] == DEFAULT_DZ_PROBE
             assert defaults[command]["meters_per_unit"] == DEFAULT_METERS_PER_UNIT
 
 
@@ -721,6 +737,25 @@ class TestUndecodableInput:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert f"byte 0xe9 at offset {offset}" in err
+
+    @pytest.mark.parametrize("kind,code", [("manifest", 2), ("config", 4), ("scene", 4)])
+    def test_offset_after_a_byte_order_mark_counts_it(self, tmp_path, capsys, scene_dir, kind, code):
+        # utf-8-sig decodes from past the mark: its own offset of the bad byte is 2, not 5
+        good = {
+            "manifest": b"id_a,id_b,rpc_a_path,rpc_b_path,dsm_path\n",
+            "config": b"mode=median\n",
+            "scene": scene_dir.read_bytes(),
+        }[kind]
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(BOM + good[:2] + b"\xff" + good[2:])
+        argv = {
+            "manifest": ["rank", "--manifest", str(bad), "--truth", str(tmp_path / "t.asc"),
+                         "--out", str(tmp_path / "o.csv")],
+            "config": ["fuse", "--config", str(bad)],
+            "scene": ["synth", "--scene", str(bad), "--out-dir", str(tmp_path / "o")],
+        }[kind]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {bad}: byte 0xff at offset 5 is not utf-8\n"
 
 
 class TestRepeatedKey:
@@ -921,6 +956,27 @@ class TestRank:
         first = lines[1].split(",")
         assert (first[0], first[1]) == ("imgA", "imgB")
         assert first[4] == "true"
+
+    @pytest.mark.parametrize("mark", [b"", BOM], ids=["plain", "byte-order-mark"])
+    def test_rank_csv_bytes_pinned(self, tmp_path, mark):
+        # each pair has its own noise level, and imgA-imgC is listed as imgC,imgA:
+        # each row's rank_rmse_m shows that its pair's own DSM was aligned
+        self.build_inputs(tmp_path)
+        manifest = tmp_path / "pairs.csv"
+        rows = manifest.read_text().splitlines()
+        a, b, rpc_a, rpc_b, dsm = rows[2].split(",")
+        rows[2] = ",".join([b, a, rpc_b, rpc_a, dsm])
+        manifest.write_bytes(mark + "".join(f"{row}\n" for row in rows).encode())
+        out = tmp_path / "ranked.csv"
+        assert main(["rank", "--manifest", str(manifest), "--truth", str(tmp_path / "truth.asc"),
+                     "--at", "0", "0", "0", "--meters-per-unit", "1.0", "--max-search", "3",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"id_a,id_b,angle_deg,rank_rmse_m,selected\n"
+            b"imgA,imgB,12.000000,0.297183,true\n"
+            b"imgB,imgC,12.000000,0.678800,true\n"
+            b"imgA,imgC,24.000000,1.223067,true\n"
+        )
 
     def test_gates_only_the_listed_pairs(self, tmp_path, monkeypatch):
         # four ids, two listed pairs: the four unlisted pairs get no angle
@@ -1181,7 +1237,8 @@ class TestCurve:
                        "--ortho", str(tmp_path / "ortho.asc"), *extra,
                        "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        assert "WARNING dsmfuse.cli: ortho intensities outside [0, 255]" in proc.stderr
+        assert "WARNING dsmfuse.fusion: ortho intensities outside [0, 255]" in proc.stderr
+        assert proc.stderr.count("ortho intensities") == 1
 
 
 class TestManifest:
@@ -1404,6 +1461,15 @@ class TestSynthCommand:
         assert main(["synth", "--scene", str(scene_dir), *flags, "--out-dir", str(out_dir)]) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_scene_may_start_with_a_byte_order_mark(self, tmp_path, scene_dir):
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(BOM + scene_dir.read_bytes())
+        for scene, out_dir in ((scene_dir, "plain"), (marked, "marked")):
+            assert main(["synth", "--scene", str(scene), "--layers", "1",
+                         "--out-dir", str(tmp_path / out_dir)]) == 0
+        for name in ("truth.asc", "ortho.asc", "layer_01.asc"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "marked" / name).read_bytes()
 
     def test_unknown_scene_key_exit_4(self, tmp_path):
         bad = tmp_path / "scene.txt"

@@ -433,6 +433,19 @@ class TestAdaptiveMedianFuse:
         assert 1 <= len(started) <= 6
         assert np.array_equal(serial.values, parallel.values)
 
+    def test_ortho_outside_gray_scale_warns_once(self, rng, monkeypatch, caplog):
+        stack, ortho = random_stack(rng, 6, 8, 2)
+        monkeypatch.setattr(raster, "_STRIP_BYTES", 1)  # one row a strip: six strips leave the scale
+        bright = grid_of(np.where(ortho.valid_mask(), ortho.values + 300.0, -9999.0))
+        with caplog.at_level("WARNING", logger="dsmfuse.fusion"):
+            adaptive_median_fuse(stack, ortho)  # nodata cells do not count
+            assert caplog.records == []
+            adaptive_median_fuse(stack, bright)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [(
+            "dsmfuse.fusion",
+            "ortho intensities outside [0, 255]; delta-i is calibrated for a 0-255 gray scale",
+        )]
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, rng, jobs):
         stack, ortho = random_stack(rng, 6, 6, 2)

@@ -31,8 +31,13 @@ def ray_model(theta_deg, azimuth_deg=0.0):
     return linear_ray_model(t * np.cos(phi), t * np.sin(phi))
 
 
+def every_pair(models):
+    """Every unordered pair of the models' ids, each with a DSM path named after it."""
+    return {(a, b): f"{a}-{b}.asc" for a, b in itertools.combinations(dict(models), 2)}
+
+
 def gate_at(models, gate=PairGate()):
-    return gate_pairs(models, ORIGIN, gate, meters_per_unit=1.0)
+    return gate_pairs(models, ORIGIN, every_pair(models), gate, meters_per_unit=1.0)
 
 
 def truth_hill(n=30, cell=1.0):
@@ -99,7 +104,7 @@ class TestGatePairs:
         models = [("ok1", ray_model(0.0)), ("ok2", ray_model(15.0)), ("bad", broken)]
         with caplog.at_level("WARNING"):
             records = gate_pairs(
-                models, GroundPoint(0.1, 0.2, 0.0), meters_per_unit=1.0
+                models, GroundPoint(0.1, 0.2, 0.0), every_pair(models), meters_per_unit=1.0
             )
         assert [(r.id_a, r.id_b) for r in records] == [("ok1", "ok2")]
         assert "bad" in caplog.text
@@ -121,9 +126,10 @@ class TestGatePairs:
         assert len(rays) == 4  # not one per model and pair
         rays.clear()
         # a listed pair in either order; m3 is in no pair, so it gets no ray
-        records = gate_pairs(models, ORIGIN, PairGate(0.0, 180.0), meters_per_unit=1.0,
-                             pairs=[("m1", "m0"), ("m1", "m2")])
-        assert [(r.id_a, r.id_b) for r in records] == [("m0", "m1"), ("m1", "m2")]
+        records = gate_pairs(models, ORIGIN, {("m1", "m0"): "m1-m0.asc", ("m1", "m2"): "m1-m2.asc"},
+                             PairGate(0.0, 180.0), meters_per_unit=1.0)
+        assert [(r.id_a, r.id_b, r.dsm_path) for r in records] \
+            == [("m0", "m1", "m1-m0.asc"), ("m1", "m2", "m1-m2.asc")]
         assert sorted(id(m) for m in rays) == sorted(id(dict(models)[i]) for i in ("m0", "m1", "m2"))
 
     @settings(max_examples=60, deadline=None)
@@ -137,11 +143,13 @@ class TestGatePairs:
         models = [(f"m{i}", linear_ray_model(tu, tv)) for i, (tu, tv) in enumerate(tans)]
         by_id, at = dict(models), GroundPoint(*at)
         every = list(itertools.combinations(by_id, 2))
-        pairs = listed.draw(st.none() | st.lists(st.sampled_from(every), unique=True))
-        records = gate_pairs(models, at, PairGate(0.0, 180.0), meters_per_unit=meters_per_unit,
-                             pairs=pairs)
-        assert sorted((r.id_a, r.id_b) for r in records) == sorted(every if pairs is None else pairs)
+        chosen = listed.draw(st.lists(st.sampled_from(every), unique=True))
+        # each listed in a drawn order, with its DSM named after the canonical pair
+        pairs = {(p if listed.draw(st.booleans()) else p[::-1]): "-".join(p) for p in chosen}
+        records = gate_pairs(models, at, pairs, PairGate(0.0, 180.0), meters_per_unit=meters_per_unit)
+        assert sorted((r.id_a, r.id_b) for r in records) == sorted(chosen)
         for r in records:
+            assert r.dsm_path == f"{r.id_a}-{r.id_b}"
             want = intersection_angle(by_id[r.id_a], by_id[r.id_b], at, meters_per_unit=meters_per_unit)
             assert r.angle_deg.hex() == want.hex()
 
@@ -251,11 +259,11 @@ class TestDefaults:
 class TestPairRecordValidation:
     def test_distinct_ids(self):
         with pytest.raises(ValueError):
-            PairRecord(id_a="x", id_b="x", angle_deg=20.0)
+            PairRecord(id_a="x", id_b="x", angle_deg=20.0, dsm_path="xx.asc")
 
     def test_angle_range(self):
         with pytest.raises(ValueError):
-            PairRecord(id_a="x", id_b="y", angle_deg=200.0)
+            PairRecord(id_a="x", id_b="y", angle_deg=200.0, dsm_path="xy.asc")
 
 
 class TestManifest:

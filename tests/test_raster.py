@@ -419,6 +419,33 @@ class TestAsciiGrid:
         assert back.nodata == nodata
         assert back.valid_mask().tolist() == [[True, False, True]]
 
+    def test_geographic_header_bytes(self, tmp_path):
+        # 1 m cells in degrees: %.6f would write 0.000009 and -58.123457
+        src = make_grid(np.array([[1.0, 2.0]]), origin=(-58.123456789, -34.5),
+                        cell=8.983152841195214e-06)
+        p = tmp_path / "g.asc"
+        write_asc(src, p)
+        assert p.read_text().splitlines()[2:5] == [
+            "xllcorner -58.123456789", "yllcorner -34.500000", "cellsize 8.983152841195214e-06"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+        cell=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        # a nodata whose cell token reads back as itself, the ones write_asc accepts
+        nodata=st.integers(-10**12, 10**12).map(lambda i: i / 1000) | st.floats(allow_nan=False)
+        .filter(lambda v: float("%.6f" % v) == v),
+    )
+    def test_header_round_trips_exactly_property(self, tmp_path_factory, origin, cell, nodata):
+        src = make_grid(np.array([[1.0, nodata]]), origin=origin, cell=cell, nodata=nodata)
+        p = tmp_path_factory.mktemp("hdr") / "g.asc"
+        write_asc(src, p)
+        back = read_asc(p)
+        assert back.geometry == src.geometry
+        assert back.nodata == nodata
+        assert back.valid_mask().tolist() == src.valid_mask().tolist()
+
     def test_nodata_lost_by_cell_format_raises(self, tmp_path):
         # -1e-7 is written to its cells as -0.000000, which reads back as 0
         p = tmp_path / "g.asc"

@@ -202,12 +202,7 @@ class TestIntersectionAngle:
         ba = intersection_angle(b, a, p, meters_per_unit=1.0)
         assert abs(ab - ba) < 1e-9
 
-    def test_rejects_bad_probe(self):
-        m = linear_ray_model()
-        with pytest.raises(ValueError):
-            intersection_angle(m, m, GroundPoint(0, 0, 0), dz_probe=0.0)
-
-    @pytest.mark.parametrize("key", ["dz_probe", "meters_per_unit"])
+    @pytest.mark.parametrize("key", ["meters_per_unit"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_probe_settings_out_of_range(self, key, bad):
         m = linear_ray_model()
