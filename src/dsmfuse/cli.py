@@ -53,7 +53,6 @@ from .raster import (
     read_asc,
     resample,
     strip_rows,
-    valid,
     write_asc,
     write_pgm,
     write_rows,
@@ -220,7 +219,7 @@ def _open_sources(paths, n_layers: int, target_path, method, exits: ExitStack):
     target = (readers.pop() if target_path else readers[0]).geometry
     for k, path in enumerate(paths):
         if readers[k].geometry != target:
-            layer = read_asc(path)
+            layer = readers[k].grid()
             readers[k] = resample(layer, target, method)
             if k < n_layers and layer.valid_mask().any() and not readers[k].valid_mask().any():
                 raise GeometryMismatchError(f"{path} does not overlap the target geometry")
@@ -241,6 +240,12 @@ def _spilled_strips(f, n_cols: int):
     rows = strip_rows(n_cols, 8)  # the preview's temporaries share one strip budget
     while chunk := f.read(rows * n_cols * 8):
         yield np.frombuffer(chunk).reshape(-1, n_cols)
+
+
+def _spilled_grid(f, geometry) -> RasterGrid:
+    """The grid of the float64 rows spilled to binary file ``f``, on the bytes of one read."""
+    f.seek(0)
+    return RasterGrid(geometry, np.frombuffer(f.read()).reshape(geometry.n_rows, geometry.n_cols))
 
 
 def cmd_fuse(opts: SimpleNamespace):
@@ -268,13 +273,12 @@ def cmd_fuse(opts: SimpleNamespace):
         with _atomic(out) as tmp, open(tmp, "wb") as f:
             f.write(header)
             for (rows,) in fused_rows:
-                rows[~np.isfinite(rows)] = nodata
-                write_rows(f, rows)
-                ok = valid(rows, nodata)
+                write_rows(f, rows, nodata)
+                ok = np.isfinite(rows)
                 vmin, vmax = rows.min(initial=vmin, where=ok), rows.max(initial=vmax, where=ok)
                 spill.write(rows.tobytes())
         with _atomic(preview) as tmp:
-            write_pgm(_spilled_strips(spill, target.n_cols), tmp, target, nodata, vmin, vmax)
+            write_pgm(_spilled_strips(spill, target.n_cols), tmp, target, vmin, vmax)
     return out, inputs, [out, preview]
 
 
@@ -284,16 +288,13 @@ def cmd_rank(opts: SimpleNamespace):
     gate = PairGate(min_angle=opts.min_angle, max_angle=opts.max_angle, top_k=opts.top_k)
     check_probe(opts.meters_per_unit)
     out = _out_path(opts)
-    entries = read_pair_manifest(opts.manifest)
+    rpc_paths, pairs = read_pair_manifest(opts.manifest)
     truth = read_asc(opts.truth)
     cx, cy = truth.geometry.center_point()
     at = GroundPoint(cx, cy, 0.0) if opts.at is None else GroundPoint(*opts.at)
 
-    # one RPC file per id: read_pair_manifest refuses a second
-    rpc_paths = {i: p for e in entries for i, p in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path))}
     models = [(ident, read_rpc(path)) for ident, path in rpc_paths.items()]
     # only pairs listed in the manifest are candidates
-    pairs = {e.pair: e.dsm_path for e in entries}
     candidates = gate_pairs(models, at, pairs, gate, opts.meters_per_unit)
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
@@ -351,15 +352,11 @@ def cmd_curve(opts: SimpleNamespace):
                 yield strip
         for fused in fuse_strips(medians_too(read_strips(sources)), fcfg, opts.jobs, ks):
             keep(adaptive, fused)
-        truth = Reference(RasterGrid(truth.geometry, truth.read(truth.geometry.n_rows), truth.nodata))
+        truth = Reference(truth.grid())
 
         lines = ["k,rmse_adaptive_m,rmse_median_m"]
         for k, pair in zip(ks, zip(adaptive, median)):
-            res_a, res_m = (
-                align(RasterGrid.from_nan(target, np.concatenate(list(_spilled_strips(f, target.n_cols)))),
-                      truth, acfg)
-                for f in pair
-            )
+            res_a, res_m = (align(_spilled_grid(f, target), truth, acfg) for f in pair)
             lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
     _write_text_atomic("\n".join(lines) + "\n", out)
     return out, [*inputs, opts.truth], [out]

@@ -52,7 +52,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .raster import GeometryMismatchError, RasterGrid, strip_rows, valid
+from .raster import GeometryMismatchError, RasterGrid, strip_rows
 
 _BLOCK_BYTES = 2 << 20  # candidate bytes per row block of the adaptive kernel; see above
 
@@ -105,8 +105,9 @@ def _nan_median(a: np.ndarray) -> np.ndarray:
 
 
 def read_strips(grids):
-    """(rows, cols, grids) NaN strips, top to bottom, of grids read in lockstep;
-    each is a ``RasterGrid`` or a fresh ``GridReader``, all on the first one's geometry."""
+    """(rows, cols, grids) strips, top to bottom, of grids read in lockstep, NaN where a
+    cell holds no sample as in each grid; each is a ``RasterGrid`` or a fresh
+    ``GridReader``, all on the first one's geometry."""
     geom = grids[0].geometry
     for k, grid in enumerate(grids):
         if grid.geometry != geom:
@@ -115,8 +116,7 @@ def read_strips(grids):
     for r0 in range(0, geom.n_rows, rows):
         strip = np.empty((min(rows, geom.n_rows - r0), geom.n_cols, len(grids)))
         for k, grid in enumerate(grids):
-            part = grid.values[r0 : r0 + rows] if isinstance(grid, RasterGrid) else grid.read(rows)
-            strip[..., k] = np.where(valid(part, grid.nodata), part, np.nan)
+            strip[..., k] = grid.values[r0 : r0 + rows] if isinstance(grid, RasterGrid) else grid.read(rows)
         yield strip
 
 
@@ -169,11 +169,12 @@ def _fuse_grids(layers, cfg: FusionConfig | None, jobs: int, *ortho) -> RasterGr
     if not layers:
         raise ValueError("fusion needs at least one layer")
     (fused,) = np.concatenate(list(fuse_strips(read_strips([*layers, *ortho]), cfg, jobs)), axis=1)
-    return RasterGrid.from_nan(layers[0].geometry, fused, layers[0].nodata)
+    fused.flags.writeable = False  # the grid shares it
+    return RasterGrid(layers[0].geometry, fused, layers[0].nodata)
 
 
 def median_fuse(layers: list[RasterGrid]) -> RasterGrid:
-    """Per-cell median across layers on one geometry; cells with no valid height get nodata."""
+    """Per-cell median across layers on one geometry; a cell with no valid height is NaN."""
     return _fuse_grids(layers, None, 1)
 
 
@@ -304,7 +305,7 @@ def adaptive_median_fuse(
     Per output cell, the candidate multiset is every valid height of every
     layer at every member cell of the cell's adaptive window computed on
     ``ortho``, whose geometry the layers share; the output is the
-    candidates' median, or nodata when there are none.  ``jobs`` > 1 fuses each strip's row blocks on that many
+    candidates' median, or NaN when there are none.  ``jobs`` > 1 fuses each strip's row blocks on that many
     threads, with bit-identical results.
     """
     if jobs < 1:

@@ -69,20 +69,6 @@ class PairGate:
         return self.min_angle <= angle_deg <= self.max_angle
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    id_a: str
-    id_b: str
-    rpc_a_path: str
-    rpc_b_path: str
-    dsm_path: str
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        """The ids in ascending order, the key ``gate_pairs`` records carry."""
-        return min(self.id_a, self.id_b), max(self.id_a, self.id_b)
-
-
 class ManifestError(Exception):
     """Pair manifest CSV missing columns or rows, or with a conflicting pair or RPC file."""
 
@@ -167,10 +153,12 @@ def rank_pairs(
     ]
 
 
-def read_pair_manifest(path) -> list[ManifestEntry]:
+def read_pair_manifest(path) -> tuple[dict[str, str], dict[tuple[str, str], str]]:
     """Read the pair manifest CSV (columns: id_a, id_b, rpc_a_path,
-    rpc_b_path, dsm_path).  A pair of one id twice, a pair listed again in
-    either order, and an id given a second RPC file are errors."""
+    rpc_b_path, dsm_path): ``{id: rpc_path}`` in order of first mention, and
+    ``{(id_a, id_b): dsm_path}`` with each pair's ids in ascending order.  A
+    pair of one id twice, a pair listed again in either order, and an id
+    given a second RPC file are errors."""
     with (
         open(path, "r", encoding="utf-8-sig", newline="") as f,
         decode_errors_as(ManifestError, path, "utf-8-sig"),
@@ -181,23 +169,23 @@ def read_pair_manifest(path) -> list[ManifestEntry]:
         missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ManifestError(f"{path}: missing columns {missing}")
-        entries, lines, rpc_paths = [], {}, {}
+        rpc_paths, pairs, lines = {}, {}, {}
         for row in reader:
             where = f"{path}:{reader.line_num}"
             vals = [(row.get(c) or "").strip() for c in MANIFEST_COLUMNS]
             if not all(vals):
                 raise ManifestError(f"{where}: incomplete row")
-            e = ManifestEntry(*vals)
-            pair = f"pair ({e.id_a}, {e.id_b})"
-            if e.id_a == e.id_b:
+            id_a, id_b, rpc_a, rpc_b, dsm_path = vals
+            pair, key = f"pair ({id_a}, {id_b})", (min(id_a, id_b), max(id_a, id_b))
+            if id_a == id_b:
                 raise ManifestError(f"{where}: {pair} names one id twice")
-            if e.pair in lines:
-                raise ManifestError(f"{where}: {pair} is already on line {lines[e.pair]}")
-            lines[e.pair] = reader.line_num
-            for ident, rpc in ((e.id_a, e.rpc_a_path), (e.id_b, e.rpc_b_path)):
+            if key in lines:
+                raise ManifestError(f"{where}: {pair} is already on line {lines[key]}")
+            lines[key] = reader.line_num
+            for ident, rpc in ((id_a, rpc_a), (id_b, rpc_b)):
                 if (first := rpc_paths.setdefault(ident, rpc)) != rpc:
                     raise ManifestError(f"{where}: id {ident} has RPC files {first} and {rpc}")
-            entries.append(e)
-    if not entries:
+            pairs[key] = dsm_path
+    if not pairs:
         raise ManifestError(f"{path}: manifest has no pairs")
-    return entries
+    return rpc_paths, pairs

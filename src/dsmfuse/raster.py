@@ -8,12 +8,14 @@ Conventions (stated once, used everywhere):
   northernmost row, and rows count from the top.
 * A point belongs to the cell whose left/bottom edges it lies on; the
   right and top edges of the grid are exclusive.
-* The nodata sentinel (default -9999) marks cells without a valid sample
-  and never participates in arithmetic.  Non-finite values are treated as
-  invalid as well.
+* In memory a cell without a valid sample is NaN, in every grid and strip.
+  The nodata sentinel (default -9999) marks such cells in files only:
+  reading turns it, and any non-finite token, into NaN (``_nan_marked``),
+  and the ASC writers turn every non-finite value back into it a chunk at a
+  time (``write_rows``).
 
-Grids are immutable after construction (the value array is a read-only
-copy), so any number of concurrent readers is safe.  ``GridReader`` parses
+Grids are immutable after construction (the value array is read-only), so
+any number of concurrent readers is safe.  ``GridReader`` parses
 an ASCII grid a strip of rows at a time, ``write_rows`` writes rows, so a
 caller can stream a grid through either without holding it whole.  Cells
 print as ``%.6f`` from a table of 4-byte words in numpy, exactly (see ``write_rows``).
@@ -42,9 +44,18 @@ def strip_rows(n_cols: int, n_grids: int) -> int:
     return max(1, _STRIP_BYTES // (n_cols * n_grids * 8))
 
 
-def valid(values, nodata: float) -> np.ndarray:
-    """Cells that hold a sample: finite and not the nodata sentinel."""
-    return np.isfinite(values) & (values != nodata)
+def _nan_marked(a: np.ndarray, nodata: float) -> np.ndarray:
+    """Float64 ``a`` with every cell that is ``nodata`` or infinite set to NaN, a strip
+    of rows at a time: in place if ``a`` is writeable, else in one copy, made only when
+    some cell needs it."""
+    rows = strip_rows(a.shape[1], 8)  # an eighth of the strip budget: small boolean masks
+    for r in range(0, len(a), rows):
+        bad = np.isinf(a[r : r + rows]) | (a[r : r + rows] == nodata)
+        if bad.any():
+            if not a.flags.writeable:
+                a = a.copy()
+            a[r : r + rows][bad] = np.nan
+    return a
 
 
 class AsciiGridError(Exception):
@@ -137,8 +148,10 @@ class GridGeometry:
 class RasterGrid:
     """A georeferenced grid of heights (meters) or intensities (gray levels).
 
-    ``values`` is a read-only float64 array of shape (n_rows, n_cols): a copy
-    of the given values, unless they already are such an array.
+    ``values`` is a read-only float64 array of shape (n_rows, n_cols), NaN
+    where a cell holds no sample: the given values with every ``nodata`` or
+    infinite cell set to NaN, in a copy unless they already are such an
+    array.  ``nodata`` is the sentinel that marks those cells in a file.
     """
 
     def __init__(self, geometry: GridGeometry, values, nodata: float = DEFAULT_NODATA):
@@ -149,25 +162,15 @@ class RasterGrid:
                 f"values shape {arr.shape} does not match geometry "
                 f"({geometry.n_rows}, {geometry.n_cols})"
             )
+        arr = _nan_marked(arr, nodata)
         arr.flags.writeable = False
         self.geometry = geometry
         self.values = arr
         self.nodata = float(nodata)
 
-    @classmethod
-    def from_nan(cls, geometry: GridGeometry, values, nodata: float = DEFAULT_NODATA) -> "RasterGrid":
-        """Build a grid from an array that uses NaN to mark invalid cells."""
-        arr = np.array(values, dtype=np.float64, order="C", copy=True)
-        arr[~np.isfinite(arr)] = nodata
-        arr.flags.writeable = False  # the constructor shares it: one copy, not two
-        return cls(geometry, arr, nodata)
-
     def valid_mask(self) -> np.ndarray:
-        return valid(self.values, self.nodata)
-
-    def nan_values(self) -> np.ndarray:
-        """Float copy with every invalid cell replaced by NaN."""
-        return np.where(self.valid_mask(), self.values, np.nan)
+        """Cells that hold a sample."""
+        return ~np.isnan(self.values)
 
     def __repr__(self):
         g = self.geometry
@@ -201,10 +204,10 @@ def _at(src: RasterGrid, rb: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.
 def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") -> RasterGrid:
     """Resample a grid onto a target geometry.
 
-    ``nearest`` takes the value of the containing source cell, propagating
-    nodata directly.  ``bilinear`` interpolates the four surrounding cell
-    centers; when any of the four is invalid it falls back to the nearest
-    valid one of the four, and to nodata when none is valid.  Onto the
+    ``nearest`` takes the value of the containing source cell, NaN included.
+    ``bilinear`` interpolates the four surrounding cell centers; when any of
+    the four is NaN it falls back to the nearest valid one of the four, and
+    to NaN when none is valid.  Cells off the source are NaN.  Onto the
     source's own geometry both are exact, so ``src`` itself is returned.
 
     ``src`` is held whole, but the output is filled a strip of rows at a time
@@ -215,7 +218,7 @@ def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") ->
         raise ValueError(f"unknown resampling method {method!r}")
     if target == src.geometry:
         return src
-    g, nodata = src.geometry, src.nodata
+    g = src.geometry
     xs, ys = _cell_centers(target)
     # per-axis source coordinates; integer k is column/row k's left/bottom edge ...
     u, v = (xs - g.origin_x) / g.cell_size, ((ys - g.origin_y) / g.cell_size)[:, None]
@@ -229,17 +232,17 @@ def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") ->
     for s in (slice(r, r + rows) for r in range(0, target.n_rows, rows)):
         if method == "nearest":
             vals, on = _at(src, rb0[s], c0)
-            out[s] = np.where(on, vals, nodata)
+            out[s] = np.where(on, vals, np.nan)
             continue
         # fallback: the first nearest valid support corner strictly within one
         # cell of the sample point.  The strict bound keeps identity resampling
         # exact: a point on an invalid cell's center has no eligible neighbor (the
-        # others sit at distance >= 1) and stays nodata.  Exact hits (fx=fy=0)
+        # others sit at distance >= 1) and stays NaN.  Exact hits (fx=fy=0)
         # route here too, resolving to the hit corner at distance zero.
-        near, best, all4 = nodata, np.inf, True
+        near, best, all4 = np.nan, np.inf, True
         for dc, drb in ((0, 0), (1, 0), (0, 1), (1, 1)):
             vals, on = _at(src, rb0[s] + drb, c0 + dc)
-            ok = on & valid(vals, nodata)
+            ok = on & ~np.isnan(vals)
             term = wx[dc] * wy[drb][s] * vals
             bil = term if dc + drb == 0 else bil + term
             d = wx[1 - dc] ** 2 + wy[1 - drb][s] ** 2
@@ -247,7 +250,7 @@ def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") ->
             near, best, all4 = np.where(take, vals, near), np.where(take, d, best), all4 & ok
         out[s] = np.where(all4 & ~((fx == 0) & (fy[s] == 0)), bil, near)
     out.flags.writeable = False
-    return RasterGrid(target, out, nodata)
+    return RasterGrid(target, out, src.nodata)
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
@@ -262,7 +265,8 @@ class GridReader(AbstractContextManager):
     lines are skipped.  Header values must be finite, and cellsize > 0.
 
     Opening checks the header (``geometry``, ``nodata``); ``read(n)`` parses
-    the next n rows with numpy's C text reader.  A strip it rejects, or one of
+    the next n rows with numpy's C text reader, NaN where a token is
+    ``nodata`` or not finite.  A strip it rejects, or one of
     the wrong shape, is parsed again by ``_parse_rows`` with ``float()`` (so
     ``1_0`` too), which names the bad token or row.  The row count is checked
     as the strips go past: a short last strip, or a line after the last row,
@@ -298,7 +302,13 @@ class GridReader(AbstractContextManager):
             strip = None
         if strip is None or strip.shape != (n, g.n_cols):
             strip = _parse_rows(lines, self.path, r0, g.n_cols)
-        return strip
+        return _nan_marked(strip, self.nodata)
+
+    def grid(self) -> RasterGrid:
+        """Every row, read from a reader none has been read from, as a ``RasterGrid``."""
+        values = self.read(self.geometry.n_rows)
+        values.flags.writeable = False  # marked already: the grid shares it
+        return RasterGrid(self.geometry, values, self.nodata)
 
     def __exit__(self, *exc) -> None:
         self._f.close()
@@ -306,8 +316,8 @@ class GridReader(AbstractContextManager):
 
 def read_asc(path) -> RasterGrid:
     """Read a whole ASCII-grid file (format and errors as ``GridReader``)."""
-    with GridReader(path) as grid:
-        return RasterGrid(grid.geometry, grid.read(grid.geometry.n_rows), grid.nodata)
+    with GridReader(path) as reader:
+        return reader.grid()
 
 
 def _read_header(lines, path):
@@ -460,9 +470,10 @@ def _tokens(rows: np.ndarray) -> bytes:
     return u8.tobytes().translate(None, b"\0")
 
 
-def write_rows(f, rows: np.ndarray) -> None:
+def write_rows(f, rows: np.ndarray, nodata: float | None = None) -> None:
     """Write 2-D ``rows`` to binary file ``f`` as ASCII-grid lines, integers as ``%d``
-    and others as ``%.6f``, with the bytes ``%`` gives, a chunk of rows at a time: in
+    and others as ``%.6f``, each non-finite value as ``nodata`` when that is given,
+    with the bytes ``%`` gives, a chunk of rows at a time: in
     numpy, ``x = v * 1e6`` is rounded to an integer ``n``.  ``x`` is the double nearest
     the exact product and every half below 2**52 is a double, so ``rint(x)`` is right
     unless ``x`` is a half; there the sign of the product's error, exact by Dekker,
@@ -473,25 +484,29 @@ def write_rows(f, rows: np.ndarray) -> None:
     ``%`` prints non-finite values and ``|n| >= 1e15``, widening their chunk's slots."""
     step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
     for r in range(0, len(rows), step):
-        f.write(_tokens(rows[r : r + step]))
+        chunk = rows[r : r + step]
+        if nodata is not None:
+            chunk = np.where(np.isfinite(chunk), chunk, nodata)
+        f.write(_tokens(chunk))
 
 
 def write_asc(grid: RasterGrid, path) -> None:
-    """Write in ASCII-grid format (``asc_header``), values printed with 6 decimals."""
+    """Write in ASCII-grid format (``asc_header``), values printed with 6 decimals
+    and NaN as the grid's ``nodata``."""
     header = asc_header(grid.geometry, grid.nodata)
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        write_rows(f, grid.values)
+        write_rows(f, grid.values, grid.nodata)
 
 
-def write_pgm(strips, path, geometry: GridGeometry, nodata: float, vmin, vmax) -> None:
+def write_pgm(strips, path, geometry: GridGeometry, vmin, vmax) -> None:
     """Write an 8-bit P2 PGM preview of a grid given as row strips, top first.
 
-    ``vmin`` and ``vmax`` are the least and greatest valid values of the
-    whole grid (``inf`` and ``-inf`` when none is valid), so the caller can
+    ``vmin`` and ``vmax`` are the least and greatest finite values of the
+    whole grid (``inf`` and ``-inf`` when none is finite), so the caller can
     find them while the rows stream past and the grid is never held whole.
-    Valid cells get a linear min-max stretch to 0-255, rounded half to even;
-    invalid ones get 0.  When ``vmax`` is not above ``vmin`` every valid
+    Finite cells get a linear min-max stretch to 0-255, rounded half to even;
+    the others get 0.  When ``vmax`` is not above ``vmin`` every finite
     cell renders as 255, so a constant grid stays distinguishable from
     nodata.  Each strip is scaled and written on its own, so the output
     does not depend on how the rows are cut into strips.
@@ -500,4 +515,4 @@ def write_pgm(strips, path, geometry: GridGeometry, nodata: float, vmin, vmax) -
         f.write(b"P2\n%d %d\n255\n" % (geometry.n_cols, geometry.n_rows))
         for vals in strips:
             scaled = np.rint((vals - vmin) / (vmax - vmin) * 255.0) if vmax > vmin else 255
-            write_rows(f, np.where(valid(vals, nodata), scaled, 0).astype(np.int64))
+            write_rows(f, np.where(np.isfinite(vals), scaled, 0).astype(np.int64))

@@ -98,7 +98,7 @@ def rmse(a: RasterGrid, b: RasterGrid) -> tuple[float, int]:
     included, and the number of those cells."""
     if a.geometry != b.geometry:
         raise GeometryMismatchError("rmse needs a common geometry")
-    d = _residuals(a.nan_values(), b.nan_values(), 0, 0)[1]
+    d = _residuals(a.values, b.values, 0, 0)[1]
     if d.size == 0:
         raise InsufficientOverlapError("no mutually valid cells")
     return _rms(d), d.size
@@ -218,7 +218,7 @@ class Reference:
 
     def __init__(self, grid: RasterGrid):
         self.geometry = grid.geometry
-        ref = grid.nan_values()
+        ref = grid.values
         self._levels = [ref]
         self.grad_col = np.full_like(ref, np.nan)
         self.grad_col[:, 1:-1] = (ref[:, 2:] - ref[:, :-2]) * 0.5
@@ -295,7 +295,7 @@ def align(
     if isinstance(reference, RasterGrid):
         reference = Reference(reference)
     cell = reference.geometry.cell_size
-    mov = resample(moving, reference.geometry, "bilinear").nan_values()
+    mov = resample(moving, reference.geometry, "bilinear").values
     ref = reference.level(0)
 
     n_overlap = np.count_nonzero(np.isfinite(mov) & np.isfinite(ref))

@@ -3,7 +3,7 @@
 A scene is a flat ground plane with rectangular building prisms stamped on
 it, returned as a truth DSM plus the matching intensity orthophoto.
 ``degrade`` then simulates per-pair matching artifacts: Gaussian height
-noise, salt-and-pepper spikes, and nodata holes.
+noise, salt-and-pepper spikes, and holes without a sample.
 
 All randomness flows through numpy SeedSequence spawning with one child
 stream per purpose (noise, spikes, holes), so outputs are bit-reproducible
@@ -110,28 +110,25 @@ def gen_scene(spec: SceneSpec) -> tuple[RasterGrid, RasterGrid]:
 
 
 def degrade(truth: RasterGrid, spec: DegradeSpec) -> RasterGrid:
-    """Noisy copy of a truth grid: Gaussian noise on valid cells, then a
-    spike_prob fraction bumped by +-spike_amp (sign seeded), then a
-    hole_prob fraction knocked out to nodata."""
+    """Noisy copy of a truth grid: Gaussian noise, then a spike_prob fraction
+    bumped by +-spike_amp (sign seeded), then a hole_prob fraction knocked
+    out to NaN; a NaN cell of the truth stays NaN."""
     noise_rng, spike_rng, hole_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
     )
     shape = truth.values.shape
-    valid = truth.valid_mask()
     out = truth.values.copy()
 
     if spec.gaussian_sigma > 0:
-        noise = noise_rng.normal(0.0, spec.gaussian_sigma, size=shape)
-        np.add(out, noise, out=out, where=valid)
+        out += noise_rng.normal(0.0, spec.gaussian_sigma, size=shape)
 
     if spec.spike_prob > 0:
-        hit = (spike_rng.random(size=shape) < spec.spike_prob) & valid
+        hit = spike_rng.random(size=shape) < spec.spike_prob
         down = spike_rng.random(size=shape) < 0.5  # x - amp is x + (-amp), bit for bit
         np.subtract(out, spec.spike_amp, out=out, where=hit & down)
         np.add(out, spec.spike_amp, out=out, where=hit & ~down)
 
     if spec.hole_prob > 0:
-        out[hole_rng.random(size=shape) < spec.hole_prob] = truth.nodata
+        out[hole_rng.random(size=shape) < spec.hole_prob] = np.nan
 
-    out[~valid] = truth.nodata
     return RasterGrid(truth.geometry, out, truth.nodata)

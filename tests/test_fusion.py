@@ -83,7 +83,7 @@ NON_SQUARE = [FusionConfig(delta_s=4.0, gamma=0.3, radius=5), FusionConfig(radiu
 def weights_of(ortho, cfg):
     """``window_weights`` over a whole orthophoto grid, and its offsets."""
     offsets = fusion._window_offsets(cfg)
-    opad = np.pad(ortho.nan_values(), cfg.radius, constant_values=np.nan)
+    opad = np.pad(ortho.values, cfg.radius, constant_values=np.nan)
     return window_weights(opad, offsets, cfg), offsets
 
 
@@ -156,7 +156,7 @@ class TestWeight:
         ortho = rng.uniform(0.0, 255.0, (13, 17))
         ortho[rng.random(ortho.shape) < 0.1] = -9999.0
         w, offsets = weights_of(grid_of(ortho), cfg)
-        opad = np.pad(grid_of(ortho).nan_values(), cfg.radius, constant_values=np.nan)
+        opad = np.pad(grid_of(ortho).values, cfg.radius, constant_values=np.nan)
         rad, (n_rows, n_cols) = cfg.radius, ortho.shape
         i0 = opad[rad : rad + n_rows, rad : rad + n_cols]
         for k, (di, dj, spatial) in enumerate(offsets):
@@ -311,7 +311,8 @@ class TestMedianFuse:
         vals[0, 0] = -9999.0
         stack = [grid_of(vals)]
         out = median_fuse(stack)
-        assert np.array_equal(out.values, vals)
+        assert np.isnan(out.values[0, 0])
+        assert np.array_equal(out.values, stack[0].values, equal_nan=True)
 
     def test_odd_count(self):
         stack = [grid_of([[v]]) for v in (1.0, 2.0, 9.0)]
@@ -327,7 +328,7 @@ class TestMedianFuse:
 
     def test_no_valid_heights_gives_nodata(self):
         stack = [grid_of([[-9999.0]]), grid_of([[-9999.0]])]
-        assert median_fuse(stack).values[0, 0] == -9999.0
+        assert np.isnan(median_fuse(stack).values[0, 0])
 
 
 class TestAdaptiveMedianFuse:
@@ -336,13 +337,13 @@ class TestAdaptiveMedianFuse:
             stack, ortho = random_stack(rng, 8, 8, 3)
             out = adaptive_median_fuse(stack, ortho, FusionConfig())
             want = oracle_adaptive_fuse(stack, ortho, FusionConfig())
-            got = out.nan_values()
+            got = out.values
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_output_within_candidate_range(self, rng):
         stack, ortho = random_stack(rng, 10, 10, 3)
         out = adaptive_median_fuse(stack, ortho)
-        arr = np.stack([g.nan_values() for g in stack])
+        arr = np.stack([g.values for g in stack])
         lo, hi = np.nanmin(arr), np.nanmax(arr)
         valid = out.valid_mask()
         assert np.all(out.values[valid] >= lo)
@@ -353,21 +354,21 @@ class TestAdaptiveMedianFuse:
         cfg = FusionConfig(gamma=0.999999, radius=3)
         adaptive = adaptive_median_fuse(stack, ortho, cfg)
         plain = median_fuse(stack)
-        assert np.array_equal(adaptive.values, plain.values)
+        assert np.array_equal(adaptive.values, plain.values, equal_nan=True)
 
     def test_radius_zero_equals_plain_median(self, rng):
         stack, ortho = random_stack(rng, 9, 7, 4)
         cfg = FusionConfig(radius=0)
         adaptive = adaptive_median_fuse(stack, ortho, cfg)
         plain = median_fuse(stack)
-        assert np.array_equal(adaptive.values, plain.values)
+        assert np.array_equal(adaptive.values, plain.values, equal_nan=True)
 
     def test_layer_order_invariance(self, rng):
         stack, ortho = random_stack(rng, 8, 8, 4)
         out1 = adaptive_median_fuse(stack, ortho)
         shuffled = list(reversed(stack))
         out2 = adaptive_median_fuse(shuffled, ortho)
-        assert np.array_equal(out1.values, out2.values)
+        assert np.array_equal(out1.values, out2.values, equal_nan=True)
 
     def test_height_shift_equivariance(self, rng):
         stack, ortho = random_stack(rng, 8, 8, 3)
@@ -414,7 +415,7 @@ class TestAdaptiveMedianFuse:
         stack, ortho = random_stack(rng, 150, 20, 3)
         serial = adaptive_median_fuse(stack, ortho, jobs=1)
         parallel = adaptive_median_fuse(stack, ortho, jobs=3)
-        assert np.array_equal(serial.values, parallel.values)
+        assert np.array_equal(serial.values, parallel.values, equal_nan=True)
 
     def test_jobs_start_no_more_threads_than_blocks(self, rng, monkeypatch):
         # one strip of 6 one-row blocks; a pool of 64 starts a thread per queued block
@@ -431,7 +432,7 @@ class TestAdaptiveMedianFuse:
         monkeypatch.setattr(threading.Thread, "start", spy)
         parallel = adaptive_median_fuse(stack, ortho, jobs=64)
         assert 1 <= len(started) <= 6
-        assert np.array_equal(serial.values, parallel.values)
+        assert np.array_equal(serial.values, parallel.values, equal_nan=True)
 
     def test_ortho_outside_gray_scale_warns_once(self, rng, monkeypatch, caplog):
         stack, ortho = random_stack(rng, 6, 8, 2)
@@ -473,7 +474,7 @@ class TestBlockPartition:
         for budget in [1] + [_budget_for_rows(stack, cfg, rows) for rows in (1, 2, 7)]:
             monkeypatch.setattr(fusion, "_BLOCK_BYTES", budget)
             out = adaptive_median_fuse(stack, ortho, cfg, jobs=jobs)
-            assert np.array_equal(out.values, whole.values), budget
+            assert np.array_equal(out.values, whole.values, equal_nan=True), budget
 
     def test_budget_sets_block_height(self, rng, monkeypatch):
         stack, ortho = random_stack(rng, 23, 9, 3)
@@ -590,7 +591,6 @@ class TestStripPartition:
 
         class Reader:
             geometry = raster.GridGeometry(0.0, 0.0, 1.0, 2, 5)
-            nodata = -9999.0
 
             def __init__(self, name):
                 self.name, self.served = name, 0
@@ -599,7 +599,7 @@ class TestStripPartition:
                 calls.append((self.name, n))
                 n = min(n, 5 - self.served)
                 self.served += n
-                return np.full((n, 2), 1.0 if self.served <= 2 else -9999.0)
+                return np.full((n, 2), 1.0 if self.served <= 2 else np.nan)
 
         strips = list(fusion.read_strips([Reader("a"), Reader("b")]))
         assert calls == [("a", 2), ("b", 2)] * 3

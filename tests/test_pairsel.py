@@ -274,10 +274,17 @@ class TestManifest:
             "img1,img2,a.rpc,b.rpc,pair12.asc\n"
             "img1,img3,a.rpc,c.rpc,pair13.asc\n"
         )
-        entries = read_pair_manifest(p)
-        assert len(entries) == 2
-        assert entries[0].id_a == "img1"
-        assert entries[1].dsm_path == "pair13.asc"
+        rpc_paths, pairs = read_pair_manifest(p)
+        assert list(rpc_paths.items()) == [("img1", "a.rpc"), ("img2", "b.rpc"), ("img3", "c.rpc")]
+        assert pairs == {("img1", "img2"): "pair12.asc", ("img1", "img3"): "pair13.asc"}
+
+    def test_pair_keys_in_ascending_id_order(self, tmp_path):
+        # the ids as gate_pairs canonicalizes them; RPC files in order of first mention
+        p = tmp_path / "pairs.csv"
+        p.write_text("id_a,id_b,rpc_a_path,rpc_b_path,dsm_path\nimg3,img1,c.rpc,a.rpc,pair31.asc\n")
+        rpc_paths, pairs = read_pair_manifest(p)
+        assert list(rpc_paths.items()) == [("img3", "c.rpc"), ("img1", "a.rpc")]
+        assert pairs == {("img1", "img3"): "pair31.asc"}
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "pairs.csv"

@@ -40,7 +40,7 @@ def pgm_of(grid, path, rows=None):
     rows = rows or len(vals)
     strips = [vals[r : r + rows] for r in range(0, len(vals), rows)]
     lo, hi = vals.min(initial=np.inf, where=ok), vals.max(initial=-np.inf, where=ok)
-    write_pgm(strips, path, grid.geometry, grid.nodata, lo, hi)
+    write_pgm(strips, path, grid.geometry, lo, hi)
 
 
 def enlarged(geom, k):
@@ -54,7 +54,7 @@ def cell_at(geom, x, y):
     nearest resampling of unique cell values onto a 1x1 grid centred there."""
     src = RasterGrid(geom, np.arange(geom.n_rows * geom.n_cols).reshape(geom.n_rows, geom.n_cols))
     value = resample(src, GridGeometry(x - 0.5, y - 0.5, 1.0, 1, 1), "nearest").values[0, 0]
-    if value == src.nodata:
+    if np.isnan(value):
         return None
     row, col = divmod(int(value), geom.n_cols)
     return col, row
@@ -97,8 +97,8 @@ class TestWorldToCell:
             k = int(rng.integers(1, 4))
             out = resample(src, enlarged(geom, k), "nearest").values.copy()
             assert np.array_equal(out[k:-k, k:-k], unique)
-            out[k:-k, k:-k] = src.nodata
-            assert np.all(out == src.nodata)
+            out[k:-k, k:-k] = np.nan
+            assert np.all(np.isnan(out))
 
 
 class TestGeometryValidation:
@@ -125,21 +125,40 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             grid.values[0, 0] = 1.0
 
-    def test_from_nan_copies_the_grid_once(self):
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_constructor_copies_a_sentinel_grid_once(self, writeable):
         # numpy reports its buffers to tracemalloc
         import tracemalloc
 
         vals = np.random.default_rng(3).normal(size=(512, 512))
-        vals[::7, ::3] = np.nan
+        vals[::7, ::3] = -9999.0
+        vals[1, ::5] = np.inf
+        vals.flags.writeable = writeable
         tracemalloc.start()
         try:
-            grid = RasterGrid.from_nan(GridGeometry(0, 0, 1.0, 512, 512), vals, -9999.0)
+            grid = RasterGrid(GridGeometry(0, 0, 1.0, 512, 512), vals, -9999.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * vals.nbytes, peak / vals.nbytes
-        assert np.isnan(vals[0, 0]) and not grid.values.flags.writeable
-        assert np.array_equal(grid.values, np.where(np.isnan(vals), -9999.0, vals))
+        assert vals[0, 0] == -9999.0 and not grid.values.flags.writeable
+        want = np.where(np.isfinite(vals) & (vals != -9999.0), vals, np.nan)
+        assert np.array_equal(grid.values, want, equal_nan=True)
+
+    def test_constructor_shares_a_read_only_nan_grid(self):
+        import tracemalloc
+
+        vals = np.random.default_rng(3).normal(size=(512, 512))
+        vals[::7, ::3] = np.nan
+        vals.flags.writeable = False
+        tracemalloc.start()
+        try:
+            grid = RasterGrid(GridGeometry(0, 0, 1.0, 512, 512), vals, -9999.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.values is vals
+        assert peak < 0.1 * vals.nbytes, peak / vals.nbytes
 
 
 class TestResample:
@@ -155,8 +174,8 @@ class TestResample:
         for method in ("nearest", "bilinear"):
             out = resample(src, enlarged(src.geometry, 2), method).values.copy()
             assert out[2:-2, 2:-2].tobytes() == src.values.tobytes()
-            out[2:-2, 2:-2] = src.nodata
-            assert np.all(out == src.nodata)
+            out[2:-2, 2:-2] = np.nan
+            assert np.all(np.isnan(out))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -204,7 +223,7 @@ class TestResample:
         src = make_grid(np.full((4, 4), -9999.0))
         for method in ("nearest", "bilinear"):
             out = resample(src, GridGeometry(0.5, 0.5, 1.0, 3, 3), method)
-            assert np.all(out.values == -9999.0)
+            assert np.all(np.isnan(out.values))
 
     def test_bilinear_ramp_half_cell_offset(self):
         # z = x on the source; at a half-cell x offset the columns with all
@@ -254,7 +273,7 @@ class TestResample:
         src = make_grid(vals, cell=1.0)
         tg = GridGeometry(1.0, 1.0, 1.0, 1, 1)  # center (1.5, 1.5) = nodata cell
         out = resample(src, tg, "nearest")
-        assert out.values[0, 0] == -9999.0
+        assert np.isnan(out.values[0, 0])
 
     def test_unknown_method_rejected(self):
         src = make_grid(np.zeros((2, 2)))
@@ -301,14 +320,22 @@ class TestKeyValueLines:
 
 class TestAsciiGrid:
     def test_round_trip_with_nodata(self, tmp_path):
-        vals = np.array([[1.5, -9999.0], [2.25, 3.125]])
+        # the sentinel, NaN and infinities are all NaN in memory and nodata in the file
+        vals = np.array([[1.5, -9999.0, np.nan], [2.25, 3.125, -np.inf], [np.inf, 0.5, -0.0]])
         src = make_grid(vals, origin=(100.0, 200.0), cell=2.5)
-        p = tmp_path / "g.asc"
+        p, again = tmp_path / "g.asc", tmp_path / "again.asc"
         write_asc(src, p)
+        assert p.read_text().splitlines()[6:] == [
+            "1.500000 -9999.000000 -9999.000000", "2.250000 3.125000 -9999.000000",
+            "-9999.000000 0.500000 -0.000000",
+        ]
         back = read_asc(p)
         assert back.geometry == src.geometry
         assert back.nodata == src.nodata
-        assert np.array_equal(back.values, src.values)
+        assert np.array_equal(np.isnan(back.values), ~np.isfinite(vals) | (vals == -9999.0))
+        assert np.array_equal(back.values, src.values, equal_nan=True)
+        write_asc(back, again)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_round_trip_six_decimal_precision(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -475,6 +502,14 @@ def _same_bits(a, b) -> bool:
     return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
 
 
+def _read_as(got, parsed, nodata=-9999.0) -> bool:
+    """Whether ``got``, a read grid, is NaN exactly where the ``parsed`` tokens are
+    ``nodata`` or not finite, and has the parsed bits everywhere else."""
+    got, parsed = np.asarray(got, np.float64), np.asarray(parsed, np.float64)
+    missing = ~np.isfinite(parsed) | (parsed == nodata)
+    return np.array_equal(np.isnan(got), missing) and _same_bits(got[~missing], parsed[~missing])
+
+
 _BAD_TOKENS = ["oops", "1__0", "nan(1)", "1,0", "0x10", "--1"]
 _SPELLINGS = [repr, "{:.6f}".format, "{:g}".format, lambda v: repr(v).upper()]
 
@@ -552,17 +587,22 @@ class TestCodecByteParity:
     @_fixture_ok
     @given(vals=arrays(np.float64, _grids, elements=st.floats() | st.sampled_from(_EDGE_FLOATS)))
     def test_write_asc_tokens_match_fstring(self, tmp_path, vals):
+        # write_rows prints non-finite values as % does; write_asc prints them as nodata
+        f = io.BytesIO()
+        raster.write_rows(f, vals)
+        assert f.getvalue().decode() == "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in vals)
         p = _fresh(tmp_path, ".asc")
         write_asc(make_grid(vals), p)
         rows = p.read_text().split("\n")[6:]
         assert rows[-1] == ""
-        assert [r.split(" ") for r in rows[:-1]] == [[f"{v:.6f}" for v in row] for row in vals]
+        written = np.where(np.isfinite(vals), vals, -9999.0)
+        assert [r.split(" ") for r in rows[:-1]] == [[f"{v:.6f}" for v in row] for row in written]
 
     def _assert_tokens_match_fstring(self, tmp_path, values, n_cols):
         vals = np.asarray(values, np.float64).reshape(-1, n_cols)
-        p = _fresh(tmp_path, ".asc")
-        write_asc(make_grid(vals), p)
-        rows = p.read_text().split("\n")[6:]
+        f = io.BytesIO()
+        raster.write_rows(f, vals)
+        rows = f.getvalue().decode().split("\n")
         assert rows[-1] == ""
         got = [tok for row in rows[:-1] for tok in row.split(" ")]
         expected = [f"{v:.6f}" for v in vals.ravel().tolist()]
@@ -663,7 +703,7 @@ class TestCodecByteParity:
         geom = GridGeometry(0.0, 0.0, 1.0, 2048, 2048)
         tracemalloc.start()
         try:
-            write_pgm(strips, tmp_path / "big.pgm", geom, -9999.0, vals.min(), vals.max())
+            write_pgm(strips, tmp_path / "big.pgm", geom, vals.min(), vals.max())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -694,8 +734,9 @@ class TestCodecByteParity:
         return read_asc(p).values[0]
 
     def test_read_asc_grammar_matches_float(self, tmp_path):
-        tokens = ["1_0", "Infinity", "+NaN", "-nan", "1e999", "-1e999", "-0", "1e-400", ".5", "1.", "iNf"]
-        assert _same_bits(self._read_row(tmp_path, tokens), [float(t) for t in tokens])
+        tokens = ["1_0", "Infinity", "+NaN", "-nan", "1e999", "-1e999", "-0", "1e-400", ".5", "1.", "iNf",
+                  "-9999", "-9999.000000", "-9.999e3"]
+        assert _read_as(self._read_row(tmp_path, tokens), [float(t) for t in tokens])
 
     @pytest.mark.parametrize("bad", ["nan(1)", "1__0", "0x10", "1,0", "1.5e", "--1", "oops"])
     def test_read_asc_bad_token_named(self, tmp_path, bad):
@@ -712,7 +753,7 @@ class TestCodecByteParity:
             with pytest.raises(UnparseableNumberError, match=re.escape(repr(token))):
                 self._read_row(tmp_path, ["0", token])
         else:
-            assert _same_bits(self._read_row(tmp_path, ["0", token]), [0.0, expected])
+            assert _read_as(self._read_row(tmp_path, ["0", token]), [0.0, expected])
 
     @_fixture_ok
     @given(case=_asc_texts(), rows=st.integers(1, 5))
@@ -733,8 +774,9 @@ class TestCodecByteParity:
                     read()
                 assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         else:
-            assert _same_bits(read_asc(p).values, expected)
-            assert _same_bits(in_strips(), expected)
+            assert _read_as(read_asc(p).values, expected)
+            assert _read_as(in_strips(), expected)
+            assert np.array_equal(in_strips(), read_asc(p).values, equal_nan=True)
 
     def test_strips_read_forward_in_bounded_memory(self, tmp_path):
         # the last row's ``1_0`` is parsed again with float(), that strip alone

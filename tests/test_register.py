@@ -53,8 +53,8 @@ def readme_layer(truth, seed, sigma):
 
 
 def move_content(grid, east, north):
-    """Grid whose content is translated by whole cells; vacated cells are nodata."""
-    v = grid.nan_values()
+    """Grid whose content is translated by whole cells; vacated cells are NaN."""
+    v = grid.values
     out = np.full_like(v, np.nan)
     rows, cols = v.shape
     # new(r, c) = old(r + north, c - east)
@@ -63,7 +63,7 @@ def move_content(grid, east, north):
     src_c = slice(max(0, -east), cols + min(0, -east))
     dst_c = slice(max(0, east), cols + min(0, east))
     out[dst_r, dst_c] = v[src_r, src_c]
-    return RasterGrid(grid.geometry, np.where(np.isnan(out), grid.nodata, out), grid.nodata)
+    return RasterGrid(grid.geometry, out, grid.nodata)
 
 
 class TestRmse:
@@ -374,8 +374,8 @@ def _oracle_integer_search(mov, ref, cfg):
 def oracle_align(moving, reference, cfg):
     """The full-grid ``align``: its result and the best integer shift."""
     cell = reference.geometry.cell_size
-    mov = resample(moving, reference.geometry, "bilinear").nan_values()
-    ref = reference.nan_values()
+    mov = resample(moving, reference.geometry, "bilinear").values
+    ref = reference.values
     if np.count_nonzero(np.isfinite(mov) & np.isfinite(ref)) < 100:
         raise InsufficientOverlapError
     iu, iv = _oracle_integer_search(mov, ref, cfg)
@@ -550,7 +550,7 @@ class TestMatchesFullGridOracle:
         # a 20-row grid searched 23 cells: shifts past 20 rows overlap nothing
         moving, ref, _ = oracle_case(20, 60, 2.0, 1.0, 0.05, 0.05, False, 0, 3)
         check_against_oracle(moving, ref, AlignConfig(max_search=23))
-        mov, r = moving.nan_values(), ref.nan_values()
+        mov, r = moving.values, ref.values
         assert register._fit(register._residuals(mov, r, -21, 0)[1], 6.0)[2] == math.inf
         assert register._fit(register._residuals(mov, r, 0.5, -61.5)[1], 6.0)[2] == math.inf
 
