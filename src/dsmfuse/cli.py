@@ -211,18 +211,18 @@ def _fusion_config(opts: SimpleNamespace) -> FusionConfig:
     )
 
 
-def _open_sources(paths, n_layers: int, target_path, method, exits: ExitStack):
-    """The target geometry and a row source per input, every header read first:
-    an open ``GridReader`` on the target geometry, else the input resampled onto
-    it.  A layer wholly off the target is an error; an ortho off it is not."""
-    readers = [exits.enter_context(GridReader(p)) for p in [*paths, target_path] if p]
-    target = (readers.pop() if target_path else readers[0]).geometry
+def _open_sources(paths, n_layers: int, exits: ExitStack):
+    """The first input's geometry and a row source per input, every header read first:
+    an open ``GridReader`` on that geometry, else the input resampled onto it.  A
+    layer wholly off it is an error; an ortho off it is not."""
+    readers = [exits.enter_context(GridReader(p)) for p in paths]
+    target = readers[0].geometry
     for k, path in enumerate(paths):
         if readers[k].geometry != target:
             layer = readers[k].grid()
-            readers[k] = resample(layer, target, method)
+            readers[k] = resample(layer, target)
             if k < n_layers and layer.valid_mask().any() and not readers[k].valid_mask().any():
-                raise GeometryMismatchError(f"{path} does not overlap the target geometry")
+                raise GeometryMismatchError(f"{path} does not overlap the first layer's grid")
     return target, readers
 
 
@@ -260,9 +260,7 @@ def cmd_fuse(opts: SimpleNamespace):
     if preview == out:
         raise ConfigError(f"--out {out} would be overwritten by its .pgm preview")
     with ExitStack() as exits:
-        target, sources = _open_sources(
-            inputs, len(opts.layers), opts.target_geometry, opts.resample_method, exits
-        )
+        target, sources = _open_sources(inputs, len(opts.layers), exits)
         nodata = sources[0].nodata
         header = asc_header(target, nodata).encode("ascii")
         fused_rows = fuse_strips(read_strips(sources), fcfg if adaptive else None, opts.jobs)
@@ -334,7 +332,7 @@ def cmd_curve(opts: SimpleNamespace):
     out = _out_path(opts)
     inputs, ks = [*opts.layers, opts.ortho], range(1, len(opts.layers) + 1)
     with ExitStack() as exits:
-        target, sources = _open_sources(inputs, len(ks), None, opts.resample_method, exits)
+        target, sources = _open_sources(inputs, len(ks), exits)
         truth = exits.enter_context(GridReader(opts.truth))  # its header checked before fusing
         # each k's fused grids go to disk a strip at a time, each to its own unlinked
         # file in the --out directory; one k's pair comes back at a time to align
@@ -454,7 +452,6 @@ _FUSION_FLAGS = {
     "gamma": (FusionConfig.gamma, {"type": float, "help": "window membership threshold"}),
     "radius": (FusionConfig.radius, {"type": int, "help": "search window half-width, cells"}),
     "jobs": (1, {"type": int, "help": "threads fusing adaptive row blocks (median ignores it)"}),
-    "resample_method": ("bilinear", {"choices": ("nearest", "bilinear")}),
 }
 _ALIGN_FLAGS = {
     "threshold": (
@@ -475,7 +472,6 @@ _COMMANDS = {
         "out": (None, {"help": "output DSM path (.asc)"}),
         "mode": ("median", {"choices": ("median", "adaptive")}),
         **_FUSION_FLAGS,
-        "target_geometry": (None, {"help": "grid whose geometry the stack adopts"}),
     }),
     "rank": (cmd_rank, "gate and rank stereo pairs", {
         "manifest": (None, {"help": "pair manifest CSV"}),

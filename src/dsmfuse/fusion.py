@@ -88,7 +88,8 @@ def _nan_median(a: np.ndarray) -> np.ndarray:
     """Median over the last axis ignoring NaN; all-NaN rows give NaN.
 
     Sorts ``a`` in place if it is C-contiguous, else a copy (a prefix of more grids).
-    Even counts average the two middle order statistics.  Sort-based so the
+    Even counts average the two middle order statistics, ``0.5 * (lo + hi)``, or
+    ``0.5 * lo + 0.5 * hi`` where that sum overflows.  Sort-based so the
     result is deterministic and independent of candidate ordering.
     """
     a = np.ascontiguousarray(a)
@@ -99,9 +100,13 @@ def _nan_median(a: np.ndarray) -> np.ndarray:
     safe = np.maximum(n, 1)  # an all-NaN row picks its first slot, a NaN
     first = np.arange(0, a.size, size).reshape(n.shape)  # flat index of each row's first slot
     lo, hi = a.reshape(-1).take(first + (safe - 1) // 2), a.reshape(-1).take(first + safe // 2)
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    if np.isinf(mid).any():  # where lo or hi is infinite the halves' sum is the same
+        mid = np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
     # -0.0 and 0.0 sort as equal, so which lands in the middle follows the
     # layer order; + 0.0 makes every zero median +0.0 and changes nothing else
-    return 0.5 * (lo + hi) + 0.0
+    return mid + 0.0
 
 
 def read_strips(grids):

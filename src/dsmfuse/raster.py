@@ -6,8 +6,6 @@ Conventions (stated once, used everywhere):
   (``origin_x``, ``origin_y``); cells are square.
 * Values are stored row-major, top row first: ``values[0, :]`` is the
   northernmost row, and rows count from the top.
-* A point belongs to the cell whose left/bottom edges it lies on; the
-  right and top edges of the grid are exclusive.
 * In memory a cell without a valid sample is NaN, in every grid and strip.
   The nodata sentinel (default -9999) marks such cells in files only:
   reading turns it, and any non-finite token, into NaN (``_nan_marked``),
@@ -201,39 +199,32 @@ def _at(src: RasterGrid, rb: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.
     return src.values[r, np.clip(c, 0, g.n_cols - 1)], on
 
 
-def resample(src: RasterGrid, target: GridGeometry, method: str = "bilinear") -> RasterGrid:
+def resample(src: RasterGrid, target: GridGeometry) -> RasterGrid:
     """Resample a grid onto a target geometry.
 
-    ``nearest`` takes the value of the containing source cell, NaN included.
-    ``bilinear`` interpolates the four surrounding cell centers; when any of
-    the four is NaN it falls back to the nearest valid one of the four, and
-    to NaN when none is valid.  Cells off the source are NaN.  Onto the
-    source's own geometry both are exact, so ``src`` itself is returned.
+    Each target cell center interpolates the four surrounding source cell
+    centers bilinearly; when any of the four is NaN it falls back to the
+    nearest valid one of the four, and to NaN when none is valid.  Cells off
+    the source are NaN.  Onto the source's own geometry this is exact, so
+    ``src`` itself is returned.
 
     ``src`` is held whole, but the output is filled a strip of rows at a time
     within the ``strip_rows`` budget and is the only whole-grid array made:
     at 2048x2048 a resample holds 34 MB beyond ``src``, 33.5 MB of it output.
     """
-    if method not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown resampling method {method!r}")
     if target == src.geometry:
         return src
     g = src.geometry
     xs, ys = _cell_centers(target)
-    # per-axis source coordinates; integer k is column/row k's left/bottom edge ...
-    u, v = (xs - g.origin_x) / g.cell_size, ((ys - g.origin_y) / g.cell_size)[:, None]
-    if method == "bilinear":  # ... and here its center
-        u, v = _snap(u - 0.5), _snap(v - 0.5)
+    # per-axis source coordinates; integer k is column/row k's center
+    u = _snap((xs - g.origin_x) / g.cell_size - 0.5)
+    v = _snap(((ys - g.origin_y) / g.cell_size)[:, None] - 0.5)
     c0, rb0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
     fx, fy = u - c0, v - rb0
     wx, wy = (1 - fx, fx), (1 - fy, fy)  # bilinear weights of corner offsets 0 and 1
     out = np.empty((target.n_rows, target.n_cols))
-    rows = strip_rows(target.n_cols, 16)  # a bilinear strip's temporaries share one budget
+    rows = strip_rows(target.n_cols, 16)  # a strip's temporaries share one budget
     for s in (slice(r, r + rows) for r in range(0, target.n_rows, rows)):
-        if method == "nearest":
-            vals, on = _at(src, rb0[s], c0)
-            out[s] = np.where(on, vals, np.nan)
-            continue
         # fallback: the first nearest valid support corner strictly within one
         # cell of the sample point.  The strict bound keeps identity resampling
         # exact: a point on an invalid cell's center has no eligible neighbor (the
@@ -419,68 +410,62 @@ def asc_header(geometry: GridGeometry, nodata: float) -> str:
 
 
 # Little-endian words: NUL and k's 3 digits at k, with leading zeros NUL at 1000 + k, the same
-# but 0 as 0 at 2000 + k; ['.'|k] at 3000 + k, [k|' '] at 4000 + k, [' '|NUL NUL NUL] at 5000.
+# but 0 as 0 at 2000 + k; ['.'|k] at 3000 + k and [k|' '] at 4000 + k.
 _GROUPS = [b"%03d" % k for k in range(1000)]
 _WORDS = np.frombuffer(b"".join(
     [b"\0" + g for g in _GROUPS] + [b"\0" + g.lstrip(b"0").rjust(3, b"\0") for g in _GROUPS]
     + [b"\0" + (g[:2].lstrip(b"0") + g[2:]).rjust(3, b"\0") for g in _GROUPS]
-    + [b"." + g for g in _GROUPS] + [g + b" " for g in _GROUPS] + [b" \0\0\0"]), "<u4")
+    + [b"." + g for g in _GROUPS] + [g + b" " for g in _GROUPS]), "<u4")
 
 
 def _tokens(rows: np.ndarray) -> bytes:
     """The bytes ``write_rows`` prints for ``rows``."""
-    if np.issubdtype(rows.dtype, np.integer):
-        v = rows.reshape(-1)
-        fits = (v > -(10**9)) & (v < 10**9)
-        ints, neg, token, sep_at, tail = np.where(fits, np.abs(v), 0), v < 0, b"%d", 4, [5000]
-    else:
-        v = rows.reshape(-1).astype(np.float64, copy=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = v * 1e6
-            n = np.rint(x)
-            fits = np.abs(n) < 1e15
-            half = np.flatnonzero(np.abs(x - n) == 0.5)  # x - n is exact
-        vh, xh = v[half], x[half]
-        hi = vh * 134217729.0  # Veltkamp split: hi has 26 bits and 1e6 14, so hi * 1e6 is exact
-        hi -= hi - vh
-        err = (hi * 1e6 - xh) + (vh - hi) * 1e6  # v * 1e6 - x, exactly (Dekker)
-        n[half] = np.where(err == 0, n[half], xh + np.copysign(0.5, err))
-        m = np.where(fits, np.abs(n), 0).astype(np.int64)
-        q = m // 1000
-        ints, neg, token, sep_at = q // 1000, np.signbit(v), b"%.6f", 1
-        tail = [q - ints * 1000 + 3000, m - q * 1000 + 4000]
+    v = rows.reshape(-1).astype(np.float64, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = v * 1e6
+        n = np.rint(x)
+        fits = np.abs(n) < 1e15
+        half = np.flatnonzero(np.abs(x - n) == 0.5)  # x - n is exact
+    vh, xh = v[half], x[half]
+    hi = vh * 134217729.0  # Veltkamp split: hi has 26 bits and 1e6 14, so hi * 1e6 is exact
+    hi -= hi - vh
+    err = (hi * 1e6 - xh) + (vh - hi) * 1e6  # v * 1e6 - x, exactly (Dekker)
+    n[half] = np.where(err == 0, n[half], xh + np.copysign(0.5, err))
+    m = np.where(fits, np.abs(n), 0).astype(np.int64)
+    q = m // 1000
+    ints = q // 1000
     g0, g1 = ints // 10**6, ints // 1000
-    slot = [g0 + 1000, g1 - g0 * 1000 + (ints < 10**6) * 1000,
-            ints - g1 * 1000 + (ints < 1000) * 2000, *tail]  # table indices of a slot's words
+    slot = [g0 + 1000, g1 - g0 * 1000 + (ints < 10**6) * 1000, ints - g1 * 1000 + (ints < 1000) * 2000,
+            q - ints * 1000 + 3000, m - q * 1000 + 4000]  # table indices of a slot's words
     top = ints.max(initial=0)
     del slot[: int(top < 10**6) + int(top < 1000)]  # leading words NUL in every slot
     slow = np.flatnonzero(~fits)
-    fallback = [token % t for t in v[slow].tolist()]
-    width = max([len(slot), *(-(-(len(t) + sep_at) // 4) for t in fallback)])
+    fallback = [b"%.6f" % t for t in v[slow].tolist()]
+    width = max([len(slot), *(-(-(len(t) + 1) // 4) for t in fallback)])
     lead = width - len(slot)  # a slot widened for a fallback token starts with NUL words
     idx = np.empty((v.size, width), np.intp)
     idx[:, :lead] = 1000
     for k, w in enumerate(slot, start=lead):
         idx[:, k] = w
     u8 = _WORDS.take(idx).view(np.uint8)
-    u8[:, 4 * lead] += neg * np.uint8(ord("-"))  # the first word's low byte is NUL
-    u8.reshape(*rows.shape, 4 * width)[:, -1, -sep_at] = ord("\n")
-    padded = b"".join(t.rjust(4 * width - sep_at, b"\0") for t in fallback)
-    u8[slow, :-sep_at] = np.frombuffer(padded, np.uint8).reshape(-1, 4 * width - sep_at)
+    u8[:, 4 * lead] += np.signbit(v) * np.uint8(ord("-"))  # the first word's low byte is NUL
+    u8.reshape(*rows.shape, 4 * width)[:, -1, -1] = ord("\n")
+    padded = b"".join(t.rjust(4 * width - 1, b"\0") for t in fallback)
+    u8[slow, :-1] = np.frombuffer(padded, np.uint8).reshape(-1, 4 * width - 1)
     return u8.tobytes().translate(None, b"\0")
 
 
 def write_rows(f, rows: np.ndarray, nodata: float | None = None) -> None:
-    """Write 2-D ``rows`` to binary file ``f`` as ASCII-grid lines, integers as ``%d``
-    and others as ``%.6f``, each non-finite value as ``nodata`` when that is given,
+    """Write 2-D float ``rows`` to binary file ``f`` as ASCII-grid lines of ``%.6f``
+    tokens, each non-finite value as ``nodata`` when that is given,
     with the bytes ``%`` gives, a chunk of rows at a time: in
     numpy, ``x = v * 1e6`` is rounded to an integer ``n``.  ``x`` is the double nearest
     the exact product and every half below 2**52 is a double, so ``rint(x)`` is right
     unless ``x`` is a half; there the sign of the product's error, exact by Dekker,
     picks the side (half-even if 0).  One ``take`` from ``_WORDS`` fills each slot of
     words, ``[sign|g0] [NUL|g1] [NUL|g2] ['.'|f_hi] [f_lo|sep]`` for ``n``'s 3-digit
-    groups (an integer ends ``[sep|NUL NUL NUL]``), less the leading words NUL in every
-    slot of a chunk (integer parts all below 10**6 or 1000); ``bytes.translate`` drops NULs.
+    groups, less the leading words NUL in every slot of a chunk (integer parts all
+    below 10**6 or 1000); ``bytes.translate`` drops NULs.
     ``%`` prints non-finite values and ``|n| >= 1e15``, widening their chunk's slots."""
     step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
     for r in range(0, len(rows), step):
@@ -499,20 +484,31 @@ def write_asc(grid: RasterGrid, path) -> None:
         write_rows(f, grid.values, grid.nodata)
 
 
+# gray level g's digits and a space, right-aligned in a 4-byte word: ['0' ' '] is [NUL NUL '0' ' ']
+_GRAY_WORDS = np.frombuffer(b"".join((b"%d " % g).rjust(4, b"\0") for g in range(256)), "<u4")
+
+
 def write_pgm(strips, path, geometry: GridGeometry, vmin, vmax) -> None:
     """Write an 8-bit P2 PGM preview of a grid given as row strips, top first.
 
     ``vmin`` and ``vmax`` are the least and greatest finite values of the
     whole grid (``inf`` and ``-inf`` when none is finite), so the caller can
     find them while the rows stream past and the grid is never held whole.
-    Finite cells get a linear min-max stretch to 0-255, rounded half to even;
-    the others get 0.  When ``vmax`` is not above ``vmin`` every finite
+    Finite cells get a linear min-max stretch to 0-255, rounded half to even,
+    on halved values when ``vmax - vmin`` exceeds the largest double; the
+    others get 0.  When ``vmax`` is not above ``vmin`` every finite
     cell renders as 255, so a constant grid stays distinguishable from
     nodata.  Each strip is scaled and written on its own, so the output
-    does not depend on how the rows are cut into strips.
+    does not depend on how the rows are cut into strips.  Each pixel is a word
+    of ``_GRAY_WORDS``, a row's last ending in a newline; ``bytes.translate`` drops NULs.
     """
+    if float(vmax) - float(vmin) == math.inf:  # halving is exact but for subnormals
+        strips, vmin, vmax = (vals / 2 for vals in strips), vmin / 2, vmax / 2
     with open(path, "wb") as f:
         f.write(b"P2\n%d %d\n255\n" % (geometry.n_cols, geometry.n_rows))
         for vals in strips:
             scaled = np.rint((vals - vmin) / (vmax - vmin) * 255.0) if vmax > vmin else 255
-            write_rows(f, np.where(np.isfinite(vals), scaled, 0).astype(np.int64))
+            gray = np.where(np.isfinite(vals), scaled, 0).astype(np.intp)
+            u8 = _GRAY_WORDS.take(gray).view(np.uint8)
+            u8[:, -1] = ord("\n")
+            f.write(u8.tobytes().translate(None, b"\0"))

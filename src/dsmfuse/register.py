@@ -295,7 +295,7 @@ def align(
     if isinstance(reference, RasterGrid):
         reference = Reference(reference)
     cell = reference.geometry.cell_size
-    mov = resample(moving, reference.geometry, "bilinear").values
+    mov = resample(moving, reference.geometry).values
     ref = reference.level(0)
 
     n_overlap = np.count_nonzero(np.isfinite(mov) & np.isfinite(ref))

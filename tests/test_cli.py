@@ -141,11 +141,24 @@ class TestFuse:
         write_asc(hill_grid(), tmp_path / "l.asc")
         far = RasterGrid(GridGeometry(5000.0, 5000.0, 1.0, 10, 10), np.zeros((10, 10)))
         write_asc(far, tmp_path / "far.asc")
-        code = main(["fuse", "--layers", str(tmp_path / "l.asc"),
-                     "--target-geometry", str(tmp_path / "far.asc"),
+        code = main(["fuse", "--layers", str(tmp_path / "l.asc"), str(tmp_path / "far.asc"),
                      "--out", str(tmp_path / "o.asc")])
         assert code == 3
         assert not (tmp_path / "o.asc").exists()
+
+    def test_heights_past_half_the_largest_double_stay_valid(self, tmp_path, capsys):
+        # a one-layer median is 0.5 * (v + v), whose sum overflows at +-1e308
+        write_asc(grid_of([[-1e308], [0.0], [1e308]]), tmp_path / "big.asc")
+        out = tmp_path / "fused.asc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fuse", "--mode", "median", "--layers", str(tmp_path / "big.asc"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().splitlines()[6:]
+        assert rows == ["%.6f" % v for v in (-1e308, 0.0, 1e308)]
+        # the stretch over a span past the largest double runs on halves: 0.5 * 255 rounds to 128
+        assert out.with_suffix(".pgm").read_text() == "P2\n1 3\n255\n0\n128\n255\n"
 
     def test_zero_medians_print_alike_in_either_layer_order(self, tmp_path):
         # 0.0 and -0.0 sort as equal, so either may be the middle candidate
@@ -496,6 +509,20 @@ class TestConfigFile:
             == f"error: config key 'dz_probe' is not a flag of 'dsmfuse {command}'\n"
         assert main([command, "--dz-probe=100"]) == 4
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: --dz-probe=100\n")
+
+    @pytest.mark.parametrize("command", ["fuse", "curve"])
+    @pytest.mark.parametrize("line", ["resample_method=bilinear", "target_geometry=x.asc"])
+    def test_removed_grid_keys_exit_4(self, tmp_path, capsys, command, line):
+        # inputs are resampled bilinearly onto the first layer's grid, with no setting
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 4
+        key, _, value = line.partition("=")
+        assert capsys.readouterr().err \
+            == f"error: config key '{key}' is not a flag of 'dsmfuse {command}'\n"
+        flag = "--" + key.replace("_", "-")
+        assert main([command, f"{flag}={value}"]) == 4
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}={value}\n")
 
     def test_config_may_start_with_a_byte_order_mark(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "l.asc")
@@ -881,7 +908,7 @@ class TestExitPath:
     @pytest.mark.parametrize("argv, code", [
         (["rpc", "project", "--rpc", "a.rpc", "--u", "0", "--v", "0", "--z", "0"], 0),
         (["rpc", "project", "--rpc", "missing.rpc", "--u", "0", "--v", "0", "--z", "0"], 2),
-        (["fuse", "--layers", "l.asc", "--target-geometry", "far.asc", "--out", "o.asc"], 3),
+        (["fuse", "--layers", "l.asc", "far.asc", "--out", "o.asc"], 3),
         (["fuse", "--layers", "l.asc", "--radius", "2.5", "--out", "o.asc"], 4),
     ], ids=["ok", "io", "geometry", "usage"])
     def test_exit_code_and_streams_match_main(self, tmp_path, capsys, monkeypatch, argv, code):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ class TestNanMedian:
         got = fusion._nan_median(rows.copy())
         want = np.array([self.oracle(row) for row in rows])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_finite_middles_whose_sum_overflows(self):
+        # their halves are summed instead; infinite middles keep 0.5 * (lo + hi)
+        big = np.finfo(np.float64).max
+        rows = np.array([[big, big], [-big, -big], [1e308, 9e307], [big, np.inf],
+                         [-np.inf, -big], [big, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fusion._nan_median(rows.copy())
+        want = [big, -big, 0.5 * 9e307 + 0.5 * 1e308, np.inf, -np.inf, big]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_adaptive_over_256_candidates_per_cell_matches_oracle(self, rng):
         cfg = FusionConfig(radius=2)  # 25 offsets and 11 layers: 275 candidates per cell

@@ -49,58 +49,6 @@ def enlarged(geom, k):
                         geom.cell_size, geom.n_cols + 2 * k, geom.n_rows + 2 * k)
 
 
-def cell_at(geom, x, y):
-    """``(col, row)`` of the cell holding world point (x, y), None outside:
-    nearest resampling of unique cell values onto a 1x1 grid centred there."""
-    src = RasterGrid(geom, np.arange(geom.n_rows * geom.n_cols).reshape(geom.n_rows, geom.n_cols))
-    value = resample(src, GridGeometry(x - 0.5, y - 0.5, 1.0, 1, 1), "nearest").values[0, 0]
-    if np.isnan(value):
-        return None
-    row, col = divmod(int(value), geom.n_cols)
-    return col, row
-
-
-class TestWorldToCell:
-    """The cell convention: which cell holds a world point."""
-
-    def test_origin_cell(self):
-        geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert cell_at(geom, 0.5, 0.5) == (0, 9)
-
-    def test_right_edge_exclusive(self):
-        geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert cell_at(geom, 10.0, 0.5) is None
-        assert cell_at(geom, 0.5, 10.0) is None
-
-    def test_left_bottom_edge_inclusive(self):
-        geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert cell_at(geom, 0.0, 0.0) == (0, 9)
-
-    def test_interior_point_floor_arithmetic(self):
-        # floor(3.7)=3 cols in; floor(2.2)=2 rows up from bottom -> row 7
-        geom = GridGeometry(0.0, 0.0, 1.0, 10, 10)
-        assert cell_at(geom, 3.7, 2.2) == (3, 7)
-
-    def test_cell_center_round_trip_all_cells(self):
-        # every cell center of a grid lands in its own cell
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            geom = GridGeometry(
-                origin_x=float(rng.uniform(-1e4, 1e4)),
-                origin_y=float(rng.uniform(-1e4, 1e4)),
-                cell_size=float(rng.uniform(0.1, 30.0)),
-                n_cols=int(rng.integers(1, 12)),
-                n_rows=int(rng.integers(1, 12)),
-            )
-            unique = np.arange(geom.n_rows * geom.n_cols).reshape(geom.n_rows, geom.n_cols)
-            src = RasterGrid(geom, unique)
-            k = int(rng.integers(1, 4))
-            out = resample(src, enlarged(geom, k), "nearest").values.copy()
-            assert np.array_equal(out[k:-k, k:-k], unique)
-            out[k:-k, k:-k] = np.nan
-            assert np.all(np.isnan(out))
-
-
 class TestGeometryValidation:
     def test_rejects_nonpositive_cell(self):
         with pytest.raises(ValueError):
@@ -163,19 +111,18 @@ class TestGeometryValidation:
 
 class TestResample:
     def test_identity_both_methods_bit_identical(self):
+        # both ways onto a cell-aligned target are exact: the source's own
+        # geometry returns ``src``, and the interpolating path reproduces its cells
         rng = np.random.default_rng(3)
         vals = rng.normal(10, 5, size=(9, 7))
         vals[rng.random((9, 7)) < 0.2] = -9999.0
         src = make_grid(vals, origin=(12.5, -33.25), cell=0.3)
-        for method in ("nearest", "bilinear"):
-            assert resample(src, src.geometry, method) is src
-        # the interpolating paths are exact on cell-aligned targets too, and
+        assert resample(src, src.geometry) is src
         # the cells around the source get no value
-        for method in ("nearest", "bilinear"):
-            out = resample(src, enlarged(src.geometry, 2), method).values.copy()
-            assert out[2:-2, 2:-2].tobytes() == src.values.tobytes()
-            out[2:-2, 2:-2] = np.nan
-            assert np.all(np.isnan(out))
+        out = resample(src, enlarged(src.geometry, 2)).values.copy()
+        assert out[2:-2, 2:-2].tobytes() == src.values.tobytes()
+        out[2:-2, 2:-2] = np.nan
+        assert np.all(np.isnan(out))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -193,16 +140,14 @@ class TestResample:
             g.cell_size * ratio, data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30)),
         )
         budget = data.draw(st.integers(1, 1 << 16))
-        for method in ("nearest", "bilinear"):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(raster, "_STRIP_BYTES", 1 << 30)
-                whole = resample(src, target, method).values
-                mp.setattr(raster, "_STRIP_BYTES", budget)
-                cut = resample(src, target, method).values
-            assert cut.tobytes() == whole.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "_STRIP_BYTES", 1 << 30)
+            whole = resample(src, target).values
+            mp.setattr(raster, "_STRIP_BYTES", budget)
+            cut = resample(src, target).values
+        assert cut.tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("method", ["nearest", "bilinear"])
-    def test_peak_memory_is_the_output_and_a_strip(self, method):
+    def test_peak_memory_is_the_output_and_a_strip(self):
         # numpy reports its buffers to tracemalloc, so the traced peak covers
         # every array the resample makes
         import tracemalloc
@@ -212,7 +157,7 @@ class TestResample:
         target = GridGeometry(0.5, 0.0, 1.0, n, n)
         tracemalloc.start()
         try:
-            out = resample(src, target, method)
+            out = resample(src, target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,9 +166,8 @@ class TestResample:
 
     def test_all_nodata_stays_all_nodata(self):
         src = make_grid(np.full((4, 4), -9999.0))
-        for method in ("nearest", "bilinear"):
-            out = resample(src, GridGeometry(0.5, 0.5, 1.0, 3, 3), method)
-            assert np.all(np.isnan(out.values))
+        out = resample(src, GridGeometry(0.5, 0.5, 1.0, 3, 3))
+        assert np.all(np.isnan(out.values))
 
     def test_bilinear_ramp_half_cell_offset(self):
         # z = x on the source; at a half-cell x offset the columns with all
@@ -234,7 +178,7 @@ class TestResample:
         vals = np.tile(np.arange(n) + 0.5, (n, 1))
         src = make_grid(vals, origin=(0, 0), cell=1.0)
         target = GridGeometry(0.5, 0.0, 1.0, n - 1, n)
-        out = resample(src, target, "bilinear")
+        out = resample(src, target)
         for c in range(n - 2):
             expect = target.origin_x + c + 0.5
             assert out.values[1:, c] == pytest.approx(expect, abs=1e-12)
@@ -251,7 +195,7 @@ class TestResample:
         tg = GridGeometry(
             geom.origin_x + 3.1, geom.origin_y + 2.7, 1.37, 8, 7
         )
-        out = resample(src, tg, "bilinear")
+        out = resample(src, tg)
         txs = tg.origin_x + (np.arange(tg.n_cols) + 0.5) * tg.cell_size
         tys = tg.origin_y + (tg.n_rows - np.arange(tg.n_rows) - 0.5) * tg.cell_size
         TX, TY = np.meshgrid(txs, tys)
@@ -265,20 +209,8 @@ class TestResample:
         # top-right invalid -> nearest valid of the rest; distances to
         # (0.5,1.5)=0.14, (0.5,0.5)=0.9, (1.5,0.5)=1.27 -> picks 1.0
         tg = GridGeometry(0.1, 0.9, 1.0, 1, 1)
-        out = resample(src, tg, "bilinear")
+        out = resample(src, tg)
         assert out.values[0, 0] == 1.0
-
-    def test_nearest_propagates_nodata(self):
-        vals = np.array([[1.0, -9999.0], [3.0, 4.0]])
-        src = make_grid(vals, cell=1.0)
-        tg = GridGeometry(1.0, 1.0, 1.0, 1, 1)  # center (1.5, 1.5) = nodata cell
-        out = resample(src, tg, "nearest")
-        assert np.isnan(out.values[0, 0])
-
-    def test_unknown_method_rejected(self):
-        src = make_grid(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            resample(src, src.geometry, "cubic")
 
 
 class TestKeyValueLines:
@@ -649,23 +581,6 @@ class TestCodecByteParity:
         exact = [Fraction(v) * 10**6 == Fraction(v * 1e6) for v in half.tolist()]
         assert sum(exact) > 1000 and len(exact) - sum(exact) > 1000
         self._assert_tokens_match_fstring(tmp_path, values, 5)
-
-    def test_integer_rows_match_str(self):
-        vals = np.array([[0, -1, 999_999_999, 10**9, -(10**9), -(2**63)], [2**63 - 1, 7, 0, 1000, -1000, 5]])
-        f = io.BytesIO()
-        raster.write_rows(f, vals)
-        assert f.getvalue().decode() == "".join(" ".join(map(str, row)) + "\n" for row in vals.tolist())
-
-    @settings(max_examples=200, deadline=None)
-    @given(vals=arrays(np.int64, _grids, elements=st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
-        [0, -1, 1, 999, -999, 1000, 999_999, 10**6, 10**9 - 1, 10**9, 10**9 + 1, -(10**9) + 1,
-         -(10**9), -(10**9) - 1, 2**63 - 1, -(2**63), -(2**63) + 1]
-    ) | st.integers(-(10**9) - 3, 10**9 + 3)))
-    def test_integer_rows_match_str_property(self, vals):
-        # around the 10**9 fallback edge and out to +-2**63
-        f = io.BytesIO()
-        raster.write_rows(f, vals)
-        assert f.getvalue().decode() == "".join(" ".join(map(str, row)) + "\n" for row in vals.tolist())
 
     def test_chunk_boundaries_do_not_show(self, tmp_path, monkeypatch):
         # fallback tokens of different widths in different rows: a chunk's

@@ -374,7 +374,7 @@ def _oracle_integer_search(mov, ref, cfg):
 def oracle_align(moving, reference, cfg):
     """The full-grid ``align``: its result and the best integer shift."""
     cell = reference.geometry.cell_size
-    mov = resample(moving, reference.geometry, "bilinear").values
+    mov = resample(moving, reference.geometry).values
     ref = reference.values
     if np.count_nonzero(np.isfinite(mov) & np.isfinite(ref)) < 100:
         raise InsufficientOverlapError
