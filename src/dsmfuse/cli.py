@@ -70,7 +70,7 @@ from .rpc import (
     project,
     read_rpc,
 )
-from .synth import Building, DegradeSpec, SceneSpec, degrade, gen_scene
+from .synth import DegradeSpec, degrade, gen_scene, read_scene
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -381,44 +381,12 @@ def cmd_rpc(opts: SimpleNamespace) -> None:
         print(f"angle_deg={angle:.10g}")
 
 
-def _parse_scene_file(path: str) -> SceneSpec:
-    scalars = {}
-    buildings = []
-    converters = {
-        "seed": int, "width": int, "height": int,
-        "cell_size": float, "ground_height": float, "ground_intensity": float,
-    }
-    for lineno, key, value in key_value_lines(path, "=", ConfigError, "utf-8-sig", {"building"}):
-        try:
-            if key == "building":
-                parts = value.split(",")
-                if len(parts) != 6:
-                    raise ValueError("building needs col,row,ncols,nrows,height,intensity")
-                buildings.append(
-                    Building(
-                        col=int(parts[0]), row=int(parts[1]),
-                        n_cols=int(parts[2]), n_rows=int(parts[3]),
-                        height=float(parts[4]), intensity=float(parts[5]),
-                    )
-                )
-            elif key in converters:
-                scalars[key] = converters[key](value)
-            else:
-                raise ValueError(f"unknown scene key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    for required in ("seed", "width", "height"):
-        if required not in scalars:
-            raise ConfigError(f"{path}: missing scene key {required!r}")
-    return SceneSpec(buildings=tuple(buildings), **scalars)
-
-
 def cmd_synth(opts: SimpleNamespace):
     _require(opts, "scene", "out_dir")
     lo, hi, n = opts.sigma_start, opts.sigma_end, opts.layers
     if n < 0:
         raise ConfigError(f"--layers must be >= 0, got {n}")
-    spec = _parse_scene_file(opts.scene)
+    spec = read_scene(opts.scene, ConfigError)
     dspecs = [  # every layer's spec is checked before anything is written
         DegradeSpec(
             seed=spec.seed * 1000 + i, gaussian_sigma=lo + (hi - lo) * (i / max(n - 1, 1)),
@@ -458,7 +426,8 @@ _ALIGN_FLAGS = {
         AlignConfig.blunder_threshold, {"type": float, "help": "alignment blunder gate, meters"}
     ),
     "max_search": (AlignConfig.max_search, {
-        "type": int, "help": "bound, in cells, of the coarse-to-fine integer shift search",
+        "type": int, "help": "bound, in cells, of the coarse-to-fine integer shift search; "
+        "a shift is scored only if its window holds half the cells valid in both grids unshifted",
     }),
 }
 _RAY_FLAGS = {"meters_per_unit": (DEFAULT_METERS_PER_UNIT, {"type": float})}

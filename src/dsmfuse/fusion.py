@@ -25,10 +25,10 @@ The median of an even candidate count is the average of the two middle
 values.  Fusion streams: ``read_strips`` reads the grids in lockstep, a row
 strip at a time within one byte budget, and ``fuse_strips`` fuses each strip
 for every layer count in ``ks`` with one gate and one gather per row block of
-at most ``_BLOCK_BYTES`` candidate bytes, carrying a radius-row halo to the
-next; ``jobs`` > 1 fuses a strip's blocks on that many threads (numpy's
-sorts, comparisons and copies release the GIL).  Results are bit-identical for
-any strip height, block height, thread count and ``ks``.
+at most ``_BLOCK_BYTES`` candidate bytes, carrying a halo as deep as the
+window reaches to the next; ``jobs`` > 1 fuses a strip's blocks on that many
+threads (numpy's sorts, comparisons and copies release the GIL).  Results
+are bit-identical for any strip height, block height, thread count and ``ks``.
 
 The block budget is 2 MiB per thread.  A block's candidates, intensity steps
 and masks are the adaptive fuse's largest allocation, so the budget sets its
@@ -128,14 +128,15 @@ def read_strips(grids):
 def fuse_strips(strips, cfg: FusionConfig | None = None, jobs: int = 1, ks=None):
     """Fused NaN rows of ``read_strips`` strips, (len(ks), rows, cols) at a time: for each
     ascending k in ``ks`` (default: all layers), the median of the first k grids or, with
-    ``cfg``, their adaptive median (the ortho is the last grid; radius rows wait a strip).
-    An ortho outside [0, 255], the gray scale ``delta_i`` is calibrated on, warns once."""
+    ``cfg``, their adaptive median (the ortho is the last grid; as many rows as the window
+    reaches wait a strip).  An ortho outside [0, 255], the gray scale ``delta_i`` is
+    calibrated on, warns once."""
     if cfg is None:
         yield from (np.stack([_nan_median(s[..., :k]) for k in ks or [s.shape[2]]]) for s in strips)
         return
     offsets = _window_offsets(cfg)  # the center always passes a gamma below 1
     bounds = _intensity_bounds(cfg)  # bisected once per fuse, before the first read
-    rad = cfg.radius
+    rad = max(di for di, _, _ in offsets)  # the window's reach: rows and columns of padding
     strips = iter(strips)
     ahead = next(strips)  # read one strip ahead: the last one takes the bottom padding
     n_cols, n_layers = ahead.shape[1], ahead.shape[2] - 1
@@ -188,14 +189,21 @@ def _window_offsets(cfg: FusionConfig):
 
     An offset whose pure spatial weight is already <= gamma can never
     produce a member (the intensity factor only shrinks the weight), so it
-    is dropped up front.
+    is dropped up front.  ``math.exp`` falls with distance, so no offset of a
+    ring past the first whose on-axis offset fails can pass: the loops stop
+    at the window's reach, however large the radius.
     """
+    def spatial(di, dj):
+        return (di * di + dj * dj) / (2.0 * cfg.delta_s * cfg.delta_s)
+
+    reach = 0
+    while reach < cfg.radius and math.exp(-spatial(reach + 1, 0)) > cfg.gamma:
+        reach += 1
     out = []
-    for di in range(-cfg.radius, cfg.radius + 1):
-        for dj in range(-cfg.radius, cfg.radius + 1):
-            spatial = (di * di + dj * dj) / (2.0 * cfg.delta_s * cfg.delta_s)
-            if math.exp(-spatial) > cfg.gamma:
-                out.append((di, dj, spatial))
+    for di in range(-reach, reach + 1):
+        for dj in range(-reach, reach + 1):
+            if math.exp(-spatial(di, dj)) > cfg.gamma:
+                out.append((di, dj, spatial(di, dj)))
     return out
 
 

@@ -253,7 +253,8 @@ class GridReader(AbstractContextManager):
     Header lines must appear in order: ncols, nrows, xllcorner, yllcorner,
     cellsize, then an optional NODATA_value line (default -9999), then
     nrows rows of ncols whitespace-separated numbers, top row first.  Blank
-    lines are skipped.  Header values must be finite, and cellsize > 0.
+    lines are skipped.  The five geometry values must be finite, and cellsize
+    > 0; NODATA_value may be any float, nan and inf too.
 
     Opening checks the header (``geometry``, ``nodata``); ``read(n)`` parses
     the next n rows with numpy's C text reader, NaN where a token is
@@ -402,11 +403,9 @@ def asc_header(geometry: GridGeometry, nodata: float) -> str:
     def exact(value: float, fmt: str = "%.6f") -> str:
         return fmt % value if float(fmt % value) == value else repr(value)
     g = geometry
-    return (
-        f"ncols {g.n_cols}\nnrows {g.n_rows}\nxllcorner {exact(g.origin_x)}\n"
-        f"yllcorner {exact(g.origin_y)}\ncellsize {exact(g.cell_size)}\n"
-        f"NODATA_value {exact(nodata, '%g')}\n"
-    )
+    values = (g.n_cols, g.n_rows, exact(g.origin_x), exact(g.origin_y), exact(g.cell_size))
+    lines = [*zip(_HEADER_KEYS, values), ("NODATA_value", exact(nodata, "%g"))]
+    return "".join(f"{key} {value}\n" for key, value in lines)
 
 
 # Little-endian words: NUL and k's 3 digits at k, with leading zeros NUL at 1000 + k, the same

@@ -21,12 +21,16 @@ ceil(max_search / 2**level), of at least 2 cells and a short side of at
 least 32 cells.  The coarsest level scores every shift within its reach;
 each finer level doubles the best shift and scores the 3x3 shifts around
 it, clipped to the reach of that level, so the full-resolution shift never
-exceeds max_search.  Both the interpolation and the gradients live on the
-reference side: each moving cell keeps its raw height and is compared to
-the reference sampled at the inversely shifted position.  Blunders in the
-moving grid (the noisy one, in this protocol) therefore stay unblended
-and the threshold gate removes them cleanly instead of letting diluted
-fractions of them leak into the fit.  What depends on the reference alone
+exceeds max_search.  At every level a shift is scored only when its
+window, where the shifted grids overlap, holds at least half of that
+level's unshifted overlap (the cells finite in both): a shift that leaves
+a sliver of a few cells could otherwise score lowest.  Both the
+interpolation and the gradients live on the reference side: each moving
+cell keeps its raw height and is compared to the reference sampled at the
+inversely shifted position.  Blunders in the moving grid (the noisy one,
+in this protocol) therefore stay unblended and the threshold gate removes
+them cleanly instead of letting diluted fractions of them leak into the
+fit.  What depends on the reference alone
 (its NaN grid, pyramid and gradients) is a ``Reference``, built once when
 many grids align to one truth.  The vertical offset has a closed
 form (the mean inlier height difference) and is recomputed every
@@ -248,10 +252,15 @@ def _integer_search(mov: np.ndarray, reference: Reference, cfg: AlignConfig) -> 
         lim = _reach(cfg.max_search, level)
         rad = lim if level == top else 1
         u, v = 2 * u, 2 * v
+        # a window of (h - |cv|) x (w - |cu|) cells is scored only if twice it is at
+        # least the unshifted overlap (and 1): |cv| <= span_v, then |cu| <= span_u
+        (h, w), need = m.shape, max(1, np.count_nonzero(np.isfinite(m) & np.isfinite(r)))
+        span_v = h - -(-need // (2 * w))
         # strict improvement only: ties and an all-NaN level keep the center
         best = (math.inf, u, v)
-        for cv in range(max(v - rad, -lim), min(v + rad, lim) + 1):
-            for cu in range(max(u - rad, -lim), min(u + rad, lim) + 1):
+        for cv in range(max(v - rad, -lim, -span_v), min(v + rad, lim, span_v) + 1):
+            span_u = w - -(-need // (2 * (h - abs(cv))))
+            for cu in range(max(u - rad, -lim, -span_u), min(u + rad, lim, span_u) + 1):
                 score = _fit(_residuals(m, r, -cv, cu)[1], cfg.blunder_threshold)[2]
                 if score < best[0]:
                     best = (score, cu, cv)

@@ -14,11 +14,12 @@ zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
-from .raster import GridGeometry, RasterGrid
+from .raster import GridGeometry, RasterGrid, key_value_lines
 
 
 def _require_finite(spec, *names: str) -> None:
@@ -90,6 +91,32 @@ class DegradeSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+
+
+def read_scene(path, error: type[Exception]) -> SceneSpec:
+    """The ``SceneSpec`` of a UTF-8 scene file's ``key=value`` lines: one per int or float
+    field of ``SceneSpec``, required if it has no default, and ``building=`` lines of
+    ``Building``'s fields, comma-separated.  A bad line or a missing key raises ``error``."""
+    types, part_types = get_type_hints(SceneSpec), get_type_hints(Building)
+    scalars, buildings = {}, []
+    for lineno, key, value in key_value_lines(path, "=", error, "utf-8-sig", {"building"}):
+        try:
+            if key == "building":
+                parts = value.split(",")
+                if len(parts) != len(part_types):
+                    names = ",".join(name.replace("_", "") for name in part_types)
+                    raise ValueError(f"building needs {names}")
+                buildings.append(Building(*(t(part) for t, part in zip(part_types.values(), parts))))
+            elif types.get(key) in (int, float):
+                scalars[key] = types[key](value)
+            else:
+                raise ValueError(f"unknown scene key {key!r}")
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+    for f in fields(SceneSpec):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in scalars:
+            raise error(f"{path}: missing scene key {f.name!r}")
+    return SceneSpec(buildings=tuple(buildings), **scalars)
 
 
 def gen_scene(spec: SceneSpec) -> tuple[RasterGrid, RasterGrid]:

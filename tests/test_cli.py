@@ -629,7 +629,7 @@ class TestFlagTable:
             raise AssertionError("read an input before checking the config")
 
         for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest",
-                     "_parse_scene_file"):
+                     "read_scene"):
             monkeypatch.setattr(cli, name, no_read)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"{key}={_bad_tokens(cli._COMMANDS[command][2][key][1])}\n")

@@ -361,6 +361,31 @@ class TestAdaptiveMedianFuse:
         assert np.all(out.values[valid] >= lo)
         assert np.all(out.values[valid] <= hi)
 
+    def test_radius_past_the_spatial_gate_changes_nothing(self, rng):
+        # at the defaults the spatial gate alone keeps the offsets within 2 cells,
+        # so a larger radius neither changes a bit nor pads the strips deeper
+        import tracemalloc
+
+        stack, ortho = random_stack(rng, 60, 80, 5)
+        fused, peaks = [], []
+        for radius in (3, 50, 400):
+            tracemalloc.start()
+            try:
+                fused.append(adaptive_median_fuse(stack, ortho, FusionConfig(radius=radius)).values.tobytes())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert fused[1] == fused[0] and fused[2] == fused[0]
+        assert peaks[2] - peaks[0] < raster._STRIP_BYTES, peaks
+
+    @settings(max_examples=100, deadline=None)
+    @given(delta_s=st.floats(0.1, 10.0), gamma=st.floats(1e-6, 0.999999), radius=st.integers(0, 15))
+    def test_offsets_are_the_square_filtered_by_the_spatial_gate(self, delta_s, gamma, radius):
+        cfg = FusionConfig(delta_s=delta_s, gamma=gamma, radius=radius)
+        square = [(di, dj, (di * di + dj * dj) / (2.0 * delta_s * delta_s))
+                  for di in range(-radius, radius + 1) for dj in range(-radius, radius + 1)]
+        assert fusion._window_offsets(cfg) == [o for o in square if math.exp(-o[2]) > gamma]
+
     def test_degenerate_gamma_equals_plain_median(self, rng):
         stack, ortho = random_stack(rng, 9, 7, 4)
         cfg = FusionConfig(gamma=0.999999, radius=3)

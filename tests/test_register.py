@@ -7,6 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import register
+from dsmfuse.fusion import adaptive_median_fuse
 from dsmfuse.raster import GeometryMismatchError, GridGeometry, RasterGrid, resample
 from dsmfuse.register import (
     AlignConfig,
@@ -360,8 +361,12 @@ def _oracle_integer_search(mov, ref, cfg):
         rad = lim if level == top else 1
         u, v = 2 * u, 2 * v
         best = (math.inf, u, v)
+        overlap = np.count_nonzero(np.isfinite(m) & np.isfinite(r))
         for cv in range(max(v - rad, -lim), min(v + rad, lim) + 1):
             for cu in range(max(u - rad, -lim), min(u + rad, lim) + 1):
+                window = max(0, m.shape[0] - abs(cv)) * max(0, m.shape[1] - abs(cu))
+                if 2 * window < overlap:  # a sliver of the overlap is not scored
+                    continue
                 d = m - _oracle_int_shift(r, -cv, cu)
                 dz, _ = _oracle_dz_and_inliers(d, cfg.blunder_threshold)
                 score = _oracle_truncated_score(d, dz, cfg.blunder_threshold)
@@ -620,6 +625,44 @@ class TestPreparedReference:
         assert len(reference._levels) == 1
         align(moving, reference, AlignConfig(max_search=10))
         assert [a.shape for a in reference._levels] == [(128, 128), (64, 64), (32, 32)]
+
+
+def readme_fused():
+    """The README walkthrough's adaptive fuse of five layers, and its truth."""
+    buildings = (Building(10, 12, 16, 12, 25.0, 170), Building(45, 30, 14, 16, 12.0, 210))
+    truth, ortho = gen_scene(SceneSpec(seed=42, width=80, height=60, buildings=buildings))
+    layers = [readme_layer(truth, 42 * 1000 + i, 0.2 + 1.3 * i / 4) for i in range(5)]
+    return adaptive_median_fuse(layers, ortho), truth
+
+
+class TestSearchKeepsHalfTheOverlap:
+    """A shift is scored only when its window holds half the unshifted
+    overlap: a window of one cell fits it exactly and would score 0."""
+
+    @pytest.mark.parametrize("case,searches", [
+        ("readme", [100]),
+        ("patch", [100, 400]),  # the benchmark's seed-401 patch of pair ladder step 5
+    ])
+    def test_far_search_gives_the_default_answer(self, case, searches):
+        if case == "readme":
+            moving, truth = readme_fused()
+        else:
+            truth = readme_scene(128, seed=401)
+            moving = readme_layer(truth, 401 * 1000 + 4, 0.1 + 1.4 * 4 / 14)
+        want = align(moving, truth)
+        assert want.converged and want.n_total > 4000
+        for max_search in searches:
+            assert _bits(align(moving, truth, AlignConfig(max_search=max_search))) == _bits(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=oracle_cases(), factor=st.floats(0.0, 3.0))
+    def test_returned_shift_keeps_half_the_overlap(self, case, factor):
+        moving, ref, _ = oracle_case(**case)
+        rows, cols = ref.values.shape
+        cfg = AlignConfig(max_search=int(factor * max(rows, cols)))
+        u, v = register._integer_search(moving.values, register.Reference(ref), cfg)
+        overlap = np.count_nonzero(np.isfinite(moving.values) & np.isfinite(ref.values))
+        assert 2 * max(0, rows - abs(v)) * max(0, cols - abs(u)) >= overlap, (u, v)
 
 
 class TestMedian:
