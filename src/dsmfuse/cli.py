@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -91,6 +92,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+
+def finite(token: str) -> float:
+    """A finite float: argparse names this type in its error, "invalid finite value"."""
+    if math.isfinite(value := float(token)):
+        return value
+    raise ValueError(token)
 
 
 def _flag(key: str) -> str:
@@ -227,10 +235,13 @@ def _open_sources(paths, n_layers: int, exits: ExitStack):
 
 
 def _out_path(opts: SimpleNamespace) -> Path:
-    """``--out``, checked to lie in an existing directory before any input is read."""
+    """``--out``, checked to lie in an existing directory, and not to be one, before any
+    input is read."""
     out = Path(opts.out)
     if not out.parent.is_dir():
         raise FileNotFoundError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
     return out
 
 
@@ -450,7 +461,7 @@ _COMMANDS = {
         "max_angle": (PairGate.max_angle, {"type": float}),
         "top_k": (PairGate.top_k, {"type": int}),
         "at": (None, {
-            "nargs": 3, "type": float, "metavar": ("U", "V", "Z"),
+            "nargs": 3, "type": finite, "metavar": ("U", "V", "Z"),
             "help": "ground point for angle evaluation (default: truth center)",
         }),
         **_RAY_FLAGS,
@@ -474,7 +485,7 @@ _COMMANDS = {
         "action": (None, {"nargs": "?", "choices": ("project", "invert", "angle")}),
         "rpc": (None, {"help": "RPC text file"}),
         "rpc_b": (None, {"help": "second RPC file (angle)"}),
-        **{key: (None, {"type": float}) for key in ("u", "v", "z", "s", "l")},
+        **{key: (None, {"type": finite}) for key in ("u", "v", "z", "s", "l")},
         **_RAY_FLAGS,
     }),
     "synth": (cmd_synth, "generate a synthetic scene", {

@@ -64,8 +64,9 @@ class FusionConfig:
     """Adaptive-window parameters.
 
     delta_s is in cells, delta_i in gray levels on a 0-255 intensity scale,
-    gamma in (0, 1), radius in cells (half-width of the square search
-    window).  Only the average-of-two-middles median tie rule is supported.
+    both finite and > 0, gamma in (0, 1), radius in cells (half-width of the
+    square search window).  Only the average-of-two-middles median tie rule
+    is supported.
     """
 
     delta_s: float = 2.5
@@ -74,10 +75,9 @@ class FusionConfig:
     radius: int = 3
 
     def __post_init__(self):
-        if not self.delta_s > 0:
-            raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
-        if not self.delta_i > 0:
-            raise ValueError(f"delta_i must be > 0, got {self.delta_i}")
+        for name in ("delta_s", "delta_i"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.radius < 0:

@@ -8,9 +8,9 @@ Conventions (stated once, used everywhere):
   northernmost row, and rows count from the top.
 * In memory a cell without a valid sample is NaN, in every grid and strip.
   The nodata sentinel (default -9999) marks such cells in files only:
-  reading turns it, and any non-finite token, into NaN (``_nan_marked``),
-  and the ASC writers turn every non-finite value back into it a chunk at a
-  time (``write_rows``).
+  ``GridReader.read`` alone turns it, and any infinite token, into NaN, and
+  ``write_rows`` alone turns every non-finite value back into it.  A height
+  computed in memory is kept as it is, even when it equals a sentinel.
 
 Grids are immutable after construction (the value array is read-only), so
 any number of concurrent readers is safe.  ``GridReader`` parses
@@ -40,20 +40,6 @@ _STRIP_BYTES = 1 << 20  # float64 bytes per row strip, over every grid read in l
 def strip_rows(n_cols: int, n_grids: int) -> int:
     """Rows per strip when ``n_grids`` grids of ``n_cols`` columns are read in lockstep."""
     return max(1, _STRIP_BYTES // (n_cols * n_grids * 8))
-
-
-def _nan_marked(a: np.ndarray, nodata: float) -> np.ndarray:
-    """Float64 ``a`` with every cell that is ``nodata`` or infinite set to NaN, a strip
-    of rows at a time: in place if ``a`` is writeable, else in one copy, made only when
-    some cell needs it."""
-    rows = strip_rows(a.shape[1], 8)  # an eighth of the strip budget: small boolean masks
-    for r in range(0, len(a), rows):
-        bad = np.isinf(a[r : r + rows]) | (a[r : r + rows] == nodata)
-        if bad.any():
-            if not a.flags.writeable:
-                a = a.copy()
-            a[r : r + rows][bad] = np.nan
-    return a
 
 
 class AsciiGridError(Exception):
@@ -147,9 +133,9 @@ class RasterGrid:
     """A georeferenced grid of heights (meters) or intensities (gray levels).
 
     ``values`` is a read-only float64 array of shape (n_rows, n_cols), NaN
-    where a cell holds no sample: the given values with every ``nodata`` or
-    infinite cell set to NaN, in a copy unless they already are such an
-    array.  ``nodata`` is the sentinel that marks those cells in a file.
+    where a cell holds no sample: the given values as they are, in a copy
+    unless they already are such an array.  ``nodata`` is only what a writer
+    prints for NaN; no value is compared with it.
     """
 
     def __init__(self, geometry: GridGeometry, values, nodata: float = DEFAULT_NODATA):
@@ -160,7 +146,6 @@ class RasterGrid:
                 f"values shape {arr.shape} does not match geometry "
                 f"({geometry.n_rows}, {geometry.n_cols})"
             )
-        arr = _nan_marked(arr, nodata)
         arr.flags.writeable = False
         self.geometry = geometry
         self.values = arr
@@ -294,7 +279,10 @@ class GridReader(AbstractContextManager):
             strip = None
         if strip is None or strip.shape != (n, g.n_cols):
             strip = _parse_rows(lines, self.path, r0, g.n_cols)
-        return _nan_marked(strip, self.nodata)
+        rows = strip_rows(g.n_cols, 8)  # an eighth of the strip budget: small boolean masks
+        for s in (strip[r : r + rows] for r in range(0, n, rows)):
+            s[np.isinf(s) | (s == self.nodata)] = np.nan
+        return strip
 
     def grid(self) -> RasterGrid:
         """Every row, read from a reader none has been read from, as a ``RasterGrid``."""
@@ -454,9 +442,9 @@ def _tokens(rows: np.ndarray) -> bytes:
     return u8.tobytes().translate(None, b"\0")
 
 
-def write_rows(f, rows: np.ndarray, nodata: float | None = None) -> None:
+def write_rows(f, rows: np.ndarray, nodata: float) -> None:
     """Write 2-D float ``rows`` to binary file ``f`` as ASCII-grid lines of ``%.6f``
-    tokens, each non-finite value as ``nodata`` when that is given,
+    tokens, each non-finite value as ``nodata``,
     with the bytes ``%`` gives, a chunk of rows at a time: in
     numpy, ``x = v * 1e6`` is rounded to an integer ``n``.  ``x`` is the double nearest
     the exact product and every half below 2**52 is a double, so ``rint(x)`` is right
@@ -465,13 +453,11 @@ def write_rows(f, rows: np.ndarray, nodata: float | None = None) -> None:
     words, ``[sign|g0] [NUL|g1] [NUL|g2] ['.'|f_hi] [f_lo|sep]`` for ``n``'s 3-digit
     groups, less the leading words NUL in every slot of a chunk (integer parts all
     below 10**6 or 1000); ``bytes.translate`` drops NULs.
-    ``%`` prints non-finite values and ``|n| >= 1e15``, widening their chunk's slots."""
+    ``%`` prints a non-finite ``nodata`` and ``|n| >= 1e15``, widening their chunk's slots."""
     step = strip_rows(rows.shape[1], 16)  # a chunk's temporaries share one budget
     for r in range(0, len(rows), step):
         chunk = rows[r : r + step]
-        if nodata is not None:
-            chunk = np.where(np.isfinite(chunk), chunk, nodata)
-        f.write(_tokens(chunk))
+        f.write(_tokens(np.where(np.isfinite(chunk), chunk, nodata)))
 
 
 def write_asc(grid: RasterGrid, path) -> None:

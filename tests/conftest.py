@@ -6,7 +6,10 @@ from dsmfuse.rpc import RpcModel
 
 
 def grid_of(values, origin=(0.0, 0.0), cell=1.0, nodata=-9999.0) -> RasterGrid:
-    arr = np.asarray(values, dtype=float)
+    """A grid of ``values`` with each ``nodata`` or infinite cell missing (NaN), as
+    reading a file with that ``NODATA_value`` would give."""
+    arr = np.array(values, dtype=float)
+    arr[np.isinf(arr) | (arr == nodata)] = np.nan
     geom = GridGeometry(origin[0], origin[1], cell, arr.shape[1], arr.shape[0])
     return RasterGrid(geom, arr, nodata)
 

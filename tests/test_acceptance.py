@@ -167,7 +167,7 @@ def test_criterion_05_edge_preservation():
         hole_rng = np.random.default_rng(1000 + i)
         holes = hole_rng.random((n_rows, band)) < hole_p
         block = vals[:, edge : edge + band]
-        block[holes] = -9999.0
+        block[holes] = np.nan
         vals[:, edge : edge + band] = block
         layers.append(RasterGrid(geom, vals))
 

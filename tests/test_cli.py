@@ -34,6 +34,12 @@ def hill_grid(n=40, amplitude=20.0, offset=0.0, dx=0.0):
     return RasterGrid(geom, h + offset)
 
 
+def write_text_grid(path, row, n_rows, xll=0.0, nodata="-9999"):
+    """An ASCII grid of ``n_rows`` copies of the data line ``row``, unit cells, at (xll, 0)."""
+    path.write_text(f"ncols {len(row.split())}\nnrows {n_rows}\nxllcorner {xll}\nyllcorner 0\n"
+                    f"cellsize 1\nNODATA_value {nodata}\n" + f"{row}\n" * n_rows)
+
+
 def run_interpreter(*args, cwd=None):
     """``python ARGS`` in a fresh interpreter that imports this dsmfuse, its
     stdout and stderr through pipes, buffered as by default, so an output
@@ -207,7 +213,7 @@ class TestFuse:
                     continue
                 with open(tmp_path / kind / name, "wb") as f:  # NaN as a nan token
                     f.write(raster.asc_header(grid_of(vals).geometry, -9999.0).encode())
-                    raster.write_rows(f, vals)
+                    raster.write_rows(f, vals, np.nan)
             assert main(["fuse", "--layers", *(str(tmp_path / kind / n) for n in names[:3]),
                          "--mode", mode, "--ortho", str(tmp_path / kind / "ortho.asc"),
                          "--out", str(tmp_path / f"{kind}.asc")]) == 0
@@ -215,6 +221,23 @@ class TestFuse:
         for ext in (".asc", ".pgm"):
             short = (tmp_path / "short").with_suffix(ext).read_bytes()
             assert short == (tmp_path / "full").with_suffix(ext).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["median", "adaptive"])
+    def test_off_grid_layer_fuses_alike_whatever_its_nodata(self, tmp_path, mode):
+        # a layer half a cell east of alternating +-1 columns resamples to exact zeros
+        # inside; with NODATA_value 0 they are heights all the same
+        write_text_grid(tmp_path / "flat.asc", "5 5 5 5 5 5", 4)
+        write_text_grid(tmp_path / "ortho.asc", "100 100 100 100 100 100", 4)
+        rows = {}
+        for nodata in ("0", "-9999"):
+            write_text_grid(tmp_path / f"east{nodata}.asc", "1 -1 1 -1 1 -1", 4, 0.5, nodata)
+            out = tmp_path / f"fused{nodata}.asc"
+            assert main(["fuse", "--layers", str(tmp_path / "flat.asc"), str(tmp_path / f"east{nodata}.asc"),
+                         "--mode", mode, "--ortho", str(tmp_path / "ortho.asc"), "--out", str(out)]) == 0
+            rows[nodata] = out.read_text().splitlines()[6:]
+        assert rows["0"] == rows["-9999"]
+        if mode == "median":  # the median of 5 and an interpolated 0
+            assert rows["0"][1:] == ["3.000000" + " 2.500000" * 5] * 3
 
     def test_jobs_zero_exit_4(self, tmp_path, capsys):
         write_asc(hill_grid(), tmp_path / "l.asc")
@@ -588,7 +611,8 @@ def _valid_tokens(kwargs):
         return [kwargs["choices"][-1]]
     nargs = kwargs.get("nargs")
     count = nargs if isinstance(nargs, int) else 2 if nargs == "+" else 1
-    pool = {int: ["7", "-3", "12"], float: ["2.25", "-1.5", "3e2"],
+    floats = ["2.25", "-1.5", "3e2"]
+    pool = {int: ["7", "-3", "12"], float: floats, cli.finite: floats,
             str: ["a.asc", "dir/b.asc", "c.asc"]}[kwargs.get("type", str)]
     return pool[:count]
 
@@ -601,7 +625,7 @@ def _bad_tokens(kwargs):
         return "1 2"
     if kwargs.get("nargs") == "+":
         return ""
-    return {int: "2.5", float: "abc", str: None}[kwargs.get("type", str)]
+    return {int: "2.5", float: "abc", cli.finite: "inf", str: None}[kwargs.get("type", str)]
 
 
 class TestFlagTable:
@@ -664,6 +688,52 @@ class TestFlagTable:
         monkeypatch.setattr(cli, "GridReader", no_read)
         assert main([*argv, "--layers", "l.asc", "--gamma", "1", "--out", "o.asc"]) == 4
         assert "gamma must be in (0, 1), got 1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--delta-s", "--delta-i"])
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--mode", "adaptive", "--ortho", "ortho.asc"],
+        ["curve", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+    ], ids=["fuse", "curve"])
+    def test_infinite_scale_exit_4_before_reading(self, capsys, monkeypatch, argv, flag):
+        def no_read(path):
+            raise AssertionError(f"read {path} before checking {flag}")
+
+        monkeypatch.setattr(cli, "read_asc", no_read)
+        monkeypatch.setattr(cli, "GridReader", no_read)
+        assert main([*argv, "--layers", "l.asc", flag, "inf", "--out", "o.asc"]) == 4
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and > 0, got inf\n"
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("argv, key, tokens", [
+        (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv"],
+         "at", ["0", "0", "inf"]),
+        (["rank", "--manifest", "pairs.csv", "--truth", "truth.asc", "--out", "o.csv"],
+         "at", ["nan", "0", "0"]),
+        *((["rpc", "project", "--rpc", "a.rpc"], key, ["nan"]) for key in "uvz"),
+        *((["rpc", "invert", "--rpc", "a.rpc"], key, ["inf"]) for key in "sl"),
+        (["rpc", "angle", "--rpc", "a.rpc", "--rpc-b", "b.rpc"], "u", ["inf"]),
+    ])
+    def test_non_finite_coordinate_exit_4_before_reading(
+        self, tmp_path, capsys, monkeypatch, argv, key, tokens, given
+    ):
+        def no_read(*args):
+            raise AssertionError("read an input before checking the coordinates")
+
+        for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest"):
+            monkeypatch.setattr(cli, name, no_read)
+        if given == "flag":
+            argv, where = [*argv, f"--{key}", *tokens], ""
+        else:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{key}={', '.join(tokens)}\n")
+            argv, where = [*argv, "--config", str(cfg)], f"config key {key!r}: "
+        bad = next(t for t in tokens if t != "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.endswith(f"\nerror: {where}argument --{key}: invalid finite value: {bad!r}\n")
 
     @pytest.mark.parametrize("flag, message", [
         (["--threshold", "0"], "blunder_threshold must be > 0"),
@@ -839,6 +909,24 @@ class TestMissingOutDir:
         assert capsys.readouterr().err == f"error: output directory {missing} does not exist\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--layers", "l.asc", "--mode", "median"],
+        ["rank", "--manifest", "pairs.csv", "--truth", "truth.asc"],
+        ["eval", "--computed", "c.asc", "--truth", "truth.asc"],
+        ["curve", "--layers", "l.asc", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+    ], ids=["fuse", "rank", "eval", "curve"])
+    def test_out_that_is_a_directory_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, argv):
+        def no_read(*args):
+            raise AssertionError("read an input before checking --out")
+
+        for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest"):
+            monkeypatch.setattr(cli, name, no_read)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
 
 class TestEval:
     def test_identical_inputs_zero_rmse(self, tmp_path):
@@ -865,6 +953,18 @@ class TestEval:
         dz = float(row[4])
         assert rmse_all == pytest.approx(0.0, abs=1e-4)
         assert dz == pytest.approx(-1.0, abs=1e-3)
+
+    def test_off_grid_dsm_evaluates_alike_whatever_its_nodata(self, tmp_path):
+        # the DSM's +-1 columns lie half a cell east of the truth's grid, so align's
+        # resample gives exact zeros; with NODATA_value 0 they are heights all the same
+        write_text_grid(tmp_path / "truth.asc", " ".join(["0"] * 20), 20)
+        out = {}
+        for nodata in ("0", "-9999"):
+            write_text_grid(tmp_path / f"dsm{nodata}.asc", " ".join(["1", "-1"] * 10), 20, 0.5, nodata)
+            out[nodata] = tmp_path / f"eval{nodata}.csv"
+            assert main(["eval", "--computed", str(tmp_path / f"dsm{nodata}.asc"),
+                         "--truth", str(tmp_path / "truth.asc"), "--out", str(out[nodata])]) == 0
+        assert out["0"].read_bytes() == out["-9999"].read_bytes()
 
     @pytest.mark.parametrize("header", ["ncols inf", "ncols nan", "cellsize 0"])
     def test_bad_header_value_exit_2(self, tmp_path, capsys, header):

@@ -796,6 +796,12 @@ class TestConfigAndStack:
         with pytest.raises(ValueError):
             FusionConfig(radius=-1)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["delta_s", "delta_i"])
+    def test_scales_finite_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {bad}"):
+            FusionConfig(**{name: bad})
+
     def test_stack_needs_layers(self):
         with pytest.raises(ValueError):
             median_fuse([])

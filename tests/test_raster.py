@@ -26,11 +26,7 @@ from dsmfuse.raster import (
     write_pgm,
 )
 
-
-def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=-9999.0):
-    arr = np.asarray(values, dtype=float)
-    geom = GridGeometry(origin[0], origin[1], cell, arr.shape[1], arr.shape[0])
-    return RasterGrid(geom, arr, nodata)
+from conftest import grid_of
 
 
 def pgm_of(grid, path, rows=None):
@@ -69,29 +65,9 @@ class TestGeometryValidation:
             RasterGrid(geom, np.zeros((3, 3)))
 
     def test_values_read_only(self):
-        grid = make_grid(np.zeros((2, 2)))
+        grid = grid_of(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             grid.values[0, 0] = 1.0
-
-    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
-    def test_constructor_copies_a_sentinel_grid_once(self, writeable):
-        # numpy reports its buffers to tracemalloc
-        import tracemalloc
-
-        vals = np.random.default_rng(3).normal(size=(512, 512))
-        vals[::7, ::3] = -9999.0
-        vals[1, ::5] = np.inf
-        vals.flags.writeable = writeable
-        tracemalloc.start()
-        try:
-            grid = RasterGrid(GridGeometry(0, 0, 1.0, 512, 512), vals, -9999.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * vals.nbytes, peak / vals.nbytes
-        assert vals[0, 0] == -9999.0 and not grid.values.flags.writeable
-        want = np.where(np.isfinite(vals) & (vals != -9999.0), vals, np.nan)
-        assert np.array_equal(grid.values, want, equal_nan=True)
 
     def test_constructor_shares_a_read_only_nan_grid(self):
         import tracemalloc
@@ -108,15 +84,37 @@ class TestGeometryValidation:
         assert grid.values is vals
         assert peak < 0.1 * vals.nbytes, peak / vals.nbytes
 
+    def test_constructor_keeps_a_height_equal_to_nodata(self):
+        # only reading a file marks its sentinel: a height given in memory stays, in a
+        # read-only copy of a writeable array
+        vals = np.array([[0.0, 1.0]])
+        grid = RasterGrid(GridGeometry(0, 0, 1.0, 2, 1), vals, nodata=0.0)
+        vals[0, 0] = 7.0
+        assert grid.values.tolist() == [[0.0, 1.0]] and not grid.values.flags.writeable
+        assert grid.valid_mask().all()
+
 
 class TestResample:
+    def test_interpolants_equal_to_nodata_stay_heights(self, tmp_path):
+        # +-1 columns half a cell east interpolate to exact zeros; a source read with
+        # NODATA_value 0 resamples to the same heights as its -9999 twin
+        out = {}
+        for nodata in ("0", "-9999"):
+            p = tmp_path / f"east{nodata}.asc"
+            p.write_text("ncols 4\nnrows 3\nxllcorner 0.5\nyllcorner 0\ncellsize 1\n"
+                         f"NODATA_value {nodata}\n" + "1 -1 1 -1\n" * 3)
+            out[nodata] = resample(read_asc(p), GridGeometry(0, 0, 1.0, 4, 3)).values
+        assert np.array_equal(out["0"], out["-9999"])
+        assert not np.isnan(out["0"]).any()
+        assert (out["0"] == 0.0).sum() == 6
+
     def test_identity_both_methods_bit_identical(self):
         # both ways onto a cell-aligned target are exact: the source's own
         # geometry returns ``src``, and the interpolating path reproduces its cells
         rng = np.random.default_rng(3)
         vals = rng.normal(10, 5, size=(9, 7))
         vals[rng.random((9, 7)) < 0.2] = -9999.0
-        src = make_grid(vals, origin=(12.5, -33.25), cell=0.3)
+        src = grid_of(vals, origin=(12.5, -33.25), cell=0.3)
         assert resample(src, src.geometry) is src
         # the cells around the source get no value
         out = resample(src, enlarged(src.geometry, 2)).values.copy()
@@ -131,7 +129,7 @@ class TestResample:
         n_rows, n_cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
         vals = rng.choice([-9999.0, np.nan, -0.0, 0.0, 1.5], size=(n_rows, n_cols))
         vals = np.where(rng.random(vals.shape) < 0.5, rng.normal(0, 10, vals.shape), vals)
-        src = make_grid(vals, origin=tuple(rng.uniform(-50, 50, 2)), cell=rng.uniform(0.1, 3))
+        src = grid_of(vals, origin=tuple(rng.uniform(-50, 50, 2)), cell=rng.uniform(0.1, 3))
         g = src.geometry
         ratio = data.draw(st.sampled_from([0.5, 1.0, 2.0, 1 / 3, 3.0]) | st.floats(0.2, 4.0))
         target = GridGeometry(
@@ -153,7 +151,7 @@ class TestResample:
         import tracemalloc
 
         n = 800
-        src = make_grid(np.random.default_rng(2).normal(size=(n, n)))
+        src = grid_of(np.random.default_rng(2).normal(size=(n, n)))
         target = GridGeometry(0.5, 0.0, 1.0, n, n)
         tracemalloc.start()
         try:
@@ -165,7 +163,7 @@ class TestResample:
         assert peak < n * n * 8 + 2 * 2**20, peak
 
     def test_all_nodata_stays_all_nodata(self):
-        src = make_grid(np.full((4, 4), -9999.0))
+        src = grid_of(np.full((4, 4), -9999.0))
         out = resample(src, GridGeometry(0.5, 0.5, 1.0, 3, 3))
         assert np.all(np.isnan(out.values))
 
@@ -176,7 +174,7 @@ class TestResample:
         # full support square and take the fallback path instead.
         n = 6
         vals = np.tile(np.arange(n) + 0.5, (n, 1))
-        src = make_grid(vals, origin=(0, 0), cell=1.0)
+        src = grid_of(vals, origin=(0, 0), cell=1.0)
         target = GridGeometry(0.5, 0.0, 1.0, n - 1, n)
         out = resample(src, target)
         for c in range(n - 2):
@@ -204,7 +202,7 @@ class TestResample:
 
     def test_bilinear_falls_back_to_nearest_valid_neighbor(self):
         vals = np.array([[1.0, -9999.0], [3.0, 4.0]])
-        src = make_grid(vals, cell=1.0)
+        src = grid_of(vals, cell=1.0)
         # target point at (0.6, 1.4): support corners are all four cells,
         # top-right invalid -> nearest valid of the rest; distances to
         # (0.5,1.5)=0.14, (0.5,0.5)=0.9, (1.5,0.5)=1.27 -> picks 1.0
@@ -254,7 +252,7 @@ class TestAsciiGrid:
     def test_round_trip_with_nodata(self, tmp_path):
         # the sentinel, NaN and infinities are all NaN in memory and nodata in the file
         vals = np.array([[1.5, -9999.0, np.nan], [2.25, 3.125, -np.inf], [np.inf, 0.5, -0.0]])
-        src = make_grid(vals, origin=(100.0, 200.0), cell=2.5)
+        src = grid_of(vals, origin=(100.0, 200.0), cell=2.5)
         p, again = tmp_path / "g.asc", tmp_path / "again.asc"
         write_asc(src, p)
         assert p.read_text().splitlines()[6:] == [
@@ -271,7 +269,7 @@ class TestAsciiGrid:
 
     def test_round_trip_six_decimal_precision(self, tmp_path):
         rng = np.random.default_rng(5)
-        src = make_grid(rng.normal(100, 30, size=(5, 4)))
+        src = grid_of(rng.normal(100, 30, size=(5, 4)))
         p = tmp_path / "g.asc"
         write_asc(src, p)
         back = read_asc(p)
@@ -349,13 +347,13 @@ class TestAsciiGrid:
     def test_one_row_or_one_column(self, tmp_path, shape):
         vals = np.arange(math.prod(shape), dtype=float).reshape(shape) - 1.5
         p = tmp_path / "g.asc"
-        write_asc(make_grid(vals), p)
+        write_asc(grid_of(vals), p)
         back = read_asc(p)
         assert back.values.shape == shape
         assert np.array_equal(back.values, vals)
 
     def test_top_row_written_first(self, tmp_path):
-        src = make_grid(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        src = grid_of(np.array([[1.0, 2.0], [3.0, 4.0]]))
         p = tmp_path / "g.asc"
         write_asc(src, p)
         data_lines = p.read_text().strip().splitlines()[6:]
@@ -364,14 +362,14 @@ class TestAsciiGrid:
 
     def test_default_nodata_header_bytes(self, tmp_path):
         p = tmp_path / "g.asc"
-        write_asc(make_grid(np.array([[1.0, -9999.0]])), p)
+        write_asc(grid_of(np.array([[1.0, -9999.0]])), p)
         assert p.read_text().splitlines()[5] == "NODATA_value -9999"
 
     @pytest.mark.parametrize("nodata", [-3.4028234663852886e38, 123456.789])
     def test_nodata_survives_round_trip(self, tmp_path, nodata):
         # ':g' keeps 6 significant digits: these came back as -3.40282e+38
         # and 123457, turning every nodata cell into a valid height
-        src = make_grid(np.array([[1.0, nodata, 2.0]]), nodata=nodata)
+        src = grid_of(np.array([[1.0, nodata, 2.0]]), nodata=nodata)
         p = tmp_path / "g.asc"
         write_asc(src, p)
         back = read_asc(p)
@@ -380,7 +378,7 @@ class TestAsciiGrid:
 
     def test_geographic_header_bytes(self, tmp_path):
         # 1 m cells in degrees: %.6f would write 0.000009 and -58.123457
-        src = make_grid(np.array([[1.0, 2.0]]), origin=(-58.123456789, -34.5),
+        src = grid_of(np.array([[1.0, 2.0]]), origin=(-58.123456789, -34.5),
                         cell=8.983152841195214e-06)
         p = tmp_path / "g.asc"
         write_asc(src, p)
@@ -397,7 +395,7 @@ class TestAsciiGrid:
         .filter(lambda v: float("%.6f" % v) == v),
     )
     def test_header_round_trips_exactly_property(self, tmp_path_factory, origin, cell, nodata):
-        src = make_grid(np.array([[1.0, nodata]]), origin=origin, cell=cell, nodata=nodata)
+        src = grid_of(np.array([[1.0, nodata]]), origin=origin, cell=cell, nodata=nodata)
         p = tmp_path_factory.mktemp("hdr") / "g.asc"
         write_asc(src, p)
         back = read_asc(p)
@@ -409,7 +407,7 @@ class TestAsciiGrid:
         # -1e-7 is written to its cells as -0.000000, which reads back as 0
         p = tmp_path / "g.asc"
         with pytest.raises(ValueError):
-            write_asc(make_grid(np.array([[1.0, -1e-7]]), nodata=-1e-7), p)
+            write_asc(grid_of(np.array([[1.0, -1e-7]]), nodata=-1e-7), p)
         assert not p.exists()
 
 
@@ -513,31 +511,32 @@ class TestCodecByteParity:
 
     def test_binary_ties_round_half_even(self, tmp_path):
         p = tmp_path / "g.asc"
-        write_asc(make_grid(np.array([[0.0078125, -0.0078125, 0.0234375, -0.0]])), p)
+        write_asc(grid_of(np.array([[0.0078125, -0.0078125, 0.0234375, -0.0]])), p)
         assert p.read_text().splitlines()[6] == "0.007812 -0.007812 0.023438 -0.000000"
 
     @_fixture_ok
     @given(vals=arrays(np.float64, _grids, elements=st.floats() | st.sampled_from(_EDGE_FLOATS)))
     def test_write_asc_tokens_match_fstring(self, tmp_path, vals):
-        # write_rows prints non-finite values as % does; write_asc prints them as nodata
+        # write_rows prints non-finite values as nodata, NaN here, as % does
         f = io.BytesIO()
-        raster.write_rows(f, vals)
-        assert f.getvalue().decode() == "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in vals)
+        raster.write_rows(f, vals, np.nan)
+        printed = np.where(np.isfinite(vals), vals, np.nan)
+        assert f.getvalue().decode() == "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in printed)
         p = _fresh(tmp_path, ".asc")
-        write_asc(make_grid(vals), p)
+        write_asc(grid_of(vals), p)
         rows = p.read_text().split("\n")[6:]
         assert rows[-1] == ""
         written = np.where(np.isfinite(vals), vals, -9999.0)
         assert [r.split(" ") for r in rows[:-1]] == [[f"{v:.6f}" for v in row] for row in written]
 
-    def _assert_tokens_match_fstring(self, tmp_path, values, n_cols):
+    def _assert_tokens_match_fstring(self, tmp_path, values, n_cols, nodata=np.nan):
         vals = np.asarray(values, np.float64).reshape(-1, n_cols)
         f = io.BytesIO()
-        raster.write_rows(f, vals)
+        raster.write_rows(f, vals, nodata)
         rows = f.getvalue().decode().split("\n")
         assert rows[-1] == ""
         got = [tok for row in rows[:-1] for tok in row.split(" ")]
-        expected = [f"{v:.6f}" for v in vals.ravel().tolist()]
+        expected = [f"{v:.6f}" for v in np.where(np.isfinite(vals), vals, nodata).ravel().tolist()]
         assert len(got) == len(expected)
         bad = [(v, g, e) for v, g, e in zip(vals.ravel().tolist(), got, expected) if g != e]
         assert not bad, bad[:5]
@@ -556,7 +555,8 @@ class TestCodecByteParity:
     def test_large_non_finite_and_signed_zero_match_fstring(self, tmp_path):
         values = [1e9, -1e9, 1e300, -1e300, np.nextafter(1e9, 0), 999999999.9999996,
                   np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, -1e-9, -4e-7, 1e15]
-        self._assert_tokens_match_fstring(tmp_path, values, 4)
+        for nodata in (np.nan, np.inf, -np.inf, -9999.0):
+            self._assert_tokens_match_fstring(tmp_path, values, 4, nodata)
 
     def test_log_uniform_sweep_matches_fstring(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -589,9 +589,9 @@ class TestCodecByteParity:
         vals[[1, 4, 6], [2, 0, 6]] = [1e300, np.nan, 0.0078125]
         whole, cut = tmp_path / "whole.asc", tmp_path / "cut.asc"
         monkeypatch.setattr(raster, "_STRIP_BYTES", 1 << 30)
-        write_asc(make_grid(vals), whole)
+        write_asc(grid_of(vals), whole)
         monkeypatch.setattr(raster, "_STRIP_BYTES", 1)  # one row per chunk
-        write_asc(make_grid(vals), cut)
+        write_asc(grid_of(vals), cut)
         assert cut.read_bytes() == whole.read_bytes()
 
     def test_write_asc_peak_memory_is_a_chunk(self, tmp_path):
@@ -599,7 +599,7 @@ class TestCodecByteParity:
         # every array the writer makes
         import tracemalloc
 
-        grid = make_grid(np.random.default_rng(5).normal(50.0, 20.0, (2048, 2048)))
+        grid = grid_of(np.random.default_rng(5).normal(50.0, 20.0, (2048, 2048)))
         tracemalloc.start()
         try:
             write_asc(grid, tmp_path / "big.asc")
@@ -634,7 +634,7 @@ class TestCodecByteParity:
         hole.flat[0] = hole.flat[-1] = False
         vals = np.where(hole, -9999.0, gray.astype(float))
         p = _fresh(tmp_path, ".pgm")
-        pgm_of(make_grid(vals), p)
+        pgm_of(grid_of(vals), p)
         expected = np.where(hole, 0, gray)
         assert p.read_text().split("\n")[3:] == [
             " ".join(str(v) for v in row) for row in expected
@@ -701,7 +701,7 @@ class TestCodecByteParity:
         vals = np.zeros((n, n))
         vals[-1, 0] = 10.0
         p = tmp_path / "g.asc"
-        write_asc(make_grid(vals), p)
+        write_asc(grid_of(vals), p)
         p.write_bytes(p.read_bytes().replace(b"10.000000", b"1_0.000000"))
         rows = raster.strip_rows(n, 1)
         with GridReader(p) as reader:
@@ -718,7 +718,7 @@ class TestCodecByteParity:
 
 class TestPgm:
     def test_stretch_and_nodata(self, tmp_path):
-        src = make_grid(np.array([[0.0, 5.0], [10.0, -9999.0]]))
+        src = grid_of(np.array([[0.0, 5.0], [10.0, -9999.0]]))
         p = tmp_path / "g.pgm"
         pgm_of(src, p)
         lines = p.read_text().splitlines()
@@ -729,7 +729,7 @@ class TestPgm:
         assert lines[4].split() == ["255", "0"]
 
     def test_constant_grid_renders_white(self, tmp_path):
-        src = make_grid(np.full((2, 2), 7.0))
+        src = grid_of(np.full((2, 2), 7.0))
         p = tmp_path / "g.pgm"
         pgm_of(src, p)
         body = p.read_text().splitlines()[3:]
@@ -741,6 +741,6 @@ class TestPgm:
            rows=st.integers(1, 9))
     def test_strip_height_does_not_change_bytes(self, tmp_path, vals, rows):
         whole, cut = _fresh(tmp_path, ".pgm"), _fresh(tmp_path, ".pgm")
-        pgm_of(make_grid(vals), whole)
-        pgm_of(make_grid(vals), cut, rows)
+        pgm_of(grid_of(vals), whole)
+        pgm_of(grid_of(vals), cut, rows)
         assert cut.read_bytes() == whole.read_bytes()

@@ -471,8 +471,8 @@ def oracle_case(rows, cols, east, north, holes, spikes, flat, max_search, seed):
     # as many again near the 6 m gate, where a small change of dz flips them
     hit = rng.random((rows, cols)) < spikes
     mov[hit] += rng.choice([-1.0, 1.0], int(hit.sum())) * rng.uniform(5.0, 7.0, int(hit.sum()))
-    mov[rng.random((rows, cols)) < holes] = -9999.0
-    ref[rng.random((rows, cols)) < holes / 2] = -9999.0
+    mov[rng.random((rows, cols)) < holes] = np.nan
+    ref[rng.random((rows, cols)) < holes / 2] = np.nan
     geom = GridGeometry(0.0, 0.0, 0.5, cols, rows)
     return RasterGrid(geom, mov), RasterGrid(geom, ref), AlignConfig(max_search=max_search)
 

@@ -90,8 +90,8 @@ def _degrade_oracle(truth: RasterGrid, spec: DegradeSpec) -> RasterGrid:
         out[sel] += sign[sel] * spec.spike_amp
     if spec.hole_prob > 0:
         holes = hole_rng.random(size=shape) < spec.hole_prob
-        out[holes & valid] = truth.nodata
-    out[~valid] = truth.nodata
+        out[holes & valid] = np.nan
+    out[~valid] = np.nan
     return RasterGrid(truth.geometry, out, truth.nodata)
 
 
