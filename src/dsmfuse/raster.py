@@ -187,11 +187,11 @@ def _at(src: RasterGrid, rb: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.
 def resample(src: RasterGrid, target: GridGeometry) -> RasterGrid:
     """Resample a grid onto a target geometry.
 
-    Each target cell center interpolates the four surrounding source cell
-    centers bilinearly; when any of the four is NaN it falls back to the
-    nearest valid one of the four, and to NaN when none is valid.  Cells off
-    the source are NaN.  Onto the source's own geometry this is exact, so
-    ``src`` itself is returned.
+    Each target cell center is the bilinear blend of the source cell centers
+    around it that carry non-zero weight when every one of them is valid, else
+    the nearest valid one of the four strictly within one cell (ties to the
+    south, then the west), else NaN; cells off the source are not valid.  Onto
+    the source's own geometry this is exact, so ``src`` itself is returned.
 
     ``src`` is held whole, but the output is filled a strip of rows at a time
     within the ``strip_rows`` budget and is the only whole-grid array made:
@@ -210,21 +210,20 @@ def resample(src: RasterGrid, target: GridGeometry) -> RasterGrid:
     out = np.empty((target.n_rows, target.n_cols))
     rows = strip_rows(target.n_cols, 16)  # a strip's temporaries share one budget
     for s in (slice(r, r + rows) for r in range(0, target.n_rows, rows)):
-        # fallback: the first nearest valid support corner strictly within one
-        # cell of the sample point.  The strict bound keeps identity resampling
-        # exact: a point on an invalid cell's center has no eligible neighbor (the
-        # others sit at distance >= 1) and stays NaN.  Exact hits (fx=fy=0)
-        # route here too, resolving to the hit corner at distance zero.
-        near, best, all4 = np.nan, np.inf, True
+        # fallback: the first nearest valid corner strictly within one cell, so a
+        # point on an invalid cell's center (the others at distance >= 1) stays NaN;
+        # a zero-weight corner adds -0.0, the exact identity, so a hit is bit-exact
+        near, best, weighed, bil = np.nan, np.inf, True, -0.0
         for dc, drb in ((0, 0), (1, 0), (0, 1), (1, 1)):
             vals, on = _at(src, rb0[s] + drb, c0 + dc)
             ok = on & ~np.isnan(vals)
-            term = wx[dc] * wy[drb][s] * vals
-            bil = term if dc + drb == 0 else bil + term
+            w = wx[dc] * wy[drb][s]
+            bil = bil + np.where(w != 0, w * vals, -0.0)
             d = wx[1 - dc] ** 2 + wy[1 - drb][s] ** 2
             take = ok & (d < 1.0) & (d < best)
-            near, best, all4 = np.where(take, vals, near), np.where(take, d, best), all4 & ok
-        out[s] = np.where(all4 & ~((fx == 0) & (fy[s] == 0)), bil, near)
+            near, best = np.where(take, vals, near), np.where(take, d, best)
+            weighed &= ok | (w == 0)
+        out[s] = np.where(weighed, bil, near)
     out.flags.writeable = False
     return RasterGrid(target, out, src.nodata)
 

@@ -20,23 +20,24 @@ The grids are halved while the next level still has a search reach,
 ceil(max_search / 2**level), of at least 2 cells and a short side of at
 least 32 cells.  The coarsest level scores every shift within its reach;
 each finer level doubles the best shift and scores the 3x3 shifts around
-it, clipped to the reach of that level, so the full-resolution shift never
-exceeds max_search.  At every level a shift is scored only when its
-window, where the shifted grids overlap, holds at least half of that
-level's unshifted overlap (the cells finite in both): a shift that leaves
-a sliver of a few cells could otherwise score lowest.  Both the
-interpolation and the gradients live on the reference side: each moving
-cell keeps its raw height and is compared to the reference sampled at the
-inversely shifted position.  Blunders in the moving grid (the noisy one,
-in this protocol) therefore stay unblended and the threshold gate removes
-them cleanly instead of letting diluted fractions of them leak into the
-fit.  What depends on the reference alone
-(its NaN grid, pyramid and gradients) is a ``Reference``, built once when
-many grids align to one truth.  The vertical offset has a closed
-form (the mean inlier height difference) and is recomputed every
-iteration, as is the inlier set: cells whose dz-corrected difference
-exceeds the blunder threshold (vegetation growth, seasonal change) drop
-out of the fit.
+it, clipped to the reach of that level, so the full-resolution shift
+never exceeds max_search.  Of equal scores, the shift nearest the
+level's center (in |du| + |dv|) wins, so a flat grid aligns to itself at
+zero.  At every level a shift is scored only when its window, where the
+shifted grids overlap, holds at least half of that level's unshifted
+overlap (the cells finite in both): a shift that leaves a sliver of a
+few cells could otherwise score lowest.  Both the interpolation and the
+gradients live on the reference side: each moving cell keeps its raw
+height and is compared to the reference sampled at the inversely shifted
+position.  Blunders in the moving grid (the noisy one, in this protocol)
+therefore stay unblended and the threshold gate removes them cleanly
+instead of letting diluted fractions of them leak into the fit.  What
+depends on the reference alone (its NaN grid, pyramid and gradients) is
+a ``Reference``, built once when many grids align to one truth.  The
+vertical offset has a closed form (the mean inlier height difference)
+and is recomputed every iteration, as is the inlier set: cells whose
+dz-corrected difference exceeds the blunder threshold (vegetation
+growth, seasonal change) drop out of the fit.
 
 Candidate shifts, in the integer search and in the choice of the best
 Gauss-Newton state, are scored by the truncated quadratic
@@ -256,15 +257,15 @@ def _integer_search(mov: np.ndarray, reference: Reference, cfg: AlignConfig) -> 
         # least the unshifted overlap (and 1): |cv| <= span_v, then |cu| <= span_u
         (h, w), need = m.shape, max(1, np.count_nonzero(np.isfinite(m) & np.isfinite(r)))
         span_v = h - -(-need // (2 * w))
-        # strict improvement only: ties and an all-NaN level keep the center
-        best = (math.inf, u, v)
+        # least (score, |cu - u| + |cv - v|, cu, cv): equal scores keep the shift
+        # nearest the center, and a level with nothing to score keeps the center
+        best = (math.inf, 0, u, v)
         for cv in range(max(v - rad, -lim, -span_v), min(v + rad, lim, span_v) + 1):
             span_u = w - -(-need // (2 * (h - abs(cv))))
             for cu in range(max(u - rad, -lim, -span_u), min(u + rad, lim, span_u) + 1):
                 score = _fit(_residuals(m, r, -cv, cu)[1], cfg.blunder_threshold)[2]
-                if score < best[0]:
-                    best = (score, cu, cv)
-        _, u, v = best
+                best = min(best, (score, abs(cu - u) + abs(cv - v), cu, cv))
+        _, _, u, v = best
     return u, v
 
 

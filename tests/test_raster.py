@@ -94,10 +94,45 @@ class TestGeometryValidation:
         assert grid.valid_mask().all()
 
 
+def _oracle_resample(src, target):
+    """``resample``'s rule, cell by cell: the bilinear blend of the source cells that
+    carry non-zero weight when all of them are valid, else the nearest valid one of
+    the four around the point strictly within one cell (the first of equals, to the
+    south, then the west), else NaN.  Cells off the source are not valid."""
+    g = src.geometry
+
+    def height(c, rb):  # column c from the west, row rb from the south
+        on = 0 <= c < g.n_cols and 0 <= rb < g.n_rows
+        return src.values[g.n_rows - 1 - rb, c] if on else math.nan
+
+    out = np.full((target.n_rows, target.n_cols), np.nan)
+    for i, j in itertools.product(range(target.n_rows), range(target.n_cols)):
+        # the target cell's center in source cell units, 0 on the first center
+        x = (target.origin_x + (j + 0.5) * target.cell_size - g.origin_x) / g.cell_size - 0.5
+        y = (target.origin_y + (target.n_rows - i - 0.5) * target.cell_size
+             - g.origin_y) / g.cell_size - 0.5
+        corners = [(c, rb) for rb in (math.floor(y), math.floor(y) + 1)
+                   for c in (math.floor(x), math.floor(x) + 1)]
+        weighed = [((1 - abs(x - c)) * (1 - abs(y - rb)), height(c, rb)) for c, rb in corners]
+        weighed = [(w, z) for w, z in weighed if w != 0]
+        if not any(math.isnan(z) for _, z in weighed):
+            total = weighed[0][0] * weighed[0][1]
+            for w, z in weighed[1:]:
+                total += w * z
+            out[i, j] = total
+            continue
+        near = [((x - c) ** 2 + (y - rb) ** 2, height(c, rb)) for c, rb in corners]
+        near = [(d, z) for d, z in near if d < 1 and not math.isnan(z)]
+        if near:
+            out[i, j] = min(near, key=lambda dz: dz[0])[1]
+    return out
+
+
 class TestResample:
     def test_interpolants_equal_to_nodata_stay_heights(self, tmp_path):
-        # +-1 columns half a cell east interpolate to exact zeros; a source read with
-        # NODATA_value 0 resamples to the same heights as its -9999 twin
+        # +-1 columns half a cell east interpolate to exact zeros, the top row too (its
+        # zero-weight corners lie off the source); a source read with NODATA_value 0
+        # resamples to the same heights as its -9999 twin
         out = {}
         for nodata in ("0", "-9999"):
             p = tmp_path / f"east{nodata}.asc"
@@ -106,7 +141,35 @@ class TestResample:
             out[nodata] = resample(read_asc(p), GridGeometry(0, 0, 1.0, 4, 3)).values
         assert np.array_equal(out["0"], out["-9999"])
         assert not np.isnan(out["0"]).any()
-        assert (out["0"] == 0.0).sum() == 6
+        assert (out["0"] == 0.0).sum() == 9
+
+    def test_half_cell_east_twin_resamples_to_equal_rows(self):
+        # the 4 x 6 layer of +-1 columns half a cell east: every row, the top one
+        # included, is the west column's nearest cell and then exact zeros
+        src = grid_of([[1.0, -1.0] * 3] * 4, origin=(0.5, 0.0))
+        out = resample(src, GridGeometry(0, 0, 1.0, 6, 4)).values
+        assert out.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]] * 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_whole_and_half_cell_shifts_follow_the_rule(self, data):
+        # small integer heights, holes and -0.0 on a power-of-two cell: every weight,
+        # product and sum is exact, so the oracle's order of addition cannot matter
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        vals = rng.integers(-50, 51, size=(n_rows, n_cols)).astype(float)
+        kind = rng.random(vals.shape)
+        vals[kind < data.draw(st.floats(0, 0.5))] = np.nan
+        vals[kind > 1 - data.draw(st.floats(0, 0.3))] = -0.0
+        cell = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        ox, oy = (data.draw(st.integers(-4, 4)) * cell for _ in range(2))
+        src = RasterGrid(GridGeometry(ox, oy, cell, n_cols, n_rows), vals)
+        target = GridGeometry(
+            ox + data.draw(st.integers(-6, 6)) * cell / 2,
+            oy + data.draw(st.integers(-6, 6)) * cell / 2,
+            cell, data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)),
+        )
+        assert resample(src, target).values.tobytes() == _oracle_resample(src, target).tobytes()
 
     def test_identity_both_methods_bit_identical(self):
         # both ways onto a cell-aligned target are exact: the source's own
@@ -168,10 +231,9 @@ class TestResample:
         assert np.all(np.isnan(out.values))
 
     def test_bilinear_ramp_half_cell_offset(self):
-        # z = x on the source; at a half-cell x offset the columns with all
-        # four neighbors in bounds must hit the exact midpoints of adjacent
-        # samples, i.e. z = x again.  Top row and rightmost column lack a
-        # full support square and take the fallback path instead.
+        # z = x on the source; at a half-cell x offset every target cell's two
+        # weighted neighbors are in bounds, so it hits the exact midpoint of
+        # adjacent samples, i.e. z = x again.
         n = 6
         vals = np.tile(np.arange(n) + 0.5, (n, 1))
         src = grid_of(vals, origin=(0, 0), cell=1.0)

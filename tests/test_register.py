@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import register
@@ -125,6 +125,24 @@ class TestAlign:
         assert res.shift[1] == pytest.approx(0.0, abs=1e-6)
         assert res.shift[2] == pytest.approx(0.0, abs=1e-9)
         assert res.rmse_inliers == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_grid_aligns_to_itself_at_zero(self, data):
+        # a flat or few-valued grid ties many shifts with the center at score 0, and
+        # of equal scores the center wins at every level of the search
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows, cols = data.draw(st.integers(10, 70)), data.draw(st.integers(10, 70))
+        palette = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=3))
+        vals = rng.choice(np.array(palette, float), size=(rows, cols))
+        if data.draw(st.booleans()):
+            vals += rng.normal(0, data.draw(st.sampled_from([0.01, 1.0, 10.0])), vals.shape)
+        vals[rng.random(vals.shape) < data.draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+        assume(np.count_nonzero(~np.isnan(vals)) >= 100)
+        grid = grid_of(vals, origin=(3.0, -7.0), cell=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        res = align(grid, grid, AlignConfig(max_search=data.draw(st.integers(0, 12))))
+        assert res.shift == (0.0, 0.0, 0.0)
+        assert res.rmse_all == 0.0 and res.n_inliers == res.n_total
 
     def test_known_shift_recovery(self):
         geom = GridGeometry(0, 0, 1.0, 100, 100)
@@ -360,7 +378,9 @@ def _oracle_integer_search(mov, ref, cfg):
         lim = reach(level)
         rad = lim if level == top else 1
         u, v = 2 * u, 2 * v
-        best = (math.inf, u, v)
+        # the least (score, |cu - u| + |cv - v|, cu, cv): of equal scores, the shift
+        # nearest the center wins, and a level that scores nothing keeps the center
+        best = (math.inf, 0, u, v)
         overlap = np.count_nonzero(np.isfinite(m) & np.isfinite(r))
         for cv in range(max(v - rad, -lim), min(v + rad, lim) + 1):
             for cu in range(max(u - rad, -lim), min(u + rad, lim) + 1):
@@ -370,9 +390,10 @@ def _oracle_integer_search(mov, ref, cfg):
                 d = m - _oracle_int_shift(r, -cv, cu)
                 dz, _ = _oracle_dz_and_inliers(d, cfg.blunder_threshold)
                 score = _oracle_truncated_score(d, dz, cfg.blunder_threshold)
-                if score < best[0]:
-                    best = (score, cu, cv)
-        _, u, v = best
+                key = (score, abs(cu - u) + abs(cv - v), cu, cv)
+                if key < best:
+                    best = key
+        _, _, u, v = best
     return u, v
 
 
