@@ -11,14 +11,15 @@ Two fusion operators:
       W(x) = exp(-(|x - x0|^2 / (2 delta_s^2) + (I(x) - I(x0))^2 / (2 delta_i^2)))
 
   and the window is the set of cells with W(x) > gamma (strictly).
-  ``_weight`` states W's arithmetic once, on intensity steps.  The kernel's
-  gate, ``window_members``, takes ``window_weights``' decisions without
-  ``exp``: at each offset W falls as |I(x) - I(x0)| grows, so W > gamma is
-  |I(x) - I(x0)| <= D_k for one bound per offset, bisected through
-  ``_weight`` once per fuse and handed to each block.  The median is then
-  taken over every valid height of every layer at every window cell, which
-  multiplies the candidate count without pulling values across intensity
-  edges, so depth boundaries stay sharp while flat areas smooth out.
+  ``_weight`` states W once, in scalar ``math.exp``.  The kernel's gate,
+  ``window_members``, takes its decisions without ``exp``: at each offset W
+  falls as |I(x) - I(x0)| grows, so W > gamma is |I(x) - I(x0)| <= D_k for
+  one bound per offset, bisected through ``_weight`` once per fuse and
+  handed to each block, so the gate is the brute-force definition's.  The
+  median is then taken over every valid height of every layer at every
+  window cell, which multiplies the candidate count without pulling values
+  across intensity edges, so depth boundaries stay sharp while flat areas
+  smooth out.
 
 W(x0) = 1 is the maximum of W, so weights need no further normalization.
 The median of an even candidate count is the average of the two middle
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -65,8 +67,7 @@ class FusionConfig:
 
     delta_s is in cells, delta_i in gray levels on a 0-255 intensity scale,
     both finite and > 0, gamma in (0, 1), radius in cells (half-width of the
-    square search window).  Only the average-of-two-middles median tie rule
-    is supported.
+    square search window).
     """
 
     delta_s: float = 2.5
@@ -187,9 +188,9 @@ def median_fuse(layers: list[RasterGrid]) -> RasterGrid:
 def _window_offsets(cfg: FusionConfig):
     """(drow, dcol, spatial exponent) for offsets that can pass the gate.
 
-    An offset whose pure spatial weight is already <= gamma can never
-    produce a member (the intensity factor only shrinks the weight), so it
-    is dropped up front.  ``math.exp`` falls with distance, so no offset of a
+    An offset whose pure spatial weight, W at d = 0, is already <= gamma can
+    never produce a member (the intensity factor only shrinks the weight),
+    so it is dropped up front.  W falls with distance, so no offset of a
     ring past the first whose on-axis offset fails can pass: the loops stop
     at the window's reach, however large the radius.
     """
@@ -197,88 +198,64 @@ def _window_offsets(cfg: FusionConfig):
         return (di * di + dj * dj) / (2.0 * cfg.delta_s * cfg.delta_s)
 
     reach = 0
-    while reach < cfg.radius and math.exp(-spatial(reach + 1, 0)) > cfg.gamma:
+    while reach < cfg.radius and _weight(0.0, spatial(reach + 1, 0), cfg) > cfg.gamma:
         reach += 1
     out = []
     for di in range(-reach, reach + 1):
         for dj in range(-reach, reach + 1):
-            if math.exp(-spatial(di, dj)) > cfg.gamma:
+            if _weight(0.0, spatial(di, dj), cfg) > cfg.gamma:
                 out.append((di, dj, spatial(di, dj)))
     return out
 
 
-def _weight(d, offsets, cfg: FusionConfig) -> np.ndarray:
-    """W of intensity steps d, shape (..., offsets), in place: its arithmetic, stated once."""
-    d *= d
-    d /= 2.0 * cfg.delta_i * cfg.delta_i
-    d += [spatial for _, _, spatial in offsets]
-    return np.exp(np.negative(d, out=d), out=d)
-
-
-def _steps(opad, offsets, rad):
-    """Steps I(x) - I(x0), (rows, cols, offsets), of a block padded by ``rad``, and its nodata centers."""
-    i0 = opad[rad : opad.shape[0] - rad, rad : opad.shape[1] - rad, None]
-    d = _gather(opad, offsets, rad)
-    d -= i0
-    return d, np.isnan(i0[..., 0])
-
-
-def window_weights(opad, offsets, cfg: FusionConfig) -> np.ndarray:
-    """Bilateral weight W of every window offset of every cell.
-
-    ``opad`` is an orthophoto block NaN-padded by ``cfg.radius`` cells on
-    each side and ``offsets`` are ``_window_offsets(cfg)``; the result is
-    (rows, cols, offsets) in that order, and a cell's window is where it
-    exceeds gamma.  A nodata neighbour of a valid center, the padding
-    included, gets NaN, which fails the gate.  A nodata center gets the
-    spatial-only weight, which passes at every kept offset, padding included;
-    heights there are NaN, so no candidate comes from outside the grid.
-    """
-    d, nodata = _steps(opad, offsets, cfg.radius)
-    w = _weight(d, offsets, cfg)
-    # math.exp, as in _window_offsets: np.exp may differ by an ulp and
-    # flip a kept offset out of the gate
-    w[nodata] = [math.exp(-spatial) for _, _, spatial in offsets]
-    return w
+def _weight(d, spatial, cfg: FusionConfig) -> float:
+    """W at intensity step d and spatial exponent ``spatial``: its arithmetic, stated once."""
+    return math.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
 
 
 def window_members(opad, offsets, bounds, rad) -> np.ndarray:
-    """The gate, ``window_weights(...) > gamma``, decided as |I(x) - I(x0)| <= D_k with
-    ``bounds``, ``_intensity_bounds(cfg)``; a nodata center passes every offset."""
-    d, nodata = _steps(opad, offsets, rad)
+    """The gate, W > gamma, of every offset of every cell, (rows, cols, offsets), of an
+    ortho block NaN-padded by ``rad``: decided as |I(x) - I(x0)| <= D_k with ``bounds``,
+    ``_intensity_bounds(cfg)``.  A nodata neighbour, the padding included, fails; a
+    nodata center passes every kept offset, where W is the spatial weight."""
+    i0 = opad[rad : opad.shape[0] - rad, rad : opad.shape[1] - rad, None]
+    d = _gather(opad, offsets, rad)
+    d -= i0
     member = np.abs(d, out=d) <= bounds  # NaN, a nodata neighbour, fails
-    member[nodata] = True
+    member[np.isnan(i0[..., 0])] = True
     return member
 
 
 def _intensity_bounds(cfg: FusionConfig) -> np.ndarray:
     """D_k per ``_window_offsets`` offset: the largest |I(x) - I(x0)| that passes
-    the gate at a valid center (-inf: none does).
+    the gate at a valid center, >= 0 as every kept offset passes at d = 0.
 
     W's exponent rises with |d| through every rounding of ``d * d``, ``/`` and
-    ``+``, so the gate is one step in |d| if ``np.exp`` steps once at gamma; that
-    is checked over 4096 ulps of the exponent either side.  Each D_k is then
-    bisected through ``_weight``, on one trial step per offset.
+    ``+``, so the gate is one step in |d| if ``math.exp`` steps once at gamma;
+    that is checked over 4096 ulps of the exponent either side.  Each D_k is
+    then bisected through ``_weight``, once per distinct spatial exponent.
     """
-    t_max = _last_passing(lambda t: np.exp(-t) > cfg.gamma, 1)
+    t_max = _last_passing(lambda t: math.exp(-t) > cfg.gamma)
     ulps = np.arange(-4096, 4097)
-    t = (t_max.view(np.int64) + ulps).view(np.float64)
-    if not np.array_equal(np.exp(-t) > cfg.gamma, ulps <= 0):
-        raise ArithmeticError(f"np.exp does not step once at the gate of {cfg}")
-    offsets = _window_offsets(cfg)
-    with np.errstate(over="ignore"):  # trial steps reach 1e308
-        return _last_passing(lambda d: _weight(d.copy(), offsets, cfg) > cfg.gamma, len(offsets))
+    t = (np.float64(t_max).view(np.int64) + ulps).view(np.float64)
+    if [math.exp(-x) > cfg.gamma for x in t.tolist()] != (ulps <= 0).tolist():
+        raise ArithmeticError(f"math.exp does not step once at the gate of {cfg}")
+    spatials = [spatial for _, _, spatial in _window_offsets(cfg)]
+    bound = {s: _last_passing(lambda d: _weight(d, s, cfg) > cfg.gamma) for s in set(spatials)}
+    return np.array([bound[s] for s in spatials])
 
 
-def _last_passing(passes, n) -> np.ndarray:
-    """Per slot of n, the largest float x >= 0 that ``passes``, a test that holds up to a
-    point and fails at inf, or -inf; bisected over bits, which order such floats as int64."""
-    lo, hi = np.full(n, -1), np.full(n, np.float64(np.inf).view(np.int64))  # -1: none passes
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        ok = passes(mid.view(np.float64))
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return np.where(lo < 0, -np.inf, lo.view(np.float64))
+def _last_passing(passes) -> float:
+    """The largest float x >= 0 that ``passes``, a test that holds from 0 up to a point
+    and fails at inf; bisected over bits, which order such floats as integers."""
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, hi = 0, 0x7FF0_0000_0000_0000  # the bits of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(as_float(mid)) else (lo, mid)
+    return as_float(lo)
 
 
 def _gather(a, offsets, rad) -> np.ndarray:
@@ -318,8 +295,8 @@ def adaptive_median_fuse(
     Per output cell, the candidate multiset is every valid height of every
     layer at every member cell of the cell's adaptive window computed on
     ``ortho``, whose geometry the layers share; the output is the
-    candidates' median, or NaN when there are none.  ``jobs`` > 1 fuses each strip's row blocks on that many
-    threads, with bit-identical results.
+    candidates' median, or NaN when there are none.  ``jobs`` > 1 fuses
+    each strip's row blocks on that many threads, with bit-identical results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -188,7 +188,8 @@ def _fit(x: np.ndarray, threshold: float):
         dz = -float(inl.sum() / inl.size)
     r = np.add(x, dz, out=buf)
     r *= r
-    return dz, gate, float(np.minimum(r, threshold * threshold, out=r).sum() / r.size)
+    # + 0.0: a zero offset is +0.0, where the negated median or mean gives -0.0
+    return dz + 0.0, gate, float(np.minimum(r, threshold * threshold, out=r).sum() / r.size)
 
 
 def _rms(r: np.ndarray) -> float:

@@ -941,6 +941,16 @@ class TestEval:
         assert float(fields[0]) == pytest.approx(0.0, abs=1e-9)
         assert float(fields[1]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("grid", [grid_of(np.full((20, 20), 5.0)), hill_grid()], ids=["flat", "hill"])
+    def test_zero_offset_written_unsigned(self, tmp_path, grid):
+        # dz is a negated median or mean, -0.0 where it is zero
+        write_asc(grid, tmp_path / "a.asc")
+        out = tmp_path / "m.csv"
+        assert main(["eval", "--computed", str(tmp_path / "a.asc"),
+                     "--truth", str(tmp_path / "a.asc"), "--out", str(out)]) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        assert (row["dx_m"], row["dy_m"], row["dz_m"]) == ("0.000000",) * 3, row
+
     def test_constant_offset_removed_and_recorded(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "truth.asc")
         write_asc(hill_grid(offset=1.0), tmp_path / "comp.asc")
@@ -1528,10 +1538,8 @@ class TestSynthCommand:
         assert (out1 / "truth.asc.manifest.json").exists()
 
     def test_readme_scene_bytes_pinned(self, tmp_path, monkeypatch):
-        # sha256 of the README walkthrough's synth and median-fuse outputs,
-        # pinned so that a change of bytes fails even when reruns agree with
-        # each other (adaptive is left out: np.exp may differ by one ulp
-        # across CPU SIMD paths)
+        # sha256 of the README walkthrough's synth and fuse outputs, pinned so
+        # that a change of bytes fails even when reruns agree with each other
         pinned = {
             "data/truth.asc": "4498eafbc811b8d16888fc748ba99f464da30976d751d2a114a68f89bf27c718",
             "data/ortho.asc": "0fad3942acb45bef1e41d3b78981088af06a309285aa397e39d9e48a820853ff",
@@ -1542,6 +1550,8 @@ class TestSynthCommand:
             "data/layer_05.asc": "8c54bcf473a9be0a8bfab90238b033042c3b990896a812df7a7a46717f220800",
             "fused_median.asc": "7232226a471d2752a2282104bcf03e8643f827d2028b764999e90c250ccc942d",
             "fused_median.pgm": "1f1fd71d6c269e7853118103edd81473262d8366d2ecbb181f54b894f834635d",
+            "fused.asc": "2135c633d21bb6c61d6f6e9a3e0b18eef784b0559fbce5e71bc710f0de2d2d6f",
+            "fused.pgm": "ae181ea623653f7d2defd018ade5d0d66e9e1e7c0e5c5b80454b39ac5a963ab3",
         }
         monkeypatch.chdir(tmp_path)
         Path("scene.txt").write_text(
@@ -1556,6 +1566,8 @@ class TestSynthCommand:
         layers = [f"data/layer_0{i}.asc" for i in range(1, 6)]
         assert main(["fuse", "--layers", *layers, "--mode", "median",
                      "--out", "fused_median.asc"]) == 0
+        assert main(["fuse", "--layers", *layers, "--mode", "adaptive",
+                     "--ortho", "data/ortho.asc", "--out", "fused.asc"]) == 0
         for name, digest in pinned.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 

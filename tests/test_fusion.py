@@ -14,7 +14,7 @@ from dsmfuse.fusion import (
     FusionConfig,
     adaptive_median_fuse,
     median_fuse,
-    window_weights,
+    window_members,
 )
 from dsmfuse.raster import GeometryMismatchError
 
@@ -81,36 +81,46 @@ def random_stack(rng, n_rows, n_cols, n_layers, hole_frac=0.15):
 NON_SQUARE = [FusionConfig(delta_s=4.0, gamma=0.3, radius=5), FusionConfig(radius=1, gamma=0.9)]
 
 
-def weights_of(ortho, cfg):
-    """``window_weights`` over a whole orthophoto grid, and its offsets."""
-    offsets = fusion._window_offsets(cfg)
-    opad = np.pad(ortho.values, cfg.radius, constant_values=np.nan)
-    return window_weights(opad, offsets, cfg), offsets
+def oracle_members(opad, offsets, cfg):
+    """Brute-force gate of a block padded by ``cfg.radius``: per cell, per ``offsets``
+    entry, whether W > gamma, with W spelled as in ``oracle_adaptive_fuse``."""
+    rad = cfg.radius
+    n_rows, n_cols = opad.shape[0] - 2 * rad, opad.shape[1] - 2 * rad
+    out = np.zeros((n_rows, n_cols, len(offsets)), bool)
+    for r, c in itertools.product(range(n_rows), range(n_cols)):
+        i0 = float(opad[r + rad, c + rad])
+        for k, (di, dj, _) in enumerate(offsets):
+            spatial = (di ** 2 + dj ** 2) / (2.0 * cfg.delta_s * cfg.delta_s)
+            value = float(opad[r + rad + di, c + rad + dj])
+            if math.isnan(i0):
+                w = math.exp(-spatial)
+            elif math.isnan(value):
+                continue
+            else:
+                d = value - i0
+                w = math.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
+            out[r, c, k] = w > cfg.gamma
+    return out
 
 
 def weight_at(center_intensity, dcol, intensity, cfg):
-    """W of the cell ``dcol`` columns east of a center, from ``window_weights``.
-
-    None is nodata.  At dcol 0 the cell is the center itself, holding
-    ``intensity``.
-    """
-    row = np.full((1, dcol + 1), -9999.0)
-    for col, value in ((0, center_intensity), (dcol, intensity)):
-        if value is not None:
-            row[0, col] = value
-    w, offsets = weights_of(grid_of(row), cfg)
-    return w[0, 0, [(di, dj) for di, dj, _ in offsets].index((0, dcol))]
+    """W, from ``fusion._weight``, of the cell ``dcol`` columns east of a center;
+    at dcol 0 the cell is the center itself, holding ``intensity``."""
+    spatial = (dcol * dcol) / (2.0 * cfg.delta_s * cfg.delta_s)
+    return fusion._weight(intensity - center_intensity, spatial, cfg)
 
 
 def window_of(ortho, center, cfg):
-    """``(col, row)`` cells, the padding outside the grid included, whose
-    weight around the ``(col, row)`` center passes the gate."""
+    """``(col, row)`` cells, the padding outside the grid included, that
+    ``window_members`` puts in the window of the ``(col, row)`` center."""
     col, row = center
-    w, offsets = weights_of(ortho, cfg)
+    offsets = fusion._window_offsets(cfg)
+    opad = np.pad(ortho.values, cfg.radius, constant_values=np.nan)
+    member = window_members(opad, offsets, fusion._intensity_bounds(cfg), cfg.radius)
     return frozenset(
         (col + dj, row + di)
         for k, (di, dj, _) in enumerate(offsets)
-        if w[row, col, k] > cfg.gamma
+        if member[row, col, k]
     )
 
 
@@ -140,31 +150,21 @@ class TestWeight:
             assert w <= prev
             prev = w
 
-    def test_spatial_only_when_center_nodata(self):
+    def test_spatial_only_when_center_nodata(self, rng):
+        # every kept offset is one whose spatial weight passes, whatever the
+        # intensities around the center, padding included
         cfg = FusionConfig(delta_s=2.0)
-        w = weight_at(None, 2, 999.0, cfg)
-        assert w == pytest.approx(math.exp(-0.5), abs=1e-15)
+        vals = rng.uniform(0.0, 255.0, (5, 5))
+        vals[2, 2] = -9999.0
+        win = window_of(grid_of(vals), (2, 2), cfg)
+        assert win == {(2 + dj, 2 + di) for di, dj, _ in fusion._window_offsets(cfg)}
+        assert (4, 2) in win and (5, 2) not in win  # exp(-0.5) passes, exp(-1.125) does not
 
     def test_nodata_neighbour_of_valid_center_fails_gate(self):
         cfg = FusionConfig()
-        w = weight_at(10.0, 1, None, cfg)
-        assert np.isnan(w)
-        assert not w > cfg.gamma
-
-    @pytest.mark.parametrize("cfg", [FusionConfig(), *NON_SQUARE, FusionConfig(delta_i=3.0, radius=4)])
-    def test_matches_one_offset_at_a_time(self, rng, cfg):
-        # the same float ops as a per-offset slice loop, so the same bits
-        ortho = rng.uniform(0.0, 255.0, (13, 17))
-        ortho[rng.random(ortho.shape) < 0.1] = -9999.0
-        w, offsets = weights_of(grid_of(ortho), cfg)
-        opad = np.pad(grid_of(ortho).values, cfg.radius, constant_values=np.nan)
-        rad, (n_rows, n_cols) = cfg.radius, ortho.shape
-        i0 = opad[rad : rad + n_rows, rad : rad + n_cols]
-        for k, (di, dj, spatial) in enumerate(offsets):
-            d = opad[rad + di : rad + di + n_rows, rad + dj : rad + dj + n_cols] - i0
-            want = np.exp(-(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i)))
-            want[np.isnan(i0)] = math.exp(-spatial)
-            assert w[:, :, k].tobytes() == want.tobytes(), (di, dj)
+        win = window_of(grid_of([[10.0, -9999.0, 10.0]]), (0, 0), cfg)
+        assert (0, 0) in win and (2, 0) in win
+        assert (1, 0) not in win
 
 
 class TestAdaptiveWindow:
@@ -218,57 +218,71 @@ def _ulps_from(x, n):
     return np.maximum(np.asarray(x, np.float64).view(np.int64) + n, 0).view(np.float64)
 
 
+_configs = st.one_of(st.sampled_from([FusionConfig(), *NON_SQUARE]), st.builds(
+    FusionConfig, delta_s=st.floats(0.3, 8.0), delta_i=st.floats(0.1, 80.0),
+    gamma=st.floats(1e-6, 0.999999), radius=st.integers(0, 4)))
+
+
+def assert_bounds_are_last_steps_that_pass(cfg):
+    """Each offset's D_k, off the center, passes ``oracle_members``, and the next float up fails."""
+    offsets, bounds = fusion._window_offsets(cfg), fusion._intensity_bounds(cfg)
+    assert len(bounds) == len(offsets) and np.isfinite(bounds).all()
+    side = 2 * cfg.radius + 1
+    off_center = [(di, dj) != (0, 0) for di, dj, _ in offsets]
+    for step, passes in ((bounds, True), (_ulps_from(bounds, 1), False)):
+        opad = np.zeros((side, side))  # a valid center of 0.0, the step at each offset
+        for k, (di, dj, _) in enumerate(offsets):
+            if off_center[k]:
+                opad[cfg.radius + di, cfg.radius + dj] = step[k]
+        member = oracle_members(opad, offsets, cfg)[0, 0]
+        assert (member[off_center] == passes).all(), (cfg, step)
+
+
 class TestBoundGate:
-    """``window_members`` decides ``window_weights(...) > gamma`` as |I - I0| <= D_k."""
+    """``window_members`` decides ``oracle_members``' W > gamma as |I - I0| <= D_k."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_weights_within_ulps_of_each_bound(self, data):
-        cfg = data.draw(st.one_of(st.sampled_from([FusionConfig(), *NON_SQUARE]), st.builds(
-            FusionConfig, delta_s=st.floats(0.3, 8.0), delta_i=st.floats(0.1, 80.0),
-            gamma=st.floats(1e-6, 0.999999), radius=st.integers(0, 4))), label="cfg")
+        cfg = data.draw(_configs, label="cfg")
         offsets, bounds = fusion._window_offsets(cfg), fusion._intensity_bounds(cfg)
         side = 2 * cfg.radius + 1
         i0 = data.draw(st.one_of(st.just(np.nan), st.floats(0.0, 255.0)), label="i0")
         n = (4, len(offsets))  # four windows side by side
         ulps = data.draw(arrays(np.int64, n, elements=st.integers(-40, 40)), label="ulps")
         kind = data.draw(arrays(np.int64, n, elements=st.integers(0, 9)), label="kind")
-        # D_k +- ulps from the center, or nodata (kind 0); -inf bounds step from 0, and
-        # the center offset's is overwritten by the center
-        steps = _ulps_from(np.clip(bounds, 0.0, 1e6), ulps)
+        # D_k +- ulps from the center, or nodata (kind 0); the center
+        # offset's is overwritten by the center
+        steps = _ulps_from(np.minimum(bounds, 1e6), ulps)
         values = np.where(kind == 0, np.nan, np.where(kind % 2, i0 + steps, i0 - steps))
         opad = np.full((side, 4 * side), np.nan)  # a cell off every kept offset stays nodata
         for w in range(4):
             for k, (di, dj, _) in enumerate(offsets):
                 opad[cfg.radius + di, w * side + cfg.radius + dj] = values[w, k]
             opad[cfg.radius, w * side + cfg.radius] = i0
-        member = fusion.window_members(opad, offsets, bounds, cfg.radius)
-        assert np.array_equal(member, window_weights(opad, offsets, cfg) > cfg.gamma)
+        member = window_members(opad, offsets, bounds, cfg.radius)
+        assert np.array_equal(member, oracle_members(opad, offsets, cfg))
 
     @pytest.mark.parametrize(
         "cfg", [FusionConfig(), *NON_SQUARE, FusionConfig(delta_i=0.5, gamma=0.999)])
     def test_bound_is_the_last_step_that_passes(self, cfg):
-        offsets, bounds = fusion._window_offsets(cfg), fusion._intensity_bounds(cfg)
-        assert len(bounds) == len(offsets) and np.isfinite(bounds).all()
-        for k, (di, dj, _) in enumerate(offsets):
-            if di or dj:
-                for step, passes in ((bounds[k], True), (_ulps_from(bounds[k], 1), False)):
-                    opad = np.zeros((2 * cfg.radius + 1, 2 * cfg.radius + 1))
-                    opad[cfg.radius + di, cfg.radius + dj] = step
-                    w = window_weights(opad, offsets, cfg)[0, 0, k]
-                    assert (w > cfg.gamma) == passes, (di, dj, step)
+        assert_bounds_are_last_steps_that_pass(cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_configs)
+    def test_bound_is_the_last_step_that_passes_property(self, cfg):
+        assert_bounds_are_last_steps_that_pass(cfg)
 
     def test_exp_that_steps_twice_raises(self, monkeypatch):
         cfg = FusionConfig(delta_s=3.1)
-        t_max = fusion._last_passing(lambda t: np.exp(-t) > cfg.gamma, 1)
-        real = np.exp
+        t_max = fusion._last_passing(lambda t: math.exp(-t) > cfg.gamma)
+        again, real = float(_ulps_from(t_max, 5)), math.exp
 
-        def exp(x, *args, **kwargs):  # passes again 5 ulps past the last exponent that passes
-            out = real(x, *args, **kwargs)
-            return np.where(x == -_ulps_from(t_max, 5), 1.0, out) if np.ndim(x) else out
+        def exp(x):  # passes again 5 ulps past the last exponent that passes
+            return 1.0 if x == -again else real(x)
 
-        monkeypatch.setattr(np, "exp", exp)
-        with pytest.raises(ArithmeticError, match="np.exp does not step once"):
+        monkeypatch.setattr(math, "exp", exp)
+        with pytest.raises(ArithmeticError, match="math.exp does not step once"):
             fusion._intensity_bounds(cfg)
 
 
@@ -351,6 +365,20 @@ class TestAdaptiveMedianFuse:
             want = oracle_adaptive_fuse(stack, ortho, FusionConfig())
             got = out.values
             assert np.array_equal(got, want, equal_nan=True)
+
+    def test_matches_oracle_at_a_step_where_exp_forms_differ(self):
+        # the step at offset (-2, -1) is this config's D_k, bisected through math.exp;
+        # np.exp rounds W there to <= gamma on some CPUs, dropping the 50.0
+        cfg = FusionConfig(delta_s=7.05697257521283, delta_i=7.036508289970042,
+                           gamma=0.7084183400763522, radius=2)
+        ortho = np.full((5, 5), 200.0)
+        ortho[2, 2], ortho[0, 1] = 0.0, 5.400450660248246
+        layer = np.zeros((5, 5))
+        layer[0, 1] = 50.0
+        stack, ortho = [grid_of(layer)], grid_of(ortho)
+        want = oracle_adaptive_fuse(stack, ortho, cfg)
+        assert want[2, 2] == 25.0
+        assert adaptive_median_fuse(stack, ortho, cfg).values[2, 2] == want[2, 2]
 
     def test_output_within_candidate_range(self, rng):
         stack, ortho = random_stack(rng, 10, 10, 3)
@@ -750,7 +778,9 @@ def test_gate_matches_per_cell_window_property(data):
         gamma=data.draw(st.sampled_from([0.3, 0.5, 0.9, 0.999999]), label="gamma"),
         radius=data.draw(st.integers(0, 3), label="radius"),
     )
-    w, offsets = weights_of(ortho, cfg)
+    offsets = fusion._window_offsets(cfg)
+    opad = np.pad(ortho.values, cfg.radius, constant_values=np.nan)
+    member = window_members(opad, offsets, fusion._intensity_bounds(cfg), cfg.radius)
     slot = {(di, dj): k for k, (di, dj, _) in enumerate(offsets)}
     ov, valid = ortho.values, ortho.valid_mask()
     rad = cfg.radius
@@ -772,7 +802,7 @@ def test_gate_matches_per_cell_window_property(data):
                             -(spatial + d * d / (2.0 * cfg.delta_i * cfg.delta_i))
                         ) > cfg.gamma
                     k = slot.get((di, dj))
-                    got = k is not None and bool(w[r, c, k] > cfg.gamma)
+                    got = k is not None and bool(member[r, c, k])
                     assert got == want, (r, c, di, dj)
 
 
