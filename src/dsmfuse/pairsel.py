@@ -21,10 +21,10 @@ from .raster import RasterGrid, decode_errors_as, read_asc
 from .register import AlignConfig, InsufficientOverlapError, Reference, align
 from .rpc import (
     DEFAULT_METERS_PER_UNIT,
+    DegenerateModelError,
     GroundPoint,
     InversionError,
     RpcModel,
-    check_probe,
     ray_angle,
     viewing_ray,
 )
@@ -32,7 +32,7 @@ from .rpc import (
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairRecord:
     """A candidate image pair and its DSM patch; ranking fields stay unset until ranked."""
 
@@ -88,20 +88,19 @@ def gate_pairs(
 
     Each model's viewing ray is computed once, whatever the number of pairs
     it is in.  Pairs are canonicalized (id_a < id_b) and sorted by ascending
-    angle, so the output is invariant to the input ordering.  A pair whose
-    angle cannot be computed is dropped with a logged reason; a bad
-    ``meters_per_unit`` raises.
+    angle, so the output is invariant to the input ordering.  A pair with a
+    model that gives no ray at ``at`` is dropped with a logged reason; any
+    other error, such as a bad ``meters_per_unit``, raises.
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 models to form pairs, got {len(models)}")
-    check_probe(meters_per_unit)
     by_id = dict(models)
     pairs = {tuple(sorted(p)): dsm_path for p, dsm_path in pairs.items()}
     rays = {}  # id -> its viewing ray, or the error that left it without one
     for ident in sorted({i for p in pairs for i in p}):
         try:
             rays[ident] = viewing_ray(by_id[ident], at, meters_per_unit)
-        except (InversionError, ValueError) as exc:
+        except (InversionError, DegenerateModelError) as exc:
             rays[ident] = exc
     records = []
     for (ida, idb), dsm_path in pairs.items():

@@ -33,7 +33,7 @@ position.  Blunders in the moving grid (the noisy one, in this protocol)
 therefore stay unblended and the threshold gate removes them cleanly
 instead of letting diluted fractions of them leak into the fit.  What
 depends on the reference alone (its NaN grid, pyramid and gradients) is
-a ``Reference``, built once when many grids align to one truth.  The
+a ``Reference``, built whole up front, so no align changes it.  The
 vertical offset has a closed form (the mean inlier height difference)
 and is recomputed every iteration, as is the inlier set: cells whose
 dz-corrected difference exceeds the blunder threshold (vegetation
@@ -219,38 +219,33 @@ def _reach(max_search: int, level: int) -> int:
 class Reference:
     """A reference grid prepared once for any number of ``align`` calls: its
     NaN grid, its central-difference height gradients (NaN on the border)
-    and its pyramid of 2x2 block means, each level halved when a search
-    first reaches it, so no ``AlignConfig`` is built in."""
+    and its pyramid of 2x2 block means down to a short side of 32 cells,
+    all built here, so no ``AlignConfig`` is built in and no align changes it."""
 
     def __init__(self, grid: RasterGrid):
         self.geometry = grid.geometry
         ref = grid.values
-        self._levels = [ref]
+        self.levels = [ref]  # level 0 is the NaN grid
+        while min(self.levels[-1].shape) // 2 >= _PYRAMID_MIN_SIDE:
+            self.levels.append(_halve(self.levels[-1]))
         self.grad_col = np.full_like(ref, np.nan)
         self.grad_col[:, 1:-1] = (ref[:, 2:] - ref[:, :-2]) * 0.5
         self.grad_row = np.full_like(ref, np.nan)
         self.grad_row[1:-1, :] = (ref[2:, :] - ref[:-2, :]) * 0.5
 
-    def level(self, i: int) -> np.ndarray:
-        """Pyramid level i; level 0 is the NaN grid."""
-        while len(self._levels) <= i:
-            self._levels.append(_halve(self._levels[-1]))
-        return self._levels[i]
-
 
 def _integer_search(mov: np.ndarray, reference: Reference, cfg: AlignConfig) -> tuple[int, int]:
     """Best integer shift (u east, v north) within +-max_search cells."""
     levels = [mov]
-    while (
-        _reach(cfg.max_search, len(levels)) >= _PYRAMID_MIN_REACH
-        and min(levels[-1].shape) // 2 >= _PYRAMID_MIN_SIDE
-    ):
+    for _ in reference.levels[1:]:  # no deeper than the reference's pyramid
+        if _reach(cfg.max_search, len(levels)) < _PYRAMID_MIN_REACH:
+            break
         levels.append(_halve(levels[-1]))
 
     top = len(levels) - 1
     u = v = 0
     for level in range(top, -1, -1):
-        m, r = levels[level], reference.level(level)
+        m, r = levels[level], reference.levels[level]
         lim = _reach(cfg.max_search, level)
         rad = lim if level == top else 1
         u, v = 2 * u, 2 * v
@@ -274,7 +269,7 @@ def _gauss_newton(mov, reference: Reference, u: float, v: float, threshold: floa
     """Score and dz at the shift (u, v), and the Gauss-Newton step from it:
     None when under 3 cells constrain it or the normal equations are singular.
     Its arrays die on return, so the caller holds none of them."""
-    finite, d = _residuals(mov, reference.level(0), -v, u)
+    finite, d = _residuals(mov, reference.levels[0], -v, u)
     dz, inl, score = _fit(d, threshold)
     # the gradients on the residuals' window, at their finite cells
     gc = _sample(reference.grad_col, -v, u)[1][finite]
@@ -307,7 +302,7 @@ def align(
         reference = Reference(reference)
     cell = reference.geometry.cell_size
     mov = resample(moving, reference.geometry).values
-    ref = reference.level(0)
+    ref = reference.levels[0]
 
     n_overlap = np.count_nonzero(np.isfinite(mov) & np.isfinite(ref))
     if n_overlap < _MIN_OVERLAP_CELLS:
@@ -325,8 +320,7 @@ def align(
             "the true shift may lie beyond it",
             iu, iv, cfg.max_search,
         )
-    u = float(iu)
-    v = float(iv)
+    u, v = float(iu), float(iv)
 
     # sub-cell Gauss-Newton on (u, v), dz closed-form per iteration
     converged = False

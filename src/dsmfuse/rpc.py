@@ -79,9 +79,9 @@ class ImagePoint(NamedTuple):
     l: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RpcModel:
-    """80 rational-polynomial coefficients plus 10 normalization parameters."""
+    """80 rational-polynomial coefficients (read-only copies) plus 10 normalization parameters."""
 
     num_s: np.ndarray
     den_s: np.ndarray
@@ -100,9 +100,10 @@ class RpcModel:
 
     def __post_init__(self):
         for name in ("num_s", "den_s", "num_l", "den_l"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.shape != (20,):
                 raise ValueError(f"{name} must have exactly 20 coefficients")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         for field in fields(self):
             if not np.isfinite(getattr(self, field.name)).all():
@@ -315,7 +316,7 @@ def _file_keys(key: str) -> list[str]:
 
 
 def read_rpc(path) -> RpcModel:
-    """Read a `KEY: value` RPC text file.  All 90 keys are mandatory and finite."""
+    """Read a `KEY: value` RPC text file: 90 mandatory finite keys that make a valid model."""
     entries: dict[str, float] = {}
     for lineno, key, value in key_value_lines(path, ":", RpcFileError, "ascii"):
         key = key.upper()
@@ -336,7 +337,10 @@ def read_rpc(path) -> RpcModel:
     for field in fields(RpcModel):
         vals = [lookup(k) for k in _file_keys(_KEYS[field.name])]
         values[field.name] = vals if len(vals) > 1 else vals[0]
-    return RpcModel(**values)
+    try:
+        return RpcModel(**values)
+    except ValueError as exc:
+        raise RpcFileError(f"{path}: {exc}") from None
 
 
 def write_rpc(model: RpcModel, path) -> None:

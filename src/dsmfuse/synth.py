@@ -42,7 +42,7 @@ class Building:
         _require_finite(self, "height", "intensity")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     """Scene layout.  Generation is purely geometric; the seed is carried
     so that derived products (degraded layers) can key off it."""

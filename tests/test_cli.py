@@ -70,6 +70,15 @@ def set_scene_line(scene, line):
     scene.write_text("\n".join([*kept, line]) + "\n")
 
 
+def set_rpc_value(path, key, token):
+    """Put ``key: token`` in the RPC file in place of its key's line; that line's number."""
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(key + ":"))
+    lines[lineno - 1] = f"{key}: {token}"
+    path.write_text("\n".join(lines) + "\n")
+    return lineno
+
+
 @pytest.fixture
 def scene_dir(tmp_path):
     scene = tmp_path / "scene.txt"
@@ -1190,6 +1199,18 @@ class TestRank:
         assert f"{manifest}:5: pair (imgB, imgA) is already on line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rpc_file_that_makes_no_model_exit_2(self, tmp_path, capsys):
+        self.build_inputs(tmp_path)
+        set_rpc_value(tmp_path / "imgB.rpc", "LINE_DEN_COEFF_1", "0.0")
+        out = tmp_path / "ranked.csv"
+        code = main(["rank", "--manifest", str(tmp_path / "pairs.csv"), "--truth", str(tmp_path / "truth.asc"),
+                     "--at", "0", "0", "0", "--meters-per-unit", "1.0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'imgB.rpc'}: denominator constant terms must be nonzero\n"
+        )
+        assert not out.exists()
+
     def test_unreadable_manifest_exit_2(self, tmp_path):
         write_asc(hill_grid(), tmp_path / "truth.asc")
         code = main(["rank", "--manifest", str(tmp_path / "nope.csv"),
@@ -1511,16 +1532,24 @@ class TestRpcCommand:
     def test_non_finite_value_exit_2(self, tmp_path, action, key, token):
         write_rpc(linear_ray_model(0.0), tmp_path / "a.rpc")
         write_rpc(linear_ray_model(0.3), tmp_path / "b.rpc")
-        lines = (tmp_path / "b.rpc").read_text().splitlines()
-        lineno = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(key + ":"))
-        lines[lineno - 1] = f"{key}: {token}"
-        (tmp_path / "b.rpc").write_text("\n".join(lines) + "\n")
+        lineno = set_rpc_value(tmp_path / "b.rpc", key, token)
         rpcs = {"project": ["--rpc", str(tmp_path / "b.rpc")],
                 "angle": ["--rpc", str(tmp_path / "a.rpc"), "--rpc-b", str(tmp_path / "b.rpc")]}
         proc = run_cli("rpc", action, *rpcs[action], "--u", "0", "--v", "0", "--z", "0")
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: {tmp_path / 'b.rpc'}:{lineno}: {key} is not finite: {token!r}\n"
+
+    @pytest.mark.parametrize("key, message", [
+        ("SAMP_SCALE", "s_scale must be nonzero"),
+        ("SAMP_DEN_COEFF_1", "denominator constant terms must be nonzero"),
+    ])
+    def test_value_that_makes_no_model_exit_2(self, tmp_path, capsys, key, message):
+        path = tmp_path / "a.rpc"
+        write_rpc(linear_ray_model(0.0), path)
+        set_rpc_value(path, key, "0")
+        assert main(["rpc", "project", "--rpc", str(path), "--u", "0", "--v", "0", "--z", "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 class TestSynthCommand:

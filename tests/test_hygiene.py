@@ -1,5 +1,5 @@
 """Source hygiene: no private module-level name in ``src/dsmfuse`` is dead,
-and no module imports a name it never reads."""
+no module imports a name it never reads, and every dataclass is frozen."""
 
 import ast
 from pathlib import Path
@@ -63,3 +63,28 @@ def test_every_imported_name_is_read_in_its_module():
         read = set(_references(tree, imports=False))
         unused += [f"{path.name}:{name}" for name in _imported_names(tree) if name not in read]
     assert not unused, f"imported but never read in src/dsmfuse: {unused}"
+
+
+def _dataclass_decorators(tree):
+    """(class name, decorator) of every ``@dataclass`` or ``@dataclass(...)`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                func = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+                    yield node.name, deco
+
+
+def test_every_dataclass_is_frozen():
+    found, mutable = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, deco in _dataclass_decorators(ast.parse(path.read_text())):
+            found.append(name)
+            frozen = isinstance(deco, ast.Call) and any(
+                kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in deco.keywords
+            )
+            if not frozen:
+                mutable.append(f"{path.name}:{name}")
+    assert found, "no dataclass found in src/dsmfuse"
+    assert not mutable, f"dataclasses without frozen=True in src/dsmfuse: {mutable}"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -99,8 +100,7 @@ class TestGatePairs:
         # the Newton Jacobian is singular, so inversion (and the angle) fails
         const = np.zeros(20)
         const[0] = 1.0
-        broken = linear_ray_model()
-        broken.num_s = const
+        broken = dataclasses.replace(linear_ray_model(), num_s=const)
         models = [("ok1", ray_model(0.0)), ("ok2", ray_model(15.0)), ("bad", broken)]
         with caplog.at_level("WARNING"):
             records = gate_pairs(
@@ -108,6 +108,15 @@ class TestGatePairs:
             )
         assert [(r.id_a, r.id_b) for r in records] == [("ok1", "ok2")]
         assert "bad" in caplog.text
+
+    @pytest.mark.parametrize("at, meters_per_unit, message", [
+        (GroundPoint(0.0, 0.0, float("nan")), 1.0, "height must be finite, got nan"),
+        (ORIGIN, 0.0, "meters_per_unit must be finite and > 0, got 0.0"),
+    ], ids=["non-finite-height", "zero-meters-per-unit"])
+    def test_errors_that_are_not_a_missing_ray_raise(self, at, meters_per_unit, message):
+        models = [("a", ray_model(0.0)), ("b", ray_model(15.0))]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gate_pairs(models, at, every_pair(models), meters_per_unit=meters_per_unit)
 
     def test_needs_two_models(self):
         with pytest.raises(ValueError):

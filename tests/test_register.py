@@ -1,5 +1,7 @@
 import logging
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -614,8 +616,8 @@ class TestPreparedReference:
 
     @settings(max_examples=15, deadline=None)
     @given(cases=shared_reference_cases())
-    # a two-level pyramid, reached first to level 1, then not at all, then
-    # extended to level 2, then reused
+    # a pyramid of three levels, searched to level 1, then at level 0 only,
+    # then to level 2 twice
     @example(cases=(
         dict(rows=130, cols=130, east=0, north=0, holes=0.05, spikes=0.05, flat=False,
              max_search=0, seed=11),
@@ -636,16 +638,38 @@ class TestPreparedReference:
                         align(moving, r, cfg)
                 continue
             assert _bits(align(moving, reference, cfg)) == _bits(want) == _bits(align(moving, ref, cfg))
-        event(f"pyramid levels built: {len(reference._levels)}")
+        event(f"pyramid levels built: {len(reference.levels)}")
 
-    def test_levels_are_built_on_demand(self):
+    def test_levels_are_built_at_construction(self):
+        reference = register.Reference(readme_scene(128, seed=402))
+        assert [a.shape for a in reference.levels] == [(128, 128), (64, 64), (32, 32)]
+
+    def test_align_leaves_the_reference_unchanged(self):
         truth = readme_scene(128, seed=402)
         reference = register.Reference(truth)
+        held = [reference.levels, *reference.levels, reference.grad_col, reference.grad_row]
         moving = move_content(readme_layer(truth, 402 * 1000 + 3, 0.5), -3, 4)
-        align(moving, reference, AlignConfig(max_search=1))
-        assert len(reference._levels) == 1
-        align(moving, reference, AlignConfig(max_search=10))
-        assert [a.shape for a in reference._levels] == [(128, 128), (64, 64), (32, 32)]
+        for max_search in (1, 10):
+            align(moving, reference, AlignConfig(max_search=max_search))
+            now = [reference.levels, *reference.levels, reference.grad_col, reference.grad_row]
+            assert len(now) == len(held) and all(a is b for a, b in zip(now, held))
+
+    def test_threads_share_a_fresh_reference(self):
+        # two aligns start together on a Reference no align has used yet
+        truth = readme_scene(128, seed=403)
+        movers = [move_content(readme_layer(truth, 403 * 1000 + i, 0.5), e, n)
+                  for i, (e, n) in enumerate([(-3, 4), (6, -2)])]
+        cfg = AlignConfig(max_search=10)
+        want = [_bits(oracle_align(m, truth, cfg)[0]) for m in movers]
+        reference = register.Reference(truth)
+        start = threading.Barrier(len(movers))
+
+        def run(moving):
+            start.wait()
+            return _bits(align(moving, reference, cfg))
+
+        with ThreadPoolExecutor(len(movers)) as pool:
+            assert list(pool.map(run, movers)) == want
 
 
 def readme_fused():
