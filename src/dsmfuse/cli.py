@@ -1,9 +1,10 @@
 """Command-line driver for the fusion pipeline.
 
 Subcommands: fuse, rank, eval, curve, rpc, synth.  Metrics come out as
-CSV and previews as PGM so results diff cleanly; every file-producing run
-also writes a JSON manifest (command, inputs, configuration, seed,
-version, wall time) sufficient to reproduce it.
+CSV and previews as PGM so results diff cleanly; ``_write_csv`` writes
+every table and is the one statement of its cell rule.  Every
+file-producing run also writes a JSON manifest (command, inputs,
+configuration, seed, version, wall time) sufficient to reproduce it.
 
 Each command's flags are stated once, in the ``_COMMANDS`` table, with
 defaults read from the library's config classes.  The table builds the
@@ -29,6 +30,7 @@ import tempfile
 import time
 import warnings
 from contextlib import ExitStack, closing, contextmanager
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
@@ -195,14 +197,16 @@ def _write_manifest(
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_grid_atomic(grid: RasterGrid, path: Path) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header line, then a line per row tuple, by the one cell rule of every CLI table:
+    ``true``/``false``, a float to six decimals (``None``, no value, as ``nan``), else ``str``."""
+    def cell(value) -> str:
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        return "nan" if value is None else f"{value:.6f}" if isinstance(value, float) else str(value)
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
     with _atomic(path) as tmp:
-        write_asc(grid, tmp)
-
-
-def _write_text_atomic(text: str, path: Path) -> None:
-    with _atomic(path) as tmp:
-        tmp.write_text(text, encoding="ascii")
+        tmp.write_text("".join(f"{line}\n" for line in lines), encoding="ascii")
 
 
 def _align_config(opts: SimpleNamespace) -> AlignConfig:
@@ -308,15 +312,8 @@ def cmd_rank(opts: SimpleNamespace):
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
     ranked = rank_pairs(candidates, truth, acfg, gate)
-
-    lines = ["id_a,id_b,angle_deg,rank_rmse_m,selected"]
-    for r in ranked:
-        rank_txt = "nan" if r.rank_rmse is None else f"{r.rank_rmse:.6f}"
-        lines.append(
-            f"{r.id_a},{r.id_b},{r.angle_deg:.6f},{rank_txt},"
-            f"{'true' if r.selected else 'false'}"
-        )
-    _write_text_atomic("\n".join(lines) + "\n", out)
+    _write_csv(out, "id_a,id_b,angle_deg,rank_rmse_m,selected",
+               [(r.id_a, r.id_b, r.angle_deg, r.rank_rmse, r.selected) for r in ranked])
     return out, [opts.manifest, opts.truth], [out]
 
 
@@ -324,16 +321,9 @@ def cmd_eval(opts: SimpleNamespace):
     _require(opts, "computed", "truth", "out")
     acfg = _align_config(opts)
     out = _out_path(opts)
-    computed = read_asc(opts.computed)
-    truth = read_asc(opts.truth)
-    res = align(computed, truth, acfg)
-    lines = [
-        "rmse_inliers_m,rmse_all_m,dx_m,dy_m,dz_m,n_inliers,n_total,converged",
-        f"{res.rmse_inliers:.6f},{res.rmse_all:.6f},"
-        f"{res.shift[0]:.6f},{res.shift[1]:.6f},{res.shift[2]:.6f},"
-        f"{res.n_inliers},{res.n_total},{'true' if res.converged else 'false'}",
-    ]
-    _write_text_atomic("\n".join(lines) + "\n", out)
+    r = align(read_asc(opts.computed), read_asc(opts.truth), acfg)
+    _write_csv(out, "rmse_inliers_m,rmse_all_m,dx_m,dy_m,dz_m,n_inliers,n_total,converged",
+               [(r.rmse_inliers, r.rmse_all, *r.shift, r.n_inliers, r.n_total, r.converged)])
     return out, [opts.computed, opts.truth], [out]
 
 
@@ -363,11 +353,10 @@ def cmd_curve(opts: SimpleNamespace):
             keep(adaptive, fused)
         truth = Reference(truth.grid())
 
-        lines = ["k,rmse_adaptive_m,rmse_median_m"]
-        for k, pair in zip(ks, zip(adaptive, median)):
-            res_a, res_m = (align(_spilled_grid(f, target), truth, acfg) for f in pair)
-            lines.append(f"{k},{res_a.rmse_all:.6f},{res_m.rmse_all:.6f}")
-    _write_text_atomic("\n".join(lines) + "\n", out)
+        _write_csv(out, "k,rmse_adaptive_m,rmse_median_m", [
+            (k, *(align(_spilled_grid(f, target), truth, acfg).rmse_all for f in pair))
+            for k, pair in zip(ks, zip(adaptive, median))
+        ])
     return out, [*inputs, opts.truth], [out]
 
 
@@ -409,19 +398,13 @@ def cmd_synth(opts: SimpleNamespace):
     out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outputs = []
-    truth_path = out_dir / "truth.asc"
-    ortho_path = out_dir / "ortho.asc"
-    _write_grid_atomic(truth, truth_path)
-    _write_grid_atomic(ortho, ortho_path)
-    outputs += [truth_path, ortho_path]
-
-    for i, dspec in enumerate(dspecs):
-        layer_path = out_dir / f"layer_{i + 1:02d}.asc"
-        _write_grid_atomic(degrade(truth, dspec), layer_path)
-        outputs.append(layer_path)
-
-    return truth_path, [opts.scene], outputs, spec.seed
+    layers = [f"layer_{i:02d}" for i in range(1, n + 1)]
+    outputs = [out_dir / f"{name}.asc" for name in ("truth", "ortho", *layers)]
+    grids = chain([truth, ortho], (degrade(truth, dspec) for dspec in dspecs))
+    for path in outputs:  # each layer is degraded only as it is written
+        with _atomic(path) as tmp:
+            write_asc(next(grids), tmp)
+    return outputs[0], [opts.scene], outputs, spec.seed
 
 
 # flags shared by several commands: key -> (default, argparse keywords)

@@ -90,7 +90,7 @@ def gate_pairs(
     it is in.  Pairs are canonicalized (id_a < id_b) and sorted by ascending
     angle, so the output is invariant to the input ordering.  A pair with a
     model that gives no ray at ``at`` is dropped with a logged reason; any
-    other error, such as a bad ``meters_per_unit``, raises.
+    other error, such as a bad ``meters_per_unit`` or a non-finite ``at``, raises.
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 models to form pairs, got {len(models)}")

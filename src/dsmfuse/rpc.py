@@ -79,7 +79,7 @@ class ImagePoint(NamedTuple):
     l: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RpcModel:
     """80 rational-polynomial coefficients (read-only copies) plus 10 normalization parameters."""
 
@@ -170,8 +170,10 @@ def project(model: RpcModel, p: GroundPoint) -> ImagePoint:
     """Ground-to-image projection.
 
     Points whose normalized coordinates leave the +-1.5 validity cube are
-    still computed but emit an RpcDomainWarning.
+    still computed but emit an RpcDomainWarning; a non-finite point raises ``ValueError``.
     """
+    if not np.isfinite(p).all():
+        raise ValueError(f"ground point must be finite, got {tuple(p)}")
     un, vn, zn = _normalize(model, p)
     if max(abs(un), abs(vn), abs(zn)) > NORMALIZED_DOMAIN:
         warnings.warn(

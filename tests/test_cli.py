@@ -973,6 +973,21 @@ class TestEval:
         assert rmse_all == pytest.approx(0.0, abs=1e-4)
         assert dz == pytest.approx(-1.0, abs=1e-3)
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        # a 1 m offset with three 10 m blunders: the counts print as integers, and
+        # rmse_all_m is sqrt(3 * 10**2 / 1600)
+        write_asc(hill_grid(), tmp_path / "truth.asc")
+        comp = hill_grid(offset=1.0).values.copy()
+        comp[10, 10:13] += 10.0
+        write_asc(grid_of(comp), tmp_path / "comp.asc")
+        out = tmp_path / "m.csv"
+        assert main(["eval", "--computed", str(tmp_path / "comp.asc"),
+                     "--truth", str(tmp_path / "truth.asc"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"rmse_inliers_m,rmse_all_m,dx_m,dy_m,dz_m,n_inliers,n_total,converged\n"
+            b"0.000000,0.433013,0.000000,0.000000,-1.000000,1597,1600,true\n"
+        )
+
     def test_off_grid_dsm_evaluates_alike_whatever_its_nodata(self, tmp_path):
         # the DSM's +-1 columns lie half a cell east of the truth's grid, so align's
         # resample gives exact zeros; with NODATA_value 0 they are heights all the same
@@ -1125,6 +1140,26 @@ class TestRank:
             b"imgA,imgB,12.000000,0.297183,true\n"
             b"imgB,imgC,12.000000,0.678800,true\n"
             b"imgA,imgC,24.000000,1.223067,true\n"
+        )
+
+    def test_unrankable_pair_row_pinned(self, tmp_path):
+        # imgB-imgD, at 24 degrees, has a DSM 1000 cells east of the truth: nothing
+        # to align, so its row reads nan and false, and it sorts last
+        self.build_inputs(tmp_path)
+        write_rpc(linear_ray_model(np.tan(np.radians(36.0))), tmp_path / "imgD.rpc")
+        write_asc(RasterGrid(GridGeometry(1000, 0, 1.0, 30, 30), hill_grid(30).values), tmp_path / "off.asc")
+        with open(tmp_path / "pairs.csv", "a") as f:
+            f.write(f"imgB,imgD,{tmp_path / 'imgB.rpc'},{tmp_path / 'imgD.rpc'},{tmp_path / 'off.asc'}\n")
+        out = tmp_path / "ranked.csv"
+        assert main(["rank", "--manifest", str(tmp_path / "pairs.csv"), "--truth", str(tmp_path / "truth.asc"),
+                     "--at", "0", "0", "0", "--meters-per-unit", "1.0", "--max-search", "3",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"id_a,id_b,angle_deg,rank_rmse_m,selected\n"
+            b"imgA,imgB,12.000000,0.297183,true\n"
+            b"imgB,imgC,12.000000,0.678800,true\n"
+            b"imgA,imgC,24.000000,1.223067,true\n"
+            b"imgB,imgD,24.000000,nan,false\n"
         )
 
     def test_gates_only_the_listed_pairs(self, tmp_path, monkeypatch):
@@ -1301,6 +1336,15 @@ class TestCurve:
         return main(["curve", "--layers", *paths, "--ortho", str(tmp_path / "ortho.asc"),
                      "--truth", str(tmp_path / "truth.asc"), "--max-search", "2", *extra,
                      "--out", str(tmp_path / "curve.csv")])
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        assert self._curve(tmp_path, self._scene(tmp_path, 3)) == 0
+        assert (tmp_path / "curve.csv").read_bytes() == (
+            b"k,rmse_adaptive_m,rmse_median_m\n"
+            b"1,0.091564,2.296251\n"
+            b"2,0.097961,1.705361\n"
+            b"3,0.105229,0.982359\n"
+        )
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_rows_match_fusing_each_prefix_alone(self, tmp_path, monkeypatch, jobs):
@@ -1599,6 +1643,27 @@ class TestSynthCommand:
                      "--ortho", "data/ortho.asc", "--out", "fused.asc"]) == 0
         for name, digest in pinned.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
+
+    def test_peak_memory_flat_in_layer_count(self, tmp_path):
+        # numpy reports its buffers to tracemalloc.  Each layer is degraded only as
+        # it is written, so 8 layers peak within one grid of 2; degrading every
+        # layer before writing any would hold 6 grids more
+        import tracemalloc
+
+        n = 200
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"seed=3\nwidth={n}\nheight={n}\nbuilding=20,30,60,40,15.0,180\n")
+        peaks = []
+        for n_layers in (2, 8):
+            tracemalloc.start()
+            try:
+                assert main(["synth", "--scene", str(scene), "--layers", str(n_layers),
+                             "--spike-prob", "0.05", "--hole-prob", "0.05",
+                             "--out-dir", str(tmp_path / f"out{n_layers}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < n * n * 8, peaks  # less than one grid
 
     @pytest.mark.parametrize("flags, scene_line, name", [
         (["--sigma-start", "nan", "--sigma-end", "nan"], None, "gaussian_sigma"),

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,13 +112,19 @@ class TestGatePairs:
         assert "bad" in caplog.text
 
     @pytest.mark.parametrize("at, meters_per_unit, message", [
-        (GroundPoint(0.0, 0.0, float("nan")), 1.0, "height must be finite, got nan"),
+        (GroundPoint(0.0, 0.0, float("nan")), 1.0, "ground point must be finite, got (0.0, 0.0, nan)"),
+        (GroundPoint(float("inf"), 0.0, 0.0), 1.0, "ground point must be finite, got (inf, 0.0, 0.0)"),
+        (GroundPoint(0.0, float("nan"), 0.0), 1.0, "ground point must be finite, got (0.0, nan, 0.0)"),
         (ORIGIN, 0.0, "meters_per_unit must be finite and > 0, got 0.0"),
-    ], ids=["non-finite-height", "zero-meters-per-unit"])
+    ], ids=["non-finite-height", "non-finite-u", "non-finite-v", "zero-meters-per-unit"])
     def test_errors_that_are_not_a_missing_ray_raise(self, at, meters_per_unit, message):
+        # raised before any model is evaluated, so with no warning
         models = [("a", ray_model(0.0)), ("b", ray_model(15.0))]
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            warnings.simplefilter("always")
             gate_pairs(models, at, every_pair(models), meters_per_unit=meters_per_unit)
+        assert caught == []
 
     def test_needs_two_models(self):
         with pytest.raises(ValueError):

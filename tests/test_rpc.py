@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestProject:
         with pytest.warns(RpcDomainWarning):
             ip = project(model, GroundPoint(2.0, 0.0, 0.0))
         assert ip.s == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p", [
+        GroundPoint(math.inf, 0.0, 0.0), GroundPoint(0.0, math.nan, 0.0), GroundPoint(0.0, 0.0, -math.inf),
+    ], ids=["u", "v", "z"])
+    def test_non_finite_point_raises_before_evaluating(self, p):
+        # neither the validity-cube warning nor numpy's invalid-value warnings come first
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(
+            ValueError, match=f"^{re.escape(f'ground point must be finite, got {tuple(p)}')}$"
+        ):
+            warnings.simplefilter("always")
+            project(identity_model(), p)
+        assert caught == []
 
     def test_degenerate_denominator(self):
         den = np.zeros(20)
@@ -322,6 +335,12 @@ class TestRpcFile:
 
 
 class TestModelValidation:
+    def test_compares_and_hashes_by_identity(self):
+        # field-wise == would take the truth value of the coefficient arrays' comparison
+        a, b = identity_model(), identity_model()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2 and {a: "a", b: "b"}[b] == "b"
+
     def test_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
             identity_model(num_s=np.zeros(19))
