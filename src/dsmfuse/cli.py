@@ -14,7 +14,8 @@ flag alone, before any input is read; a list value's tokens split on
 commas and whitespace.  Explicit flags override the file.  Exit codes: 0
 success, 2 I/O error (including an undecodable input file), 3 geometry
 mismatch / insufficient overlap, 4 bad configuration (including an
-invalid or unknown flag and an undecodable config or scene file).
+invalid or unknown flag, an output that names an input or another output,
+and an undecodable config or scene file).
 ``run`` is the process entry point; tests and embedders call ``main``.
 """
 
@@ -179,10 +180,9 @@ def _atomic(path: Path):
             tmp.unlink()
 
 
-def _write_manifest(
-    command: str, opts: SimpleNamespace, started: float,
-    out_path: Path, inputs, outputs, seed=None,
-) -> None:
+def _write_manifest(command: str, opts: SimpleNamespace, started: float, inputs, files, seed=None):
+    """The manifest, at the last of ``files``, of a run that read ``inputs`` and wrote the rest."""
+    *outputs, path = files
     manifest = {
         "command": command,
         "inputs": [str(p) for p in inputs],
@@ -192,7 +192,6 @@ def _write_manifest(
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    path = Path(f"{out_path}.manifest.json")
     with _atomic(path) as tmp:
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -223,30 +222,37 @@ def _fusion_config(opts: SimpleNamespace) -> FusionConfig:
     )
 
 
-def _open_sources(paths, n_layers: int, exits: ExitStack):
+def _open_sources(paths, exits: ExitStack):
     """The first input's geometry and a row source per input, every header read first:
-    an open ``GridReader`` on that geometry, else the input resampled onto it.  A
-    layer wholly off it is an error; an ortho off it is not."""
+    an open ``GridReader`` on that geometry, else the input resampled onto it.  An input,
+    ortho included, that holds samples but none on that grid is an error."""
     readers = [exits.enter_context(GridReader(p)) for p in paths]
     target = readers[0].geometry
     for k, path in enumerate(paths):
         if readers[k].geometry != target:
-            layer = readers[k].grid()
-            readers[k] = resample(layer, target)
-            if k < n_layers and layer.valid_mask().any() and not readers[k].valid_mask().any():
+            readers[k] = resample(grid := readers[k].grid(), target)
+            if grid.valid_mask().any() and not readers[k].valid_mask().any():
                 raise GeometryMismatchError(f"{path} does not overlap the first layer's grid")
     return target, readers
 
 
-def _out_path(opts: SimpleNamespace) -> Path:
-    """``--out``, checked to lie in an existing directory, and not to be one, before any
-    input is read."""
+def _outputs(opts: SimpleNamespace, inputs, preview: bool = False) -> list[Path]:
+    """``--out``, ``fuse``'s ``.pgm`` preview and ``<out>.manifest.json``, each checked,
+    before any input is read, to lie in an existing directory and not be one (exit 2),
+    and to name neither another of them nor an input after ``os.path.realpath`` (exit 4)."""
     out = Path(opts.out)
     if not out.parent.is_dir():
         raise FileNotFoundError(f"output directory {out.parent} does not exist")
-    if out.is_dir():
-        raise IsADirectoryError(f"--out {out} is a directory")
-    return out
+    files = {"--out": out, **({"its .pgm preview": out.with_suffix(".pgm")} if preview else {}),
+             "its manifest": Path(f"{out}.manifest.json")}
+    taken = {os.path.realpath(p): f"input {p}" for p in inputs}
+    for what, path in files.items():
+        if path.is_dir():
+            raise IsADirectoryError(f"{what} {path} is a directory")
+        if (key := os.path.realpath(path)) in taken:
+            raise ConfigError(f"{taken[key]} would be overwritten by {what} {path}")
+        taken[key] = f"{what} {path}"
+    return list(files.values())
 
 
 def _spilled_strips(f, n_cols: int):
@@ -270,12 +276,9 @@ def cmd_fuse(opts: SimpleNamespace):
     if adaptive and not opts.ortho:
         raise ConfigError("--ortho is required when --mode is adaptive")
     inputs = list(opts.layers) + ([opts.ortho] if adaptive else [])
-    out = _out_path(opts)
-    preview = out.with_suffix(".pgm")
-    if preview == out:
-        raise ConfigError(f"--out {out} would be overwritten by its .pgm preview")
+    files = out, preview, _ = _outputs(opts, inputs, preview=True)
     with ExitStack() as exits:
-        target, sources = _open_sources(inputs, len(opts.layers), exits)
+        target, sources = _open_sources(inputs, exits)
         nodata = sources[0].nodata
         header = asc_header(target, nodata).encode("ascii")
         fused_rows = fuse_strips(read_strips(sources), fcfg if adaptive else None, opts.jobs)
@@ -292,7 +295,7 @@ def cmd_fuse(opts: SimpleNamespace):
                 spill.write(rows.tobytes())
         with _atomic(preview) as tmp:
             write_pgm(_spilled_strips(spill, target.n_cols), tmp, target, vmin, vmax)
-    return out, inputs, [out, preview]
+    return inputs, files
 
 
 def cmd_rank(opts: SimpleNamespace):
@@ -300,40 +303,40 @@ def cmd_rank(opts: SimpleNamespace):
     acfg = _align_config(opts)
     gate = PairGate(min_angle=opts.min_angle, max_angle=opts.max_angle, top_k=opts.top_k)
     check_probe(opts.meters_per_unit)
-    out = _out_path(opts)
+    files = out, _ = _outputs(opts, inputs := [opts.manifest, opts.truth])
     rpc_paths, pairs = read_pair_manifest(opts.manifest)
+    _outputs(opts, [*rpc_paths.values(), *pairs.values()])  # nor a file the manifest lists
     truth = read_asc(opts.truth)
     cx, cy = truth.geometry.center_point()
     at = GroundPoint(cx, cy, 0.0) if opts.at is None else GroundPoint(*opts.at)
 
     models = [(ident, read_rpc(path)) for ident, path in rpc_paths.items()]
-    # only pairs listed in the manifest are candidates
     candidates = gate_pairs(models, at, pairs, gate, opts.meters_per_unit)
     if not candidates:
         log.warning("no pairs inside the intersection-angle gate")
     ranked = rank_pairs(candidates, truth, acfg, gate)
     _write_csv(out, "id_a,id_b,angle_deg,rank_rmse_m,selected",
                [(r.id_a, r.id_b, r.angle_deg, r.rank_rmse, r.selected) for r in ranked])
-    return out, [opts.manifest, opts.truth], [out]
+    return inputs, files
 
 
 def cmd_eval(opts: SimpleNamespace):
     _require(opts, "computed", "truth", "out")
     acfg = _align_config(opts)
-    out = _out_path(opts)
+    files = out, _ = _outputs(opts, inputs := [opts.computed, opts.truth])
     r = align(read_asc(opts.computed), read_asc(opts.truth), acfg)
     _write_csv(out, "rmse_inliers_m,rmse_all_m,dx_m,dy_m,dz_m,n_inliers,n_total,converged",
                [(r.rmse_inliers, r.rmse_all, *r.shift, r.n_inliers, r.n_total, r.converged)])
-    return out, [opts.computed, opts.truth], [out]
+    return inputs, files
 
 
 def cmd_curve(opts: SimpleNamespace):
     _require(opts, "layers", "ortho", "truth", "out")
     fcfg, acfg = _fusion_config(opts), _align_config(opts)
-    out = _out_path(opts)
     inputs, ks = [*opts.layers, opts.ortho], range(1, len(opts.layers) + 1)
+    files = out, _ = _outputs(opts, [*inputs, opts.truth])
     with ExitStack() as exits:
-        target, sources = _open_sources(inputs, len(ks), exits)
+        target, sources = _open_sources(inputs, exits)
         truth = exits.enter_context(GridReader(opts.truth))  # its header checked before fusing
         # each k's fused grids go to disk a strip at a time, each to its own unlinked
         # file in the --out directory; one k's pair comes back at a time to align
@@ -357,26 +360,23 @@ def cmd_curve(opts: SimpleNamespace):
             (k, *(align(_spilled_grid(f, target), truth, acfg).rmse_all for f in pair))
             for k, pair in zip(ks, zip(adaptive, median))
         ])
-    return out, [*inputs, opts.truth], [out]
+    return [*inputs, opts.truth], files
 
 
 def cmd_rpc(opts: SimpleNamespace) -> None:
     _require(opts, "action")
     if opts.action == "project":
         _require(opts, "rpc", "u", "v", "z")
-        model = read_rpc(opts.rpc)
-        ip = project(model, GroundPoint(opts.u, opts.v, opts.z))
+        ip = project(read_rpc(opts.rpc), GroundPoint(opts.u, opts.v, opts.z))
         print(f"s={ip.s:.10g} l={ip.l:.10g}")
     elif opts.action == "invert":
         _require(opts, "rpc", "s", "l", "z")
-        model = read_rpc(opts.rpc)
-        gp = invert(model, ImagePoint(opts.s, opts.l), opts.z)
+        gp = invert(read_rpc(opts.rpc), ImagePoint(opts.s, opts.l), opts.z)
         print(f"u={gp.u:.10g} v={gp.v:.10g} z={gp.z:.10g}")
     else:
         _require(opts, "rpc", "rpc_b", "u", "v", "z")
         check_probe(opts.meters_per_unit)
-        a = read_rpc(opts.rpc)
-        b = read_rpc(opts.rpc_b)
+        a, b = read_rpc(opts.rpc), read_rpc(opts.rpc_b)
         angle = intersection_angle(a, b, GroundPoint(opts.u, opts.v, opts.z), opts.meters_per_unit)
         print(f"angle_deg={angle:.10g}")
 
@@ -404,7 +404,7 @@ def cmd_synth(opts: SimpleNamespace):
     for path in outputs:  # each layer is degraded only as it is written
         with _atomic(path) as tmp:
             write_asc(next(grids), tmp)
-    return outputs[0], [opts.scene], outputs, spec.seed
+    return [opts.scene], [*outputs, Path(f"{outputs[0]}.manifest.json")], spec.seed
 
 
 # flags shared by several commands: key -> (default, argparse keywords)
@@ -518,7 +518,7 @@ def main(argv=None) -> int:
         try:
             args = _build_parser().parse_args(argv)
             opts = _resolve(args, args.command)
-            wrote = _COMMANDS[args.command][0](opts)  # (anchor path, inputs, outputs[, seed])
+            wrote = _COMMANDS[args.command][0](opts)  # (inputs, outputs + [manifest][, seed])
             if wrote:
                 _write_manifest(args.command, opts, started, *wrote)
         except (AsciiGridError, RpcFileError, ManifestError, OSError) as exc:

@@ -900,6 +900,16 @@ class TestRepeatedKey:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture
+def no_read(monkeypatch):
+    """Every reader the CLI calls raises, so a command that exits shows its check came first."""
+    def no_read(*args):
+        raise AssertionError("read an input before checking the output paths")
+
+    for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest"):
+        monkeypatch.setattr(cli, name, no_read)
+
+
 class TestMissingOutDir:
     @pytest.mark.parametrize("argv", [
         ["fuse", "--layers", "l.asc", "--mode", "median"],
@@ -907,12 +917,7 @@ class TestMissingOutDir:
         ["eval", "--computed", "c.asc", "--truth", "truth.asc"],
         ["curve", "--layers", "l.asc", "--ortho", "ortho.asc", "--truth", "truth.asc"],
     ], ids=["fuse", "rank", "eval", "curve"])
-    def test_exit_2_naming_it_before_reading(self, tmp_path, capsys, monkeypatch, argv):
-        def no_read(*args):
-            raise AssertionError("read an input before checking the --out directory")
-
-        for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest"):
-            monkeypatch.setattr(cli, name, no_read)
+    def test_exit_2_naming_it_before_reading(self, tmp_path, capsys, no_read, argv):
         missing = tmp_path / "nodir"
         assert main([*argv, "--out", str(missing / "o.out")]) == 2
         assert capsys.readouterr().err == f"error: output directory {missing} does not exist\n"
@@ -924,17 +929,119 @@ class TestMissingOutDir:
         ["eval", "--computed", "c.asc", "--truth", "truth.asc"],
         ["curve", "--layers", "l.asc", "--ortho", "ortho.asc", "--truth", "truth.asc"],
     ], ids=["fuse", "rank", "eval", "curve"])
-    def test_out_that_is_a_directory_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, argv):
-        def no_read(*args):
-            raise AssertionError("read an input before checking --out")
-
-        for name in ("read_asc", "GridReader", "read_rpc", "read_pair_manifest"):
-            monkeypatch.setattr(cli, name, no_read)
+    def test_out_that_is_a_directory_exit_2_before_reading(self, tmp_path, capsys, no_read, argv):
         out = tmp_path / "outdir"
         out.mkdir()
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
         assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+# each command's inputs, by name in the working directory; fuse's ortho is read in adaptive mode
+_ARGV = {
+    "fuse": ["fuse", "--mode", "adaptive", "--layers", "l.asc", "--ortho", "ortho.asc"],
+    "rank": ["rank", "--manifest", "pairs.csv", "--truth", "truth.asc"],
+    "eval": ["eval", "--computed", "c.asc", "--truth", "truth.asc"],
+    "curve": ["curve", "--layers", "l.asc", "--ortho", "ortho.asc", "--truth", "truth.asc"],
+}
+
+
+def _input_names(argv):
+    return [token for token in argv[1:] if "." in token]
+
+
+class TestOutputPaths:
+    """Every file a command writes (``--out``, fuse's preview, the manifest) is checked
+    before any input is read: a directory there exits 2, and a file that would overwrite
+    an input or another output exits 4; nothing is written and no input changes."""
+
+    @staticmethod
+    def _inputs(tmp_path, monkeypatch, argv):
+        """Write each input of ``argv`` in ``tmp_path``, made the working directory; their bytes."""
+        monkeypatch.chdir(tmp_path)
+        for name in _input_names(argv):
+            Path(name).write_text(f"the bytes of {name}\n")
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("command, out, where", [
+        *((c, "o.out", "o.out.manifest.json") for c in _ARGV),
+        ("fuse", "o.asc", "o.pgm"),
+    ], ids=[*(f"{c}-manifest" for c in _ARGV), "fuse-preview"])
+    def test_manifest_or_preview_that_is_a_directory_exit_2_before_reading(
+        self, tmp_path, capsys, monkeypatch, no_read, command, out, where
+    ):
+        before = self._inputs(tmp_path, monkeypatch, _ARGV[command])
+        (tmp_path / where).mkdir()
+        assert main([*_ARGV[command], "--out", out]) == 2
+        what = "its .pgm preview" if where.endswith(".pgm") else "its manifest"
+        assert capsys.readouterr().err == f"error: {what} {where} is a directory\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, where])
+        assert list((tmp_path / where).iterdir()) == []
+
+    @pytest.mark.parametrize("command, name", [
+        (c, name) for c, argv in _ARGV.items() for name in _input_names(argv)
+    ])
+    def test_out_naming_an_input_exit_4_before_reading(
+        self, tmp_path, capsys, monkeypatch, no_read, command, name
+    ):
+        before = self._inputs(tmp_path, monkeypatch, _ARGV[command])
+        out = tmp_path / name  # the input's name relative, --out's absolute
+        assert main([*_ARGV[command], "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: input {name} would be overwritten by --out {out}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, out, message", [
+        (["fuse", "--mode", "adaptive", "--layers", "l.asc", "--ortho", "o.pgm"], "o.asc",
+         "input o.pgm would be overwritten by its .pgm preview o.pgm"),
+        (["eval", "--computed", "c.asc", "--truth", "o.csv.manifest.json"], "o.csv",
+         "input o.csv.manifest.json would be overwritten by its manifest o.csv.manifest.json"),
+    ], ids=["preview", "manifest"])
+    def test_preview_or_manifest_naming_an_input_exit_4_before_reading(
+        self, tmp_path, capsys, monkeypatch, no_read, argv, out, message
+    ):
+        before = self._inputs(tmp_path, monkeypatch, argv)
+        assert main([*argv, "--out", out]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_out_linked_to_an_input_exit_4_and_an_input_in_a_link_loop_exit_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = _ARGV["eval"]
+        before = self._inputs(tmp_path, monkeypatch, argv)
+        Path("link.csv").symlink_to("c.asc")
+        assert main([*argv, "--out", "link.csv"]) == 4
+        assert capsys.readouterr().err == "error: input c.asc would be overwritten by --out link.csv\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**before, "link.csv": before["c.asc"]}
+        # a loop resolves to no file: the path check passes it, and reading it exits 2
+        Path("loop_a.asc").symlink_to("loop_b.asc")
+        Path("loop_b.asc").symlink_to("loop_a.asc")
+        assert main(["eval", "--computed", "loop_a.asc", "--truth", "truth.asc", "--out", "o.csv"]) == 2
+        assert "loop_a.asc" in capsys.readouterr().err
+        assert not Path("o.csv").exists()
+
+    @pytest.mark.parametrize("listed, out", [
+        ("B.rpc", "B.rpc"), ("d.asc", "d.asc"), ("r.csv.manifest.json", "r.csv"),
+    ], ids=["rpc", "dsm", "manifest"])
+    def test_rank_out_the_manifest_lists_exit_4_before_reading_it(
+        self, tmp_path, capsys, monkeypatch, no_read, listed, out
+    ):
+        # the manifest alone is read; its paths, relative to the working directory, are not
+        monkeypatch.setattr(cli, "read_pair_manifest", pairsel.read_pair_manifest)
+        argv = _ARGV["rank"]
+        self._inputs(tmp_path, monkeypatch, argv)
+        dsm = "r.csv.manifest.json" if listed.endswith(".json") else "d.asc"
+        Path("pairs.csv").write_text(
+            f"id_a,id_b,rpc_a_path,rpc_b_path,dsm_path\nA,B,A.rpc,B.rpc,{dsm}\n")
+        for name in ("A.rpc", "B.rpc", dsm):
+            Path(name).write_text(f"the bytes of {name}\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([*argv, "--out", str(tmp_path / out)]) == 4
+        what = "its manifest" if listed.endswith(".json") else "--out"
+        assert capsys.readouterr().err == \
+            f"error: input {listed} would be overwritten by {what} {tmp_path / listed}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestEval:
@@ -1429,6 +1536,39 @@ class TestCurve:
         assert code == 2
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("command, pinned", [
+        ("fuse", {
+            "fused.asc": "b951b863e77740f4dfd0d67f576b6ed611b41e94c45d7cdc28ba4550b659aea3",
+            "fused.pgm": "37a7136d336d0318f733f6fc53f8e7f89f493513ac27907d4b0392ffee1fca8e",
+        }),
+        ("curve", {
+            "curve.csv": "91b992f8573a4ad91fb5c1e679d165a32f7f38aedc0062b696d7975406a53661",
+        }),
+    ], ids=["fuse", "curve"])
+    def test_ortho_off_the_grid_exit_3_half_a_cell_east_fuses(self, tmp_path, capsys, command, pinned):
+        # an ortho obeys the layers' overlap rule: one with no sample on their grid is
+        # refused, and one half a cell east (_scene's own) fuses to the bytes it always did
+        paths = self._scene(tmp_path, 3)
+        ortho = read_asc(tmp_path / "ortho.asc")
+        g = ortho.geometry
+        far = GridGeometry(g.origin_x + 5000.0, g.origin_y, g.cell_size, g.n_cols, g.n_rows)
+        write_asc(RasterGrid(far, ortho.values), tmp_path / "ortho_off.asc")
+        extra = ["--truth", str(tmp_path / "truth.asc"), "--max-search", "2"] \
+            if command == "curve" else ["--mode", "adaptive"]
+
+        def run(ortho):
+            return main([command, "--layers", *paths, "--ortho", str(tmp_path / ortho), *extra,
+                         "--out", str(tmp_path / next(iter(pinned)))])
+
+        before = sorted(tmp_path.iterdir())
+        assert run("ortho_off.asc") == 3
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'ortho_off.asc'} does not overlap the first layer's grid\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert run("ortho.asc") == 0
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     @pytest.mark.parametrize("command", ["curve", "fuse"])
     def test_ortho_outside_gray_scale_warns(self, tmp_path, command):
